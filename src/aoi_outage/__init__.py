@@ -58,6 +58,7 @@ from .simulate import (
     repetition_seed,
     run_repetitions,
     simulate,
+    simulate_many,
 )
 from .states import (
     SystemConfig,

@@ -132,7 +132,7 @@ def _duration_series(pi, p, out, tolerance: float) -> tuple[float, int]:
     prev = xi1
     t = 1
     term = 0.0
-    while t < SERIES_CAP:
+    while True:
         u = (u * out) @ p
         term = float(u[out].sum())
         t += 1
@@ -141,7 +141,8 @@ def _duration_series(pi, p, out, tolerance: float) -> tuple[float, int]:
                 f"outage-return series grows at t={t} ({term:.3e} > {prev:.3e}); chain is broken"
             )
         total += term
-        if term / xi1 < tolerance:
+        # at the cap, keep prev: the tail ratio needs the last two distinct terms
+        if term / xi1 < tolerance or t >= SERIES_CAP:
             break
         prev = term
     if term > 0.0 and prev > 0.0:

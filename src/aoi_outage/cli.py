@@ -29,7 +29,7 @@ from .markov import TransitionTables, validate_policy
 from .optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, load_scenario
-from .simulate import derive_seed, measure_bursts, run_repetitions, simulate
+from .simulate import derive_seed, measure_bursts, run_repetitions, simulate_many
 
 CHECKPOINTS = (500, 1000, 2500, 5000, 10000)
 PENALTY_CHOICES = tuple(k.value for k in PenaltyKind)
@@ -259,16 +259,20 @@ def cmd_burst_convergence(args) -> int:
         "measured_mean_burst", "analytic_mean_burst", "err_mean_burst",
         "measured_mean_ioi", "analytic_mean_ioi", "err_mean_ioi",
     ]
-    rows = []
-    errors = {cp: [] for cp in CHECKPOINTS}
+    policies, all_stats = [], []
     for pid in range(args.n_policies):
         policy_rng = np.random.default_rng(derive_seed(master, pid, 0))
         policy = policy_rng.integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
         stats = burst_stats(cfg, policy, tables=tables)
         if not stats.defined:
             raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
-        sim_seed = derive_seed(master, pid, 1)
-        result = simulate(cfg, policy, horizon, sim_seed, tables=tables)
+        policies.append(policy)
+        all_stats.append(stats)
+    sim_seeds = [derive_seed(master, pid, 1) for pid in range(args.n_policies)]
+    results = simulate_many(cfg, policies, horizon, sim_seeds, tables=tables)
+    rows = []
+    errors = {cp: [] for cp in CHECKPOINTS}
+    for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
         for cp in CHECKPOINTS:
             prefix = result.outage_sequence[:cp]
             measured_p = float(prefix.mean())

@@ -6,7 +6,9 @@ current state's channel bits, and fresh bits only select the next period's
 SNR. Randomness comes from numpy's default PCG64 generator; one uniform
 draw per period and quantity, in the fixed column order (device-1 failure,
 device-2 failure, device-1 next bit, device-2 next bit), so results are
-bit-reproducible given (config, policy, periods, seed).
+bit-reproducible given (config, policy, periods, seed). Many (policy, seed)
+rows advance in lockstep, one numpy step per period; each row's result is
+the same as a one-row run.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .burstiness import BurstStats, DURATION_CONVENTION
 from .markov import TransitionTables, validate_policy
-from .states import SystemConfig, SystemState
+from .states import SystemConfig, SystemState, index_to_state
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -74,6 +76,97 @@ def measure_bursts(outage_sequence, convention: str = DURATION_CONVENTION):
     return bursts, iois
 
 
+#: Periods of uniforms drawn per row at a time. The draw buffer holds
+#: rows x DRAW_CHUNK x 4 doubles whatever the horizon.
+DRAW_CHUNK = 128
+
+
+def _lockstep(t: TransitionTables, policies: np.ndarray, periods: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Advance R independent rows of the chain together, one numpy step per
+    period. Row r follows policies[r] from the initial state and consumes
+    default_rng(seeds[r]).random((periods, 4)), drawn DRAW_CHUNK periods at a
+    time. Returns the (R, periods) outage indicators and each row's final
+    0-based state index.
+
+    A row's state is held as the global index r * n_states + s, so the
+    per-row error-rate and successor tables are single flat lookups.
+    """
+    cfg = t.cfg
+    n_states = cfg.n_states
+    rows = len(seeds)
+    eps_bad, eps_good = t.eps_by_bit
+    # error rates of the transition out of each (row, state), policy applied once
+    e1 = np.where(t.x1 == 1, eps_good[policies], eps_bad[policies]).ravel()
+    e2 = np.where(t.x2 == 1, eps_good[t.n_total - policies], eps_bad[t.n_total - policies]).ravel()
+    # successor with channel bits (0, 0), at position 4 * s + 2 * fail1 + fail2
+    fail1, fail2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+    succ = t.row_base(
+        np.where(fail1, t.succ_a1[:, None], 1), np.where(fail2, t.succ_a2[:, None], 1)
+    ).ravel()
+    offset = np.arange(rows) * n_states
+    succ = (succ + offset[:, None]).ravel()
+    out = np.tile(t.outage, rows)
+
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    draws = np.empty((rows, DRAW_CHUNK, 4))
+    visited = np.empty((DRAW_CHUNK, rows), dtype=np.int64)
+    outage = np.empty((rows, periods), dtype=bool)
+    g = offset + (cfg.initial_index - 1)
+    for start in range(0, periods, DRAW_CHUNK):
+        m = min(DRAW_CHUNK, periods - start)
+        for rng, buf in zip(rngs, draws):
+            rng.random(out=buf[:m])
+        u = draws[:, :m].transpose(1, 2, 0)  # (period, column, row)
+        fail_u1, fail_u2 = u[:, 0], u[:, 1]
+        bits = 2 * (u[:, 2] < cfg.profile.alpha_1) + (u[:, 3] < cfg.profile.alpha_2)
+        for j in range(m):
+            g = succ[4 * g + 2 * (fail_u1[j] < e1[g]) + (fail_u2[j] < e2[g])] + bits[j]
+            visited[j] = g
+        outage[:, start : start + m] = out[visited[:m]].T
+    return outage, g - offset
+
+
+def simulate_many(
+    cfg: SystemConfig,
+    policies,
+    periods: int,
+    seeds,
+    *,
+    tables: TransitionTables | None = None,
+    convention: str = DURATION_CONVENTION,
+) -> list[SimResult]:
+    """Simulate one row per (policies[r], seeds[r]) pair for `periods`
+    periods from cfg.initial_state. Row r equals
+    simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
+    lockstep."""
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
+    if len(policies) != len(seeds):
+        raise ValueError(f"got {len(policies)} policies for {len(seeds)} seeds")
+    if len(seeds) == 0:
+        raise ValueError("need at least one policy and seed")
+    pols = np.stack([validate_policy(p, cfg) for p in policies])
+    t = tables if tables is not None else TransitionTables(cfg)
+    outage, final = _lockstep(t, pols, periods, seeds)
+    results = []
+    for seq, seed, state in zip(outage, seeds, final):
+        bursts, iois = measure_bursts(seq, convention)
+        count = int(seq.sum())
+        results.append(SimResult(
+            periods=periods,
+            outage_count=count,
+            outage_rate=count / periods,
+            burst_durations=bursts,
+            ioi_durations=iois,
+            mean_burst=float(np.mean(bursts)) if bursts else float("nan"),
+            mean_ioi=float(np.mean(iois)) if iois else float("nan"),
+            seed=seed,
+            final_state=index_to_state(int(state) + 1, cfg.a_max),
+            outage_sequence=seq,
+        ))
+    return results
+
+
 def simulate(
     cfg: SystemConfig,
     policy,
@@ -84,44 +177,7 @@ def simulate(
     convention: str = DURATION_CONVENTION,
 ) -> SimResult:
     """Simulate the chain for `periods` periods from cfg.initial_state."""
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
-    pol = validate_policy(policy, cfg)
-    t = tables if tables is not None else TransitionTables(cfg)
-    rng = np.random.default_rng(seed)
-    u = rng.random((periods, 4))
-    eps_bad, eps_good = t.eps_by_bit
-    a_max = cfg.a_max
-    a_out = cfg.a_out
-    n = t.n_total
-    alpha1 = cfg.profile.alpha_1
-    alpha2 = cfg.profile.alpha_2
-    s0 = cfg.initial_state
-    a1, a2, x1, x2 = s0.a1, s0.a2, s0.x1, s0.x2
-    outage = np.empty(periods, dtype=bool)
-    for k in range(periods):
-        lam = pol[4 * ((a1 - 1) * a_max + (a2 - 1)) + 2 * x1 + x2]
-        e1 = eps_good[lam] if x1 else eps_bad[lam]
-        e2 = eps_good[n - lam] if x2 else eps_bad[n - lam]
-        a1 = min(a1 + 1, a_max) if u[k, 0] < e1 else 1
-        a2 = min(a2 + 1, a_max) if u[k, 1] < e2 else 1
-        x1 = 1 if u[k, 2] < alpha1 else 0
-        x2 = 1 if u[k, 3] < alpha2 else 0
-        outage[k] = a1 > a_out or a2 > a_out
-    bursts, iois = measure_bursts(outage, convention)
-    count = int(outage.sum())
-    return SimResult(
-        periods=periods,
-        outage_count=count,
-        outage_rate=count / periods,
-        burst_durations=bursts,
-        ioi_durations=iois,
-        mean_burst=float(np.mean(bursts)) if bursts else float("nan"),
-        mean_ioi=float(np.mean(iois)) if iois else float("nan"),
-        seed=seed,
-        final_state=SystemState(a1, a2, x1, x2),
-        outage_sequence=outage,
-    )
+    return simulate_many(cfg, [policy], periods, [seed], tables=tables, convention=convention)[0]
 
 
 @dataclass
@@ -157,11 +213,8 @@ def run_repetitions(
     and optional normalized errors against analytic predictions."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    t = tables if tables is not None else TransitionTables(cfg)
-    results = [
-        simulate(cfg, policy, periods, repetition_seed(master_seed, r), tables=t, convention=convention)
-        for r in range(reps)
-    ]
+    seeds = [repetition_seed(master_seed, r) for r in range(reps)]
+    results = simulate_many(cfg, [policy] * reps, periods, seeds, tables=tables, convention=convention)
     rates = np.array([r.outage_rate for r in results])
     bursts: list[int] = []
     iois: list[int] = []

@@ -192,6 +192,14 @@ class TestMeanDuration:
         pi = steady_state(p)
         assert mean_outage_duration(pi, p, mask) == pytest.approx(1.0, abs=1e-12)
 
+    def test_slow_escape_past_series_cap(self):
+        # terms decay as 0.999^t, so the series reaches SERIES_CAP before the
+        # tolerance and the geometric tail must supply the rest
+        p = np.array([[0.5, 0.5], [0.001, 0.999]])
+        mask = np.array([False, True])
+        pi = steady_state(p)
+        assert mean_outage_duration(pi, p, mask) == pytest.approx(1000.0, rel=1e-9)
+
     def test_mean_matches_pmf_expectation(self, cfg_b, tables_b):
         p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
         pi = steady_state(p)

@@ -10,11 +10,13 @@ from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.optimizer import naive_policy
 from aoi_outage.simulate import (
+    DRAW_CHUNK,
     derive_seed,
     measure_bursts,
     repetition_seed,
     run_repetitions,
     simulate,
+    simulate_many,
 )
 
 from conftest import random_policy
@@ -97,6 +99,33 @@ class TestSimulate:
     def test_rejects_bad_periods(self, small_cfg):
         with pytest.raises(ValueError):
             simulate(small_cfg, naive_policy(small_cfg), 0, seed=1)
+
+
+class TestSimulateMany:
+    @pytest.mark.parametrize(
+        "periods", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+    )
+    def test_rows_match_reference_implementation(self, mid_cfg, periods):
+        rng = np.random.default_rng(21)
+        policies = [random_policy(mid_cfg, rng) for _ in range(3)] + [naive_policy(mid_cfg)]
+        seeds = [derive_seed(5, r) for r in range(len(policies))]
+        results = simulate_many(mid_cfg, policies, periods, seeds)
+        assert len(results) == len(policies)
+        for pol, seed, result in zip(policies, seeds, results):
+            ref_seq, ref_final = reference_simulate(mid_cfg, pol, periods, seed)
+            assert np.array_equal(result.outage_sequence, ref_seq)
+            s = result.final_state
+            assert (s.a1, s.a2, s.x1, s.x2) == ref_final
+            assert result.seed == seed and result.periods == periods
+
+    def test_rejects_mismatched_lengths(self, small_cfg):
+        pol = naive_policy(small_cfg)
+        with pytest.raises(ValueError):
+            simulate_many(small_cfg, [pol, pol], 10, [1])
+
+    def test_rejects_bad_periods(self, small_cfg):
+        with pytest.raises(ValueError):
+            simulate_many(small_cfg, [naive_policy(small_cfg)], 0, [1])
 
 
 class TestMeasureBursts:
