@@ -3,7 +3,7 @@
 Two devices share a fixed short-packet blocklength each period over
 independently fading uplinks. The package models the joint age/channel
 process as a finite Markov chain, optimizes the per-state split with a
-recursive penalty-driven sweep, characterizes how outages cluster into
+penalty-driven sweep, characterizes how outages cluster into
 bursts, and cross-validates everything with a seeded simulator.
 """
 
@@ -42,7 +42,6 @@ from .optimizer import (
     OptimizeReport,
     PenaltyKind,
     TerminationReason,
-    convergence_metric,
     improve_policy,
     min_error_policy,
     naive_policy,

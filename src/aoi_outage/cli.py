@@ -226,19 +226,21 @@ def cmd_reproduce_table2(args) -> int:
                 cfg, policy, reps, periods, scenario.simulation.master_seed,
                 analytic=stats, tables=tables,
             )
+            published = PUBLISHED_OUTAGE_RATES[preset, policy_name]
             rows.append({
                 "scenario": preset,
                 "policy": policy_name,
                 "analytic_p_out": stats.p_out,
                 "empirical_mean_p_out": summary.outage_rate_mean,
                 "empirical_std_p_out": summary.outage_rate_std,
-                "published_p_out": PUBLISHED_OUTAGE_RATES[preset, policy_name],
+                "published_p_out": published,
                 "seeds": seeds if policy_name in PENALTY_CHOICES else 0,
                 "reps": reps,
                 "periods": periods,
             })
             print(f"  {preset:10s} {policy_name:12s} analytic {stats.p_out:.6e} "
-                  f"empirical {summary.outage_rate_mean:.6e}")
+                  f"empirical {summary.outage_rate_mean:.6e} "
+                  f"published {published:.6e}")
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()

@@ -1,22 +1,28 @@
-"""Recursive allocation-policy optimizer with pluggable penalties.
+"""Allocation-policy optimizer with pluggable penalties.
 
-The loop alternates two steps: solve the stationary distribution of the
-chain induced by the current policy, then re-pick each state's allocation
-to minimize a one-step penalty weighted by that (now stale) distribution.
-Because the per-state penalty is linear in the state's stationary mass,
-minimizing each state's own term minimizes the total, so the sweep only
-evaluates the local term.
+The paper's recursive optimizer alternates two steps: solve the stationary
+distribution of the chain induced by the current policy, then re-pick each
+state's allocation to minimize a per-state penalty weighted by that
+distribution. The per-state penalty is pi[i] * f(i, lam), where f is the
+expected successor weight and does not depend on pi. A positive factor does
+not move an argmin, so every state with stationary mass gets the same
+allocation whatever pi the sweep is given: the first sweep already returns
+the fixed point, and the recursion reduces to one sweep (with unit weights)
+plus one stationary solve to score it.
 
-The loop stops on policy convergence, on an exact revisit of an earlier
-policy (the stale weights can drive cycles), or after max_iter rounds; the
-report always carries the iterate with the lowest analytic outage rate
-seen along the way. Two benchmark generators are included: the equal split
-and the per-state minimizer of the summed transmission error rates.
+There is deliberately no second solve-and-sweep to "settle" states with
+zero stationary mass. Weighted by a solved pi, such states tie at every
+allocation and the sweep sends them to allocation 0. That can strand a
+device: the states become a second closed class, the chain is no longer
+ergodic, and the next stationary solve fails or scores the wrong class.
+The unit-weight sweep gives every state its own argmin instead.
+
+Two benchmark generators are included: the equal split and the per-state
+minimizer of the summed transmission error rates.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,15 +47,13 @@ class PenaltyKind(Enum):
 
 class TerminationReason(Enum):
     CONVERGED = "Converged"
-    MAX_ITERATIONS = "MaxIterations"
-    CYCLE_DETECTED = "CycleDetected"
 
 
 @dataclass
 class OptimizeReport:
-    """Outcome of one optimizer run. final_policy is the best iterate seen
-    (lowest analytic outage rate), which for converged runs is normally the
-    fixed point itself. convergence_trace rows are (iteration, metric, p_out)."""
+    """Outcome of one optimizer run. final_policy is the sweep's policy and
+    best_p_out its analytic outage rate. convergence_trace rows are
+    (iteration, metric, p_out); a run has the single row (1, 0.0, p_out)."""
 
     final_policy: np.ndarray
     iterations: int
@@ -139,19 +143,6 @@ def improve_policy(
     return new
 
 
-def convergence_metric(new, old) -> float:
-    """Relative policy change 2 * sqrt(||new - old|| / ||new + old||) in the
-    Euclidean norm."""
-    a = np.asarray(new, dtype=float)
-    b = np.asarray(old, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"policies must have equal shapes, got {a.shape} and {b.shape}")
-    denom = np.linalg.norm(a + b)
-    if denom == 0.0:
-        raise ValueError("policy sum is the zero vector, metric undefined")
-    return 2.0 * math.sqrt(np.linalg.norm(a - b) / denom)
-
-
 def optimize(
     cfg: SystemConfig,
     kind: PenaltyKind,
@@ -160,46 +151,31 @@ def optimize(
     *,
     tables: TransitionTables | None = None,
 ) -> OptimizeReport:
-    """Run the recursive optimizer from a seeded random initial policy."""
+    """Fixed point of the recursive optimizer: one sweep, one solve.
+
+    The sweep weights every state by 1. Since the per-state penalty is the
+    state's stationary mass times a term free of it, this is the policy the
+    recursion settles on whenever its solved pi is positive everywhere (see
+    the module docstring), and it gives zero-mass states their own argmin
+    rather than allocation 0.
+
+    seed is only echoed into the report, and max_iter is only checked to be
+    >= 1: neither changes the result.
+    """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t = tables if tables is not None else TransitionTables(cfg)
-    rng = np.random.default_rng(seed)
-    lam = rng.integers(0, t.n_total + 1, size=cfg.n_states)
+    lam = improve_policy(cfg, np.ones(cfg.n_states), kind, tables=t)
     pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
-    seen = {lam.tobytes(): 0}
-    trace: list[tuple[int, float, float]] = []
-    best_p_out = math.inf
-    best_policy = lam.copy()
-    best_iteration = 0
-    terminated = TerminationReason.MAX_ITERATIONS
-    for iteration in range(1, max_iter + 1):
-        old = lam
-        lam = improve_policy(cfg, pi, kind, tables=t)
-        pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
-        p_out = outage_probability(pi, cfg)
-        metric = 0.0 if np.array_equal(lam, old) else convergence_metric(lam, old)
-        trace.append((iteration, metric, p_out))
-        if p_out < best_p_out:
-            best_p_out = p_out
-            best_policy = lam.copy()
-            best_iteration = iteration
-        if metric <= cfg.epsilon_cvg:
-            terminated = TerminationReason.CONVERGED
-            break
-        key = lam.tobytes()
-        if key in seen:
-            terminated = TerminationReason.CYCLE_DETECTED
-            break
-        seen[key] = iteration
+    p_out = outage_probability(pi, cfg)
     return OptimizeReport(
-        final_policy=best_policy,
-        iterations=len(trace),
-        convergence_trace=trace,
-        terminated_by=terminated,
+        final_policy=lam,
+        iterations=1,
+        convergence_trace=[(1, 0.0, p_out)],
+        terminated_by=TerminationReason.CONVERGED,
         seed=seed,
-        best_p_out=best_p_out,
-        best_iteration=best_iteration,
+        best_p_out=p_out,
+        best_iteration=1,
     )
 
 
