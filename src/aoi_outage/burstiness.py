@@ -1,11 +1,15 @@
 """Run-length statistics of stationary outage excursions.
 
-All quantities derive from a masked k-step recursion: the probability of
-walking from state i to state j in exactly k steps with every intermediate
-state inside the outage set. Aggregating it over source/destination sets
-with stationary source weights yields the burst-duration distribution, the
-mean burst length, the mean interval between bursts, and a product identity
-that cross-checks the stationary outage rate.
+The burst-duration distribution derives from a masked k-step recursion: the
+probability of walking from state i to state j in exactly k steps with every
+intermediate state inside the outage set. Aggregating it over
+source/destination sets with stationary source weights yields the
+burst-duration pmf and the mean interval between bursts. The mean burst
+length is exact: the burst-start flow times the expected outage visits
+before escape, (I - P_OO)^-1 1, from the absorbing-chain fundamental matrix
+(Kemeny & Snell, Finite Markov Chains). Only the pmf is truncated. The
+product identity p_out = entry flow * mean length cross-checks the
+stationary outage rate to solver precision.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrix, outage_probability, steady_state
+from .markov import TransitionTables, build_transition_matrix, steady_state
 from .states import SystemConfig, outage_mask
 
 SERIES_TOLERANCE = 1e-12
@@ -102,106 +106,83 @@ def _entry_flow(pi, p, out):
     return u, float(u[out].sum())
 
 
+def _burst_start(pi, p, cfg):
+    """Coerced (pi, p, mask) plus the entry flow and its mass for the
+    hand-chain functions; raises when no flow enters the outage set."""
+    p = np.asarray(p, dtype=float)
+    out = _resolve_mask(cfg, p.shape[0])
+    pi = np.asarray(pi, dtype=float)
+    u, xi1 = _entry_flow(pi, p, out)
+    if xi1 <= 0.0:
+        raise OutageUnreachableError("no stationary flow into the outage set")
+    return pi, p, out, u, xi1
+
+
+def _duration_walk(u, p, out, xi1: float, t_max: int | None) -> np.ndarray:
+    """Burst-length pmf from the masked walk u <- (u * out) @ p started at
+    the entry flow u: pmf[t - 1] is the mass escaping at step t over xi1.
+    With t_max None the walk stops one step after the mass still in outage
+    falls below SERIES_TOLERANCE of xi1, or at SERIES_CAP steps."""
+    res = ~out
+    pmf = []
+    while t_max is None or len(pmf) < t_max:
+        u = (u * out) @ p
+        pmf.append(u[res].sum() / xi1)
+        if t_max is None and (
+            float(u[out].sum()) / xi1 < SERIES_TOLERANCE or len(pmf) + 1 >= SERIES_CAP
+        ):
+            t_max = len(pmf) + 1
+    return np.array(pmf)
+
+
+def _exact_mean(u, p, out, xi1: float) -> float:
+    """Mean burst length: the entry flow times the expected outage visits
+    before escape, (I - P_OO)^-1 1, over xi1."""
+    p_oo = p[np.ix_(out, out)]
+    try:
+        visits = np.linalg.solve(np.eye(len(p_oo)) - p_oo, np.ones(len(p_oo)))
+    except np.linalg.LinAlgError:
+        raise RuntimeError("outage set has no exit; mean duration diverges") from None
+    return float(u[out] @ visits) / xi1
+
+
 def outage_duration_pmf(pi, p, cfg, t_max: int) -> np.ndarray:
     """P(burst lasts exactly t outage periods) for t = 1..t_max, conditioned
     on a burst starting."""
     if t_max < 1:
         raise ValueError(f"t_max must be >= 1, got {t_max}")
-    pi = np.asarray(pi, dtype=float)
-    p = np.asarray(p, dtype=float)
-    out = _resolve_mask(cfg, p.shape[0])
-    u, xi1 = _entry_flow(pi, p, out)
-    if xi1 <= 0.0:
-        raise OutageUnreachableError("no stationary flow into the outage set")
-    res = ~out
-    pmf = np.empty(t_max)
-    for t in range(1, t_max + 1):
-        u = (u * out) @ p
-        pmf[t - 1] = u[res].sum() / xi1
-    return pmf
+    _, p, out, u, xi1 = _burst_start(pi, p, cfg)
+    return _duration_walk(u, p, out, xi1, t_max)
 
 
-def _duration_series(pi, p, out, tolerance: float) -> tuple[float, int]:
-    """Mean burst length as the tail-sum series, truncated once the term
-    drops below tolerance relative to the entry flow, with a geometric tail
-    estimate from the last two terms. Returns (mean, stop_t)."""
-    u, xi1 = _entry_flow(pi, p, out)
-    if xi1 <= 0.0:
-        raise OutageUnreachableError("no stationary flow into the outage set")
-    total = xi1
-    prev = xi1
-    t = 1
-    term = 0.0
-    while True:
-        u = (u * out) @ p
-        term = float(u[out].sum())
-        t += 1
-        if term > prev:
-            raise RuntimeError(
-                f"outage-return series grows at t={t} ({term:.3e} > {prev:.3e}); chain is broken"
-            )
-        total += term
-        # at the cap, keep prev: the tail ratio needs the last two distinct terms
-        if term / xi1 < tolerance or t >= SERIES_CAP:
-            break
-        prev = term
-    if term > 0.0 and prev > 0.0:
-        rho = term / prev
-        if rho >= 1.0:
-            raise RuntimeError("outage-return series does not decay; mean duration diverges")
-        total += term * rho / (1.0 - rho)
-    return total / xi1, t
-
-
-def mean_outage_duration(pi, p, cfg, tolerance: float = SERIES_TOLERANCE) -> float:
+def mean_outage_duration(pi, p, cfg) -> float:
     """Expected number of consecutive outage periods per burst; always >= 1."""
-    p = np.asarray(p, dtype=float)
-    out = _resolve_mask(cfg, p.shape[0])
-    mean, _ = _duration_series(np.asarray(pi, float), p, out, tolerance)
-    return mean
+    _, p, out, u, xi1 = _burst_start(pi, p, cfg)
+    return _exact_mean(u, p, out, xi1)
 
 
 def mean_ioi(pi, p, cfg) -> float:
     """Expected interval between bursts: (1 - p_out) / entry flow; >= 1."""
-    p = np.asarray(p, dtype=float)
-    out = _resolve_mask(cfg, p.shape[0])
-    pi = np.asarray(pi, dtype=float)
-    _, xi1 = _entry_flow(pi, p, out)
-    if xi1 <= 0.0:
-        raise OutageUnreachableError("no stationary flow into the outage set")
-    p_out = float(pi[out].sum())
-    return (1.0 - p_out) / xi1
+    pi, _, out, _, xi1 = _burst_start(pi, p, cfg)
+    return (1.0 - float(pi[out].sum())) / xi1
 
 
 def burst_stats(
-    cfg: SystemConfig,
-    policy,
-    *,
-    tolerance: float = SERIES_TOLERANCE,
-    tables: TransitionTables | None = None,
+    cfg: SystemConfig, policy, *, tables: TransitionTables | None = None
 ) -> BurstStats:
     """Full analytic burstiness record for one policy.
 
     Recomputes the outage rate two ways (stationary mass, and entry flow
     times mean duration) and raises if the two disagree beyond 1e-9.
     """
-    p = build_transition_matrix(cfg, policy, tables=tables)
+    t = tables if tables is not None else TransitionTables(cfg)
+    p = build_transition_matrix(cfg, policy, tables=t)
     pi = steady_state(p)
-    p_out = outage_probability(pi, cfg)
-    out = outage_mask(cfg.a_max, cfg.a_out)
-    if not out.any():
-        return BurstStats(
-            p_out=p_out,
-            xi_res_out_1=0.0,
-            mean_outage_duration=None,
-            mean_ioi=None,
-            duration_pmf=None,
-            truncation_t=0,
-            truncation_residual=None,
-            defined=False,
-        )
-    _, xi1 = _entry_flow(pi, p, out)
+    out = t.outage
+    p_out = float(pi[out].sum())
+    u, xi1 = _entry_flow(pi, p, out)
     if xi1 <= 0.0:
+        # empty outage set, or one that no stationary flow enters
         return BurstStats(
             p_out=p_out,
             xi_res_out_1=xi1,
@@ -212,8 +193,8 @@ def burst_stats(
             truncation_residual=None,
             defined=False,
         )
-    mean_dur, stop_t = _duration_series(pi, p, out, tolerance)
-    pmf = outage_duration_pmf(pi, p, cfg, stop_t)
+    mean_dur = _exact_mean(u, p, out, xi1)
+    pmf = _duration_walk(u, p, out, xi1, None)
     residual = max(0.0, 1.0 - float(pmf.sum()))
     identity_gap = abs(p_out - xi1 * mean_dur)
     if identity_gap >= IDENTITY_TOL:
@@ -225,8 +206,8 @@ def burst_stats(
         p_out=p_out,
         xi_res_out_1=xi1,
         mean_outage_duration=mean_dur,
-        mean_ioi=mean_ioi(pi, p, cfg),
+        mean_ioi=(1.0 - p_out) / xi1,
         duration_pmf=pmf,
-        truncation_t=stop_t,
+        truncation_t=len(pmf),
         truncation_residual=residual,
     )

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from aoi_outage.burstiness import (
+    IDENTITY_TOL,
+    SERIES_CAP,
+    SERIES_TOLERANCE,
     OutageUnreachableError,
     burst_stats,
     mean_ioi,
@@ -14,8 +17,9 @@ from aoi_outage.burstiness import (
     xi_matrix,
     xi_set_to_set,
 )
-from aoi_outage.markov import build_transition_matrix, steady_state
-from aoi_outage.optimizer import naive_policy
+from aoi_outage.markov import TransitionTables, build_transition_matrix, steady_state
+from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
+from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import outage_mask
 
 from conftest import make_config, random_policy
@@ -39,6 +43,44 @@ def xi_path_oracle(p, mask, k):
                 prob *= p[path[-1], j]
                 xi[i, j] += prob
     return xi
+
+
+def reference_duration_series(pi, p, out):
+    """Mean burst length as a truncated tail-sum series: the entry mass still
+    in outage after each masked step, summed until a term drops below
+    SERIES_TOLERANCE of the entry flow (or the step count reaches SERIES_CAP), plus
+    a geometric tail from the last two distinct terms. Returns (mean, stop_t);
+    the burst-length pmf is truncated at stop_t."""
+    u = (pi * ~out) @ p
+    xi1 = float(u[out].sum())
+    total = xi1
+    prev = xi1
+    t = 1
+    term = 0.0
+    while True:
+        u = (u * out) @ p
+        term = float(u[out].sum())
+        t += 1
+        total += term
+        if term / xi1 < SERIES_TOLERANCE or t >= SERIES_CAP:
+            break
+        prev = term
+    if term > 0.0 and prev > 0.0:
+        rho = term / prev
+        assert rho < 1.0, "series does not decay"
+        total += term * rho / (1.0 - rho)
+    return total / xi1, t
+
+
+def reference_duration_pmf(pi, p, out, t_max):
+    """Burst-length pmf by the masked walk, one step per period."""
+    u = (pi * ~out) @ p
+    xi1 = float(u[out].sum())
+    pmf = np.empty(t_max)
+    for t in range(1, t_max + 1):
+        u = (u * out) @ p
+        pmf[t - 1] = u[~out].sum() / xi1
+    return pmf
 
 
 @pytest.fixture(scope="module")
@@ -193,8 +235,8 @@ class TestMeanDuration:
         assert mean_outage_duration(pi, p, mask) == pytest.approx(1.0, abs=1e-12)
 
     def test_slow_escape_past_series_cap(self):
-        # terms decay as 0.999^t, so the series reaches SERIES_CAP before the
-        # tolerance and the geometric tail must supply the rest
+        # escape probability 0.001 per period: the pmf walk would reach
+        # SERIES_CAP before its tolerance; the exact mean is 1 / 0.001
         p = np.array([[0.5, 0.5], [0.001, 0.999]])
         mask = np.array([False, True])
         pi = steady_state(p)
@@ -206,6 +248,61 @@ class TestMeanDuration:
         pmf = outage_duration_pmf(pi, p, cfg_b, 80)
         t = np.arange(1, 81)
         assert mean_outage_duration(pi, p, cfg_b) == pytest.approx(float(t @ pmf), rel=1e-9)
+
+    def test_two_escape_rates(self):
+        # half the bursts escape at rate 5e-5, half at 1e-4: mean (2e4 + 1e4) / 2;
+        # a geometric tail fitted to the last two series terms misses it by 5.5 %
+        p = np.array([[0.5, 0.25, 0.25], [5e-5, 0.99995, 0.0], [1e-4, 0.0, 0.9999]])
+        mask = np.array([False, True, True])
+        pi = steady_state(p)
+        mean = mean_outage_duration(pi, p, mask)
+        assert mean == pytest.approx(15000.0, rel=1e-12)
+        entry = xi_set_to_set(pi, p, False, True, 1, mask)
+        assert abs(float(pi[mask].sum()) - entry * mean) < IDENTITY_TOL
+
+    def test_closed_outage_set_raises(self):
+        p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        with pytest.raises(RuntimeError, match="no exit"):
+            mean_outage_duration(np.array([0.5, 0.5]), p, np.array([False, True]))
+
+
+class TestMatchesReferenceSeries:
+    @pytest.mark.parametrize("preset", ["scenario_a", "scenario_b", "scenario_c"])
+    def test_named_and_random_policies(self, preset):
+        cfg = load_scenario(preset).system
+        tables = TransitionTables(cfg)
+        policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
+        policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+        rng = np.random.default_rng(23)
+        policies += [random_policy(cfg, rng) for _ in range(20)]
+        for pol in policies:
+            self.check(cfg, pol, tables)
+
+    def test_walk_stopped_by_cap(self):
+        # random policy 56 of perfbench's analytic workload at seed 4 (its
+        # generator first draws 10 optimizer seeds): the burst-length pmf
+        # decays too slowly for the tolerance, so the walk stops at SERIES_CAP
+        cfg = load_scenario("scenario_a").system
+        rng = np.random.default_rng(4)
+        rng.integers(0, 2**32, size=10)
+        pol = rng.integers(0, cfg.link.blocklength_total + 1, size=(57, cfg.n_states))[56]
+        stats = self.check(cfg, pol, TransitionTables(cfg))
+        assert stats.truncation_t == SERIES_CAP
+
+    @staticmethod
+    def check(cfg, pol, tables):
+        stats = burst_stats(cfg, pol, tables=tables)
+        p = build_transition_matrix(cfg, pol, tables=tables)
+        pi = steady_state(p)
+        out = outage_mask(cfg.a_max, cfg.a_out)
+        mean, stop_t = reference_duration_series(pi, p, out)
+        xi1 = float(((pi * ~out) @ p)[out].sum())
+        assert stats.p_out == float(pi[out].sum())
+        assert stats.mean_ioi == (1.0 - stats.p_out) / xi1
+        assert stats.truncation_t == stop_t
+        assert np.array_equal(stats.duration_pmf, reference_duration_pmf(pi, p, out, stop_t))
+        assert stats.mean_outage_duration == pytest.approx(mean, rel=1e-12)
+        return stats
 
 
 class TestMeanIoi:
