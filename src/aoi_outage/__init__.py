@@ -35,7 +35,6 @@ from .markov import (
     k_step_distribution,
     outage_probability,
     steady_state,
-    transition_prob,
     validate_policy,
 )
 from .optimizer import (
@@ -46,12 +45,12 @@ from .optimizer import (
     min_error_policy,
     naive_policy,
     optimize,
-    penalty,
 )
 from .scenarios import ConfigError, Scenario, load_scenario, parse_scenario, PRESETS
 from .simulate import (
     RepetitionSummary,
     SimResult,
+    burst_convergence,
     derive_seed,
     measure_bursts,
     repetition_seed,

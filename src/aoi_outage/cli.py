@@ -29,9 +29,8 @@ from .markov import TransitionTables, validate_policy
 from .optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, load_scenario
-from .simulate import derive_seed, measure_bursts, run_repetitions, simulate_many
+from .simulate import CHECKPOINTS, burst_convergence, median_errors, run_repetitions
 
-CHECKPOINTS = (500, 1000, 2500, 5000, 10000)
 PENALTY_CHOICES = tuple(k.value for k in PenaltyKind)
 POLICY_CHOICES = ("naive", "min-error", "file")
 
@@ -251,54 +250,12 @@ def cmd_reproduce_table2(args) -> int:
 
 def cmd_burst_convergence(args) -> int:
     scenario = load_scenario(args.config)
-    cfg = scenario.system
-    tables = TransitionTables(cfg)
-    master = scenario.simulation.master_seed
-    horizon = max(CHECKPOINTS)
-    fieldnames = [
-        "policy_id", "sim_seed", "checkpoint",
-        "measured_p_out", "analytic_p_out", "err_p_out",
-        "measured_mean_burst", "analytic_mean_burst", "err_mean_burst",
-        "measured_mean_ioi", "analytic_mean_ioi", "err_mean_ioi",
-    ]
-    policies, all_stats = [], []
-    for pid in range(args.n_policies):
-        policy_rng = np.random.default_rng(derive_seed(master, pid, 0))
-        policy = policy_rng.integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
-        stats = burst_stats(cfg, policy, tables=tables)
-        if not stats.defined:
-            raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
-        policies.append(policy)
-        all_stats.append(stats)
-    sim_seeds = [derive_seed(master, pid, 1) for pid in range(args.n_policies)]
-    results = simulate_many(cfg, policies, horizon, sim_seeds, tables=tables)
-    rows = []
-    errors = {cp: [] for cp in CHECKPOINTS}
-    for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
-        for cp in CHECKPOINTS:
-            prefix = result.outage_sequence[:cp]
-            measured_p = float(prefix.mean())
-            bursts, iois = measure_bursts(prefix)
-            measured_burst = float(np.mean(bursts)) if bursts else float("nan")
-            measured_ioi = float(np.mean(iois)) if iois else float("nan")
-            err_p = abs(measured_p - stats.p_out) / stats.p_out
-            err_b = abs(measured_burst - stats.mean_outage_duration) / stats.mean_outage_duration
-            err_i = abs(measured_ioi - stats.mean_ioi) / stats.mean_ioi
-            errors[cp].append((err_p, err_b, err_i))
-            rows.append({
-                "policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp,
-                "measured_p_out": measured_p, "analytic_p_out": stats.p_out, "err_p_out": err_p,
-                "measured_mean_burst": measured_burst,
-                "analytic_mean_burst": stats.mean_outage_duration, "err_mean_burst": err_b,
-                "measured_mean_ioi": measured_ioi,
-                "analytic_mean_ioi": stats.mean_ioi, "err_mean_ioi": err_i,
-            })
+    rows = burst_convergence(scenario.system, args.n_policies, scenario.simulation.master_seed)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    for cp in CHECKPOINTS:
-        med = np.nanmedian(np.asarray(errors[cp], dtype=float), axis=0)
+    for cp, med in zip(CHECKPOINTS, median_errors(rows)):
         print(f"  checkpoint {cp:6d}: median errors p_out {med[0]:.4f} "
               f"burst {med[1]:.4f} ioi {med[2]:.4f}")
     print(f"burst-convergence: {len(rows)} rows -> {args.out}")

@@ -1,10 +1,10 @@
 """Dense Markov machinery for the two-device age chain.
 
-Exact one-step transition probabilities under a blocklength split, dense
-matrix assembly, stationary distribution, k-step distributions, and the
-stationary outage rate. A policy is an integer vector over the enumerated
-state space giving device 1's share of the shared blocklength; device 2
-receives the remainder.
+The transition law as per-config arrays (TransitionTables), dense matrix
+assembly as one scatter of that law, stationary distribution, k-step
+distributions, and the stationary outage rate. A policy is an integer
+vector over the enumerated state space giving device 1's share of the
+shared blocklength; device 2 receives the remainder.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fbl import block_error_rate
-from .states import SystemConfig, SystemState, enumerate_states, outage_mask
+from .states import SystemConfig, decode_states, outage_mask
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -44,28 +44,34 @@ def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
 
 
 class TransitionTables:
-    """Precomputed per-config arrays shared by the matrix builder, the policy
-    sweep and the simulator: block error rates for every allocation at both
-    SNR levels, decoded state fields, clamped age successors, and the
-    fresh-channel-bit weights."""
+    """The transition law of one config, stored as arrays and read by the
+    matrix builder, the policy sweep and the simulator.
+
+    - eps_by_bit[b, lam]: block error rate of lam symbols at channel bit b
+      (0 = bad level, 1 = good level).
+    - a1, a2, x1, x2: the fields of every state, over 0-based positions.
+    - succ[i, 2 * fail1 + fail2]: position of the successor of state i with
+      channel bits (0, 0), where a device's age resets to 1 on success and
+      steps to its successor, clamped at a_max, on failure.
+    - bit_weights[k]: probability of fresh channel bits k = 2 * x1 + x2; the
+      full successor is succ[i, b] + k.
+    - outage: the outage set.
+    """
 
     def __init__(self, cfg: SystemConfig):
         self.cfg = cfg
-        n = cfg.link.blocklength_total
+        alloc = np.arange(cfg.link.blocklength_total + 1)
         d = cfg.link.payload_bits
-        alloc = np.arange(n + 1)
-        # index by channel bit: 0 = bad level, 1 = good level
-        self.eps_by_bit = (
+        self.eps_by_bit = np.stack((
             block_error_rate(alloc, d, cfg.profile.gamma_bad),
             block_error_rate(alloc, d, cfg.profile.gamma_good),
+        ))
+        self.a1, self.a2, self.x1, self.x2 = decode_states(cfg.a_max)
+        fail1, fail2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+        self.succ = self.row_base(
+            np.where(fail1, np.minimum(self.a1 + 1, cfg.a_max)[:, None], 1),
+            np.where(fail2, np.minimum(self.a2 + 1, cfg.a_max)[:, None], 1),
         )
-        states = enumerate_states(cfg.a_max)
-        self.a1 = np.array([s.a1 for s in states])
-        self.a2 = np.array([s.a2 for s in states])
-        self.x1 = np.array([s.x1 for s in states])
-        self.x2 = np.array([s.x2 for s in states])
-        self.succ_a1 = np.minimum(self.a1 + 1, cfg.a_max)
-        self.succ_a2 = np.minimum(self.a2 + 1, cfg.a_max)
         self.outage = outage_mask(cfg.a_max, cfg.a_out)
         a1p = cfg.profile.alpha_1
         a2p = cfg.profile.alpha_2
@@ -78,54 +84,30 @@ class TransitionTables:
     def n_total(self) -> int:
         return self.cfg.link.blocklength_total
 
-    def row_base(self, a1_next: int, a2_next: int) -> int:
-        """0-based position of state (a1_next, a2_next, 0, 0)."""
+    def row_base(self, a1_next, a2_next):
+        """0-based position of state (a1_next, a2_next, 0, 0); elementwise on arrays."""
         return 4 * ((a1_next - 1) * self.cfg.a_max + (a2_next - 1))
 
-
-def transition_prob(
-    cfg: SystemConfig, lam: int, from_state: SystemState, to_state: SystemState
-) -> float:
-    """One-step probability of `to_state` given `from_state` under allocation lam.
-
-    Each device's age either resets to 1 (success) or increments with
-    clamping at a_max (failure); branch probabilities accumulate when the
-    clamp makes the two outcomes coincide. Fresh channel bits are weighted
-    by their Bernoulli probabilities.
-    """
-    n = cfg.link.blocklength_total
-    if not 0 <= lam <= n:
-        raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
-    from_state.validate(cfg.a_max)
-    to_state.validate(cfg.a_max)
-    d = cfg.link.payload_bits
-    e1 = block_error_rate(lam, d, cfg.profile.gamma_for_bit(from_state.x1))
-    e2 = block_error_rate(n - lam, d, cfg.profile.gamma_for_bit(from_state.x2))
-    clamp1 = min(from_state.a1 + 1, cfg.a_max)
-    clamp2 = min(from_state.a2 + 1, cfg.a_max)
-    p1 = (1.0 - e1) * (to_state.a1 == 1) + e1 * (to_state.a1 == clamp1)
-    p2 = (1.0 - e2) * (to_state.a2 == 1) + e2 * (to_state.a2 == clamp2)
-    w = cfg.profile.bit_probability(1, to_state.x1) * cfg.profile.bit_probability(2, to_state.x2)
-    return p1 * p2 * w
+    def error_rates(self, policy) -> tuple[np.ndarray, np.ndarray]:
+        """Error rates (e1, e2) of the transition out of each state under
+        `policy`, whose last axis runs over states."""
+        return self.eps_by_bit[self.x1, policy], self.eps_by_bit[self.x2, self.n_total - policy]
 
 
 def build_transition_matrix(cfg: SystemConfig, policy, *, tables: TransitionTables | None = None) -> np.ndarray:
-    """Dense row-stochastic transition matrix of the chain induced by `policy`."""
+    """Dense row-stochastic transition matrix of the chain induced by `policy`.
+
+    One scatter of the transition law: row i receives branch[i, b] *
+    bit_weights[k] at column succ[i, b] + k. With a_max = 1 the four
+    branches share their columns and accumulate in branch order.
+    """
     pol = validate_policy(policy, cfg)
     t = tables if tables is not None else TransitionTables(cfg)
-    n_states = cfg.n_states
-    p = np.zeros((n_states, n_states))
-    w = t.bit_weights
-    for i in range(n_states):
-        lam = pol[i]
-        e1 = t.eps_by_bit[t.x1[i]][lam]
-        e2 = t.eps_by_bit[t.x2[i]][t.n_total - lam]
-        c1 = t.succ_a1[i]
-        c2 = t.succ_a2[i]
-        for a1n, p1 in ((1, 1.0 - e1), (c1, e1)):
-            for a2n, p2 in ((1, 1.0 - e2), (c2, e2)):
-                base = t.row_base(a1n, a2n)
-                p[i, base : base + 4] += (p1 * p2) * w
+    e1, e2 = t.error_rates(pol)
+    branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=1)
+    rows = np.arange(cfg.n_states)[:, None, None]
+    p = np.zeros((cfg.n_states, cfg.n_states))
+    np.add.at(p, (rows, t.succ[:, :, None] + np.arange(4)), branch[:, :, None] * t.bit_weights)
     return p
 
 

@@ -17,6 +17,11 @@ device: the states become a second closed class, the chain is no longer
 ergodic, and the next stationary solve fails or scores the wrong class.
 The unit-weight sweep gives every state its own argmin instead.
 
+The sweep is array work over the transition law in TransitionTables: the
+successor weights of every state come from one lookup through its
+successor table, and the allocations are scored in one pass per
+channel-bit pair.
+
 Two benchmark generators are included: the equal split and the per-state
 minimizer of the summed transmission error rates.
 """
@@ -80,43 +85,6 @@ def _age_weight_grid(kind: PenaltyKind, cfg: SystemConfig) -> np.ndarray:
     raise ValueError(f"unknown penalty kind: {kind!r}")
 
 
-def _successor_cost(w: np.ndarray, c1: int, c2: int, e1, e2):
-    """Expected successor weight over the four reset/increment branches.
-
-    Works elementwise when e1 and e2 are arrays (one entry per allocation).
-    """
-    return (
-        (1.0 - e1) * (1.0 - e2) * w[1, 1]
-        + (1.0 - e1) * e2 * w[1, c2]
-        + e1 * (1.0 - e2) * w[c1, 1]
-        + e1 * e2 * w[c1, c2]
-    )
-
-
-def penalty(
-    cfg: SystemConfig,
-    lam: int,
-    from_index: int,
-    pi,
-    kind: PenaltyKind,
-    *,
-    tables: TransitionTables | None = None,
-) -> float:
-    """Per-state penalty: the state's stationary mass times the expected
-    successor weight under allocation lam. from_index is 1-based."""
-    t = tables if tables is not None else TransitionTables(cfg)
-    n = t.n_total
-    if not 0 <= lam <= n:
-        raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
-    if not 1 <= from_index <= cfg.n_states:
-        raise ValueError(f"from_index must lie in [1, {cfg.n_states}], got {from_index}")
-    i = from_index - 1
-    e1 = t.eps_by_bit[t.x1[i]][lam]
-    e2 = t.eps_by_bit[t.x2[i]][n - lam]
-    w = _age_weight_grid(kind, cfg)
-    return float(pi[i] * _successor_cost(w, t.succ_a1[i], t.succ_a2[i], e1, e2))
-
-
 def improve_policy(
     cfg: SystemConfig,
     pi,
@@ -124,22 +92,32 @@ def improve_policy(
     *,
     tables: TransitionTables | None = None,
 ) -> np.ndarray:
-    """Per-state argmin of the penalty over every allocation 0..N.
+    """Per-state argmin over every allocation 0..N of the penalty
+    pi[i] * sum_b branch_b(lam) * w(successor b of state i).
 
-    The sweep is exhaustive by design (the error-rate sum need not be
-    unimodal near the extremes). Ties break to the smallest allocation,
-    so states with zero stationary mass get allocation 0.
+    The four branch products depend on the state only through its channel
+    bits, so there is one pass per bit pair: it forms that pair's branch
+    products over all allocations once and scores every state with those
+    bits against its successor weights, read from the transition table. The
+    sweep is exhaustive by design (the error-rate sum need not be unimodal
+    near the extremes). Ties break to the smallest allocation, so states
+    with zero stationary mass get allocation 0.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    w = _age_weight_grid(kind, cfg)
-    e_dev1 = t.eps_by_bit  # indexed by allocation to device 1
-    e_dev2 = (t.eps_by_bit[0][::-1], t.eps_by_bit[1][::-1])  # allocation N - lam
+    pi = np.asarray(pi)
+    weights = _age_weight_grid(kind, cfg)[1:, 1:].ravel()[t.succ // 4]
     new = np.empty(cfg.n_states, dtype=np.int64)
-    for i in range(cfg.n_states):
-        e1 = e_dev1[t.x1[i]]
-        e2 = e_dev2[t.x2[i]]
-        cost = pi[i] * _successor_cost(w, t.succ_a1[i], t.succ_a2[i], e1, e2)
-        new[i] = np.argmin(cost)
+    for bits in range(4):  # states with these channel bits sit at positions bits::4
+        e1 = t.eps_by_bit[bits >> 1]  # indexed by allocation to device 1
+        e2 = t.eps_by_bit[bits & 1][::-1]  # allocation N - lam
+        w = weights[bits::4, :, None]
+        cost = (
+            (1.0 - e1) * (1.0 - e2) * w[:, 0]
+            + (1.0 - e1) * e2 * w[:, 1]
+            + e1 * (1.0 - e2) * w[:, 2]
+            + e1 * e2 * w[:, 3]
+        )
+        new[bits::4] = np.argmin(pi[bits::4, None] * cost, axis=1)
     return new
 
 
@@ -191,12 +169,5 @@ def min_error_policy(cfg: SystemConfig, *, tables: TransitionTables | None = Non
     channel bits; ties break to the smallest allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    by_bits = {}
-    for b1 in (0, 1):
-        for b2 in (0, 1):
-            total = t.eps_by_bit[b1] + t.eps_by_bit[b2][::-1]
-            by_bits[b1, b2] = int(np.argmin(total))
-    pol = np.empty(cfg.n_states, dtype=np.int64)
-    for i in range(cfg.n_states):
-        pol[i] = by_bits[t.x1[i], t.x2[i]]
-    return pol
+    by_bits = [np.argmin(t.eps_by_bit[bits >> 1] + t.eps_by_bit[bits & 1][::-1]) for bits in range(4)]
+    return np.tile(np.array(by_bits, dtype=np.int64), cfg.n_states // 4)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burstiness import BurstStats, DURATION_CONVENTION
+from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats
 from .markov import TransitionTables, validate_policy
 from .states import SystemConfig, SystemState, index_to_state
 
@@ -59,21 +59,14 @@ def measure_bursts(outage_sequence, convention: str = DURATION_CONVENTION):
     if convention not in ("outage-periods", "excursion"):
         raise ValueError(f"unknown duration convention: {convention!r}")
     seq = np.asarray(outage_sequence, dtype=bool)
-    bursts: list[int] = []
-    iois: list[int] = []
-    n = seq.size
-    if n == 0:
-        return bursts, iois
     change = np.flatnonzero(seq[1:] != seq[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [n]))
-    for s, e in zip(starts, ends):
-        if s == 0 or e == n:
-            continue  # truncated by the observation window
-        (bursts if seq[s] else iois).append(int(e - s))
+    # the interior runs lie between consecutive change points
+    lengths = np.diff(change)
+    in_outage = seq[change[:-1]]
+    bursts = lengths[in_outage]
     if convention == "excursion":
-        bursts = [b + 1 for b in bursts]
-    return bursts, iois
+        bursts = bursts + 1
+    return bursts.tolist(), lengths[~in_outage].tolist()
 
 
 #: Periods of uniforms drawn per row at a time. The draw buffer holds
@@ -94,17 +87,11 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, periods: int, seeds) ->
     cfg = t.cfg
     n_states = cfg.n_states
     rows = len(seeds)
-    eps_bad, eps_good = t.eps_by_bit
     # error rates of the transition out of each (row, state), policy applied once
-    e1 = np.where(t.x1 == 1, eps_good[policies], eps_bad[policies]).ravel()
-    e2 = np.where(t.x2 == 1, eps_good[t.n_total - policies], eps_bad[t.n_total - policies]).ravel()
+    e1, e2 = (e.ravel() for e in t.error_rates(policies))
     # successor with channel bits (0, 0), at position 4 * s + 2 * fail1 + fail2
-    fail1, fail2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-    succ = t.row_base(
-        np.where(fail1, t.succ_a1[:, None], 1), np.where(fail2, t.succ_a2[:, None], 1)
-    ).ravel()
     offset = np.arange(rows) * n_states
-    succ = (succ + offset[:, None]).ravel()
+    succ = (t.succ.ravel() + offset[:, None]).ravel()
     out = np.tile(t.outage, rows)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -248,3 +235,58 @@ def _normalized_error(measured: float, predicted: float | None) -> float:
     if predicted is None or predicted <= 0.0 or not np.isfinite(measured):
         return float("nan")
     return abs(measured - predicted) / predicted
+
+
+#: Prefix lengths at which burst_convergence measures each simulated run.
+CHECKPOINTS = (500, 1000, 2500, 5000, 10000)
+
+
+def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> list[dict]:
+    """Measured-vs-analytic burst statistics over random policies.
+
+    Policy pid draws its allocations from default_rng(derive_seed(master_seed,
+    pid, 0)) and is simulated once for max(CHECKPOINTS) periods with seed
+    derive_seed(master_seed, pid, 1); every checkpoint measures that run's
+    prefix. All policies are simulated together. Returns one row per
+    (policy, checkpoint) with the measured and analytic outage rate, mean
+    burst length and mean interval between bursts, and their relative
+    errors. Raises RuntimeError when a policy has no reachable outage.
+    """
+    t = TransitionTables(cfg)
+    policies, all_stats = [], []
+    for pid in range(n_policies):
+        policy_rng = np.random.default_rng(derive_seed(master_seed, pid, 0))
+        policy = policy_rng.integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
+        stats = burst_stats(cfg, policy, tables=t)
+        if not stats.defined:
+            raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
+        policies.append(policy)
+        all_stats.append(stats)
+    sim_seeds = [derive_seed(master_seed, pid, 1) for pid in range(n_policies)]
+    results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds, tables=t)
+    rows = []
+    for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
+        for cp in CHECKPOINTS:
+            prefix = result.outage_sequence[:cp]
+            bursts, iois = measure_bursts(prefix)
+            row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
+            for name, measured, analytic in (
+                ("p_out", float(prefix.mean()), stats.p_out),
+                ("mean_burst", float(np.mean(bursts)) if bursts else float("nan"), stats.mean_outage_duration),
+                ("mean_ioi", float(np.mean(iois)) if iois else float("nan"), stats.mean_ioi),
+            ):
+                row[f"measured_{name}"] = measured
+                row[f"analytic_{name}"] = analytic
+                row[f"err_{name}"] = abs(measured - analytic) / analytic
+            rows.append(row)
+    return rows
+
+
+def median_errors(rows: list[dict]) -> np.ndarray:
+    """Median relative errors (p_out, mean burst, mean interval) of
+    burst_convergence rows, one row per checkpoint; NaNs are ignored."""
+    keys = ("err_p_out", "err_mean_burst", "err_mean_ioi")
+    return np.array([
+        np.nanmedian(np.array([[r[k] for k in keys] for r in rows if r["checkpoint"] == cp]), axis=0)
+        for cp in CHECKPOINTS
+    ])

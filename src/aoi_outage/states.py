@@ -61,9 +61,20 @@ def enumerate_states(a_max: int) -> list[SystemState]:
     return [index_to_state(i, a_max) for i in range(1, 4 * a_max * a_max + 1)]
 
 
+def decode_states(a_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Fields (a1, a2, x1, x2) of every state as arrays over 0-based positions,
+    decoded from the index by integer arithmetic."""
+    if a_max < 1:
+        raise ValueError(f"a_max must be >= 1, got {a_max}")
+    r = np.arange(4 * a_max * a_max)
+    ages = r >> 2
+    return ages // a_max + 1, ages % a_max + 1, (r >> 1) & 1, r & 1
+
+
 def outage_mask(a_max: int, a_out: int) -> np.ndarray:
     """Boolean vector over 0-based state positions marking the outage set."""
-    return np.array([is_outage(s, a_out) for s in enumerate_states(a_max)], dtype=bool)
+    a1, a2, _, _ = decode_states(a_max)
+    return (a1 > a_out) | (a2 > a_out)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ from aoi_outage.markov import (
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.simulate import derive_seed, measure_bursts, run_repetitions, simulate
+from aoi_outage.simulate import burst_convergence, median_errors, run_repetitions
 
 from conftest import make_config, random_policy
 from test_burstiness import xi_path_oracle
@@ -209,27 +209,8 @@ class TestAC4:
 
 class TestAC5:
     def test_burstiness_convergence(self):
-        _, cfg, tables = _scenario("scenario_b")
-        errors = {cp: [] for cp in CHECKPOINTS}
-        for pid in range(20):
-            rng = np.random.default_rng(derive_seed(AC5_MASTER_SEED, pid, 0))
-            pol = rng.integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
-            stats = burst_stats(cfg, pol, tables=tables)
-            result = simulate(cfg, pol, max(CHECKPOINTS), derive_seed(AC5_MASTER_SEED, pid, 1),
-                              tables=tables)
-            for cp in CHECKPOINTS:
-                prefix = result.outage_sequence[:cp]
-                bursts, iois = measure_bursts(prefix)
-                measured_burst = float(np.mean(bursts)) if bursts else float("nan")
-                measured_ioi = float(np.mean(iois)) if iois else float("nan")
-                errors[cp].append((
-                    abs(float(prefix.mean()) - stats.p_out) / stats.p_out,
-                    abs(measured_burst - stats.mean_outage_duration) / stats.mean_outage_duration,
-                    abs(measured_ioi - stats.mean_ioi) / stats.mean_ioi,
-                ))
-        medians = np.array(
-            [np.nanmedian(np.asarray(errors[cp], dtype=float), axis=0) for cp in CHECKPOINTS]
-        )
+        rows = burst_convergence(load_scenario("scenario_b").system, 20, AC5_MASTER_SEED)
+        medians = median_errors(rows)
         for cp, row in zip(CHECKPOINTS, medians):
             print(f"AC-5 [{cp:6d} periods]: median errors p_out {row[0]:.4f} "
                   f"burst {row[1]:.4f} ioi {row[2]:.4f}")

@@ -1,22 +1,70 @@
 """Transition law, matrix assembly, stationary solve, k-step distributions."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
+    TransitionTables,
     build_transition_matrix,
     k_step_distribution,
     outage_probability,
     steady_state,
-    transition_prob,
     validate_policy,
 )
-from aoi_outage.optimizer import naive_policy
-from aoi_outage.states import SystemState, enumerate_states, outage_mask
+from aoi_outage.optimizer import min_error_policy, naive_policy
+from aoi_outage.scenarios import load_scenario
+from aoi_outage.states import SystemState, enumerate_states, outage_mask, state_to_index
 
 from conftest import make_config, random_policy
+
+PRESET_NAMES = ("scenario_a", "scenario_b", "scenario_c")
+
+
+def reference_transition_prob(cfg, lam, from_state, to_state):
+    """Scalar one-step probability of `to_state` given `from_state` under
+    allocation lam.
+
+    Each device's age either resets to 1 (success) or increments with
+    clamping at a_max (failure); branch probabilities accumulate when the
+    clamp makes the two outcomes coincide. Fresh channel bits are weighted
+    by their Bernoulli probabilities.
+    """
+    n = cfg.link.blocklength_total
+    if not 0 <= lam <= n:
+        raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
+    from_state.validate(cfg.a_max)
+    to_state.validate(cfg.a_max)
+    d = cfg.link.payload_bits
+    e1 = block_error_rate(lam, d, cfg.profile.gamma_for_bit(from_state.x1))
+    e2 = block_error_rate(n - lam, d, cfg.profile.gamma_for_bit(from_state.x2))
+    clamp1 = min(from_state.a1 + 1, cfg.a_max)
+    clamp2 = min(from_state.a2 + 1, cfg.a_max)
+    p1 = (1.0 - e1) * (to_state.a1 == 1) + e1 * (to_state.a1 == clamp1)
+    p2 = (1.0 - e2) * (to_state.a2 == 1) + e2 * (to_state.a2 == clamp2)
+    w = cfg.profile.bit_probability(1, to_state.x1) * cfg.profile.bit_probability(2, to_state.x2)
+    return p1 * p2 * w
+
+
+def reference_build_transition_matrix(cfg, policy, tables):
+    """The per-state loop the scatter replaced: each state's four age
+    branches, each spread over the fresh channel bits, added in branch order."""
+    pol = validate_policy(policy, cfg)
+    n = tables.n_total
+    p = np.zeros((cfg.n_states, cfg.n_states))
+    for i, s in enumerate(enumerate_states(cfg.a_max)):
+        e1 = tables.eps_by_bit[s.x1][pol[i]]
+        e2 = tables.eps_by_bit[s.x2][n - pol[i]]
+        c1 = min(s.a1 + 1, cfg.a_max)
+        c2 = min(s.a2 + 1, cfg.a_max)
+        for a1n, p1 in ((1, 1.0 - e1), (c1, e1)):
+            for a2n, p2 in ((1, 1.0 - e2), (c2, e2)):
+                base = state_to_index(SystemState(a1n, a2n, 0, 0), cfg.a_max) - 1
+                p[i, base : base + 4] += (p1 * p2) * tables.bit_weights
+    return p
 
 
 class TestTransitionProb:
@@ -29,7 +77,7 @@ class TestTransitionProb:
         e2 = block_error_rate(n - lam, cfg.link.payload_bits, cfg.profile.gamma_bad)
         to = SystemState(1, 1, 1, 0)
         expected = (1 - e1) * (1 - e2) * cfg.profile.alpha_1 * (1 - cfg.profile.alpha_2)
-        assert transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
+        assert reference_transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
 
     def test_mixed_branch_with_clamp(self, mid_cfg):
         cfg = mid_cfg
@@ -41,28 +89,28 @@ class TestTransitionProb:
         )
         to = SystemState(3, 2, 0, 0)  # device 1 fails (clamped), device 2 fails
         expected = e1 * e2 * (1 - cfg.profile.alpha_1) * (1 - cfg.profile.alpha_2)
-        assert transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
+        assert reference_transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
 
     def test_unchanged_age_is_impossible(self, mid_cfg):
         # an age below the cap must either reset to 1 or increment
         frm = SystemState(2, 1, 0, 0)
         to = SystemState(2, 1, 0, 0)
-        assert transition_prob(mid_cfg, 10, frm, to) == 0.0
+        assert reference_transition_prob(mid_cfg, 10, frm, to) == 0.0
 
     @pytest.mark.parametrize("lam", [0, 7, 40])
     def test_total_probability(self, mid_cfg, lam):
         frm = SystemState(2, 3, 1, 0)
         total = sum(
-            transition_prob(mid_cfg, lam, frm, to) for to in enumerate_states(mid_cfg.a_max)
+            reference_transition_prob(mid_cfg, lam, frm, to) for to in enumerate_states(mid_cfg.a_max)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_allocation(self, mid_cfg):
         frm = SystemState(1, 1, 0, 0)
         with pytest.raises(ValueError):
-            transition_prob(mid_cfg, -1, frm, frm)
+            reference_transition_prob(mid_cfg, -1, frm, frm)
         with pytest.raises(ValueError):
-            transition_prob(mid_cfg, 41, frm, frm)
+            reference_transition_prob(mid_cfg, 41, frm, frm)
 
 
 class TestBuildMatrix:
@@ -91,7 +139,7 @@ class TestBuildMatrix:
         for i, frm in enumerate(states):
             for j, to in enumerate(states):
                 assert p[i, j] == pytest.approx(
-                    transition_prob(small_cfg, int(pol[i]), frm, to), abs=1e-15
+                    reference_transition_prob(small_cfg, int(pol[i]), frm, to), abs=1e-15
                 )
 
     def test_policy_validation(self, small_cfg):
@@ -104,6 +152,63 @@ class TestBuildMatrix:
         # integral floats are accepted
         pol = validate_policy(np.full(16, 3.0), small_cfg)
         assert pol.dtype == np.int64
+
+
+class TestTransitionTables:
+    @pytest.mark.parametrize("a_max", [1, 2, 5])
+    def test_decoded_fields_match_states(self, a_max):
+        with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
+            t = TransitionTables(make_config(a_max=a_max, a_out=1))
+        states = enumerate_states(a_max)
+        assert t.a1.tolist() == [s.a1 for s in states]
+        assert t.a2.tolist() == [s.a2 for s in states]
+        assert t.x1.tolist() == [s.x1 for s in states]
+        assert t.x2.tolist() == [s.x2 for s in states]
+
+    @pytest.mark.parametrize("a_max", [1, 2, 5])
+    def test_succ_rows_are_row_bases_of_the_four_branches(self, a_max):
+        with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
+            t = TransitionTables(make_config(a_max=a_max, a_out=1))
+        for i, s in enumerate(enumerate_states(a_max)):
+            c1, c2 = min(s.a1 + 1, a_max), min(s.a2 + 1, a_max)
+            # branch order 2 * fail1 + fail2
+            expected = [t.row_base(1, 1), t.row_base(1, c2), t.row_base(c1, 1), t.row_base(c1, c2)]
+            assert t.succ[i].tolist() == expected
+
+    def test_error_rates_follow_the_channel_bits(self, small_cfg, small_tables):
+        pol = random_policy(small_cfg, np.random.default_rng(4))
+        e1, e2 = small_tables.error_rates(pol)
+        n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
+        for i, s in enumerate(enumerate_states(small_cfg.a_max)):
+            assert e1[i] == block_error_rate(int(pol[i]), d, small_cfg.profile.gamma_for_bit(s.x1))
+            assert e2[i] == block_error_rate(n - int(pol[i]), d, small_cfg.profile.gamma_for_bit(s.x2))
+
+
+class TestBuildMatchesReferenceLoop:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_presets_bit_exact(self, preset):
+        cfg = load_scenario(preset).system
+        tables = TransitionTables(cfg)
+        rng = np.random.default_rng(17)
+        policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
+        policies += [random_policy(cfg, rng) for _ in range(20)]
+        for pol in policies:
+            assert np.array_equal(
+                build_transition_matrix(cfg, pol, tables=tables),
+                reference_build_transition_matrix(cfg, pol, tables),
+            )
+
+    def test_single_age_bit_exact(self):
+        # with a_max = 1 all four branches land on the same four columns
+        with pytest.warns(UserWarning):
+            cfg = make_config(a_max=1, a_out=1)
+        tables = TransitionTables(cfg)
+        rng = np.random.default_rng(2)
+        for pol in [[7, 0, 40, 21]] + [random_policy(cfg, rng) for _ in range(20)]:
+            assert np.array_equal(
+                build_transition_matrix(cfg, pol, tables=tables),
+                reference_build_transition_matrix(cfg, pol, tables),
+            )
 
 
 class TestSteadyState:

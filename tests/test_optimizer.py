@@ -1,6 +1,7 @@
 """Penalties, the per-state sweep, the optimizer against the recursive loop,
 and benchmark policies."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -12,23 +13,66 @@ from aoi_outage.markov import (
     build_transition_matrix,
     outage_probability,
     steady_state,
-    transition_prob,
 )
 from aoi_outage.optimizer import (
     PenaltyKind,
     TerminationReason,
+    _age_weight_grid,
     improve_policy,
     min_error_policy,
     naive_policy,
     optimize,
-    penalty,
 )
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.states import SystemConfig, enumerate_states, is_outage
+from aoi_outage.states import SystemConfig, enumerate_states, index_to_state, is_outage
 
 from conftest import make_config, random_policy
+from test_markov import PRESET_NAMES, reference_transition_prob
 
 ALL_KINDS = list(PenaltyKind)
+
+
+def reference_successor_cost(w, c1, c2, e1, e2):
+    """Expected successor weight over the four reset/increment branches.
+
+    Works elementwise when e1 and e2 are arrays (one entry per allocation).
+    """
+    return (
+        (1.0 - e1) * (1.0 - e2) * w[1, 1]
+        + (1.0 - e1) * e2 * w[1, c2]
+        + e1 * (1.0 - e2) * w[c1, 1]
+        + e1 * e2 * w[c1, c2]
+    )
+
+
+def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
+    """Per-state penalty: the state's stationary mass times the expected
+    successor weight under allocation lam. from_index is 1-based."""
+    t = tables if tables is not None else TransitionTables(cfg)
+    n = t.n_total
+    if not 0 <= lam <= n:
+        raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
+    if not 1 <= from_index <= cfg.n_states:
+        raise ValueError(f"from_index must lie in [1, {cfg.n_states}], got {from_index}")
+    s = index_to_state(from_index, cfg.a_max)
+    e1 = t.eps_by_bit[s.x1][lam]
+    e2 = t.eps_by_bit[s.x2][n - lam]
+    w = _age_weight_grid(kind, cfg)
+    c1, c2 = min(s.a1 + 1, cfg.a_max), min(s.a2 + 1, cfg.a_max)
+    return float(pi[from_index - 1] * reference_successor_cost(w, c1, c2, e1, e2))
+
+
+def reference_improve_policy(cfg, pi, kind, *, tables):
+    """The per-state loop the bit-pair sweep replaced: each state's
+    pi-weighted successor cost over every allocation, then its argmin."""
+    w = _age_weight_grid(kind, cfg)
+    e_dev2 = (tables.eps_by_bit[0][::-1], tables.eps_by_bit[1][::-1])  # allocation N - lam
+    new = np.empty(cfg.n_states, dtype=np.int64)
+    for i, s in enumerate(enumerate_states(cfg.a_max)):
+        c1, c2 = min(s.a1 + 1, cfg.a_max), min(s.a2 + 1, cfg.a_max)
+        cost = pi[i] * reference_successor_cost(w, c1, c2, tables.eps_by_bit[s.x1], e_dev2[s.x2])
+        new[i] = np.argmin(cost)
+    return new
 
 
 def penalty_oracle(cfg, lam, from_index, pi, kind):
@@ -45,7 +89,7 @@ def penalty_oracle(cfg, lam, from_index, pi, kind):
             w = max(to.a1, to.a2)
         else:
             w = np.exp(max(to.a1, to.a2))
-        total += w * transition_prob(cfg, lam, frm, to)
+        total += w * reference_transition_prob(cfg, lam, frm, to)
     return pi[from_index - 1] * total
 
 
@@ -128,7 +172,7 @@ class TestPenalty:
             cfg = make_config(a_max=2, a_out=2)
         pi = np.full(cfg.n_states, 1 / cfg.n_states)
         for lam in (0, 11, 40):
-            assert penalty(cfg, lam, 3, pi, PenaltyKind.BINARY_OUTAGE) == 0.0
+            assert reference_penalty(cfg, lam, 3, pi, PenaltyKind.BINARY_OUTAGE) == 0.0
 
     def test_sum_weight_is_constant_on_degenerate_chain(self):
         with pytest.warns(UserWarning):
@@ -136,33 +180,33 @@ class TestPenalty:
         pi = np.array([0.4, 0.3, 0.2, 0.1])
         for i in range(1, 5):
             for lam in (0, 17, 40):
-                assert penalty(cfg, lam, i, pi, PenaltyKind.MEAN_SUM_AOI) == pytest.approx(
+                assert reference_penalty(cfg, lam, i, pi, PenaltyKind.MEAN_SUM_AOI) == pytest.approx(
                     2 * pi[i - 1], rel=1e-13
                 )
 
     def test_weight_dominance(self, small_cfg, small_pi):
         for i in (1, 6, 16):
             for lam in (0, 13, 40):
-                exp_pen = penalty(small_cfg, lam, i, small_pi, PenaltyKind.EXP_MEAN_PEAK_AOI)
-                peak = penalty(small_cfg, lam, i, small_pi, PenaltyKind.MEAN_PEAK_AOI)
-                summed = penalty(small_cfg, lam, i, small_pi, PenaltyKind.MEAN_SUM_AOI)
+                exp_pen = reference_penalty(small_cfg, lam, i, small_pi, PenaltyKind.EXP_MEAN_PEAK_AOI)
+                peak = reference_penalty(small_cfg, lam, i, small_pi, PenaltyKind.MEAN_PEAK_AOI)
+                summed = reference_penalty(small_cfg, lam, i, small_pi, PenaltyKind.MEAN_SUM_AOI)
                 assert exp_pen >= peak >= 0.5 * summed
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_double_sum_oracle(self, small_cfg, small_pi, kind):
         for i in (1, 4, 9, 16):
             for lam in (0, 3, 21, 40):
-                assert penalty(small_cfg, lam, i, small_pi, kind) == pytest.approx(
+                assert reference_penalty(small_cfg, lam, i, small_pi, kind) == pytest.approx(
                     penalty_oracle(small_cfg, lam, i, small_pi, kind), rel=1e-12, abs=1e-300
                 )
 
     def test_rejects_bad_args(self, small_cfg, small_pi):
         with pytest.raises(ValueError):
-            penalty(small_cfg, -1, 1, small_pi, PenaltyKind.BINARY_OUTAGE)
+            reference_penalty(small_cfg, -1, 1, small_pi, PenaltyKind.BINARY_OUTAGE)
         with pytest.raises(ValueError):
-            penalty(small_cfg, 0, 0, small_pi, PenaltyKind.BINARY_OUTAGE)
+            reference_penalty(small_cfg, 0, 0, small_pi, PenaltyKind.BINARY_OUTAGE)
         with pytest.raises(ValueError):
-            penalty(small_cfg, 0, 17, small_pi, PenaltyKind.BINARY_OUTAGE)
+            reference_penalty(small_cfg, 0, 17, small_pi, PenaltyKind.BINARY_OUTAGE)
 
 
 class TestImprovePolicy:
@@ -172,9 +216,9 @@ class TestImprovePolicy:
         n = small_cfg.link.blocklength_total
         for i in range(small_cfg.n_states):
             values = np.array(
-                [penalty(small_cfg, lam, i + 1, small_pi, kind) for lam in range(n + 1)]
+                [reference_penalty(small_cfg, lam, i + 1, small_pi, kind) for lam in range(n + 1)]
             )
-            chosen = penalty(small_cfg, int(improved[i]), i + 1, small_pi, kind)
+            chosen = reference_penalty(small_cfg, int(improved[i]), i + 1, small_pi, kind)
             assert chosen == values.min()
             assert int(improved[i]) == int(np.argmin(values))  # smallest-allocation tie-break
 
@@ -217,6 +261,34 @@ class TestImprovePolicy:
             a = improve_policy(small_cfg, small_pi, kind)
             b = improve_policy(small_cfg, 3.0 * small_pi, kind)
             assert np.array_equal(a, b)
+
+
+class TestSweepMatchesReferenceLoop:
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_presets_bit_exact(self, preset, kind):
+        cfg = load_scenario(preset).system
+        tables = TransitionTables(cfg)
+        solved = steady_state(build_transition_matrix(cfg, naive_policy(cfg), tables=tables))
+        random_pi = np.random.default_rng(29).random(cfg.n_states)
+        for pi in (np.ones(cfg.n_states), random_pi, solved):
+            assert np.array_equal(
+                improve_policy(cfg, pi, kind, tables=tables),
+                reference_improve_policy(cfg, pi, kind, tables=tables),
+            )
+
+    @pytest.mark.parametrize("a_max, a_out", [(1, 1), (2, 1), (3, 2)])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_small_configs_with_zero_mass_bit_exact(self, a_max, a_out, kind):
+        with pytest.warns(UserWarning) if a_max == a_out else contextlib.nullcontext():
+            cfg = make_config(a_max=a_max, a_out=a_out)
+        tables = TransitionTables(cfg)
+        pi = np.random.default_rng(a_max).random(cfg.n_states)
+        pi[::3] = 0.0  # zero-mass states tie at every allocation
+        assert np.array_equal(
+            improve_policy(cfg, pi, kind, tables=tables),
+            reference_improve_policy(cfg, pi, kind, tables=tables),
+        )
 
 
 class TestOptimize:

@@ -10,9 +10,12 @@ from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.optimizer import naive_policy
 from aoi_outage.simulate import (
+    CHECKPOINTS,
     DRAW_CHUNK,
+    burst_convergence,
     derive_seed,
     measure_bursts,
+    median_errors,
     repetition_seed,
     run_repetitions,
     simulate,
@@ -46,11 +49,12 @@ def reference_simulate(cfg, policy, periods, seed):
     return np.array(outage), (a1, a2, x1, x2)
 
 
-def groupby_bursts(seq):
+def groupby_bursts(seq, convention="outage-periods"):
     """Independent run-length oracle for measure_bursts."""
     runs = [(key, len(list(group))) for key, group in itertools.groupby(seq)]
     interior = runs[1:-1]
-    bursts = [n for key, n in interior if key]
+    extra = 1 if convention == "excursion" else 0
+    bursts = [n + extra for key, n in interior if key]
     iois = [n for key, n in interior if not key]
     return bursts, iois
 
@@ -156,9 +160,45 @@ class TestMeasureBursts:
         with pytest.raises(ValueError):
             measure_bursts([True], convention="nonsense")
 
+    @pytest.mark.parametrize("convention", ["outage-periods", "excursion"])
     @given(st.lists(st.booleans(), max_size=120))
-    def test_matches_groupby_oracle(self, seq):
-        assert measure_bursts(seq) == groupby_bursts(seq)
+    def test_matches_groupby_oracle(self, convention, seq):
+        bursts, iois = measure_bursts(seq, convention)
+        assert (bursts, iois) == groupby_bursts(seq, convention)
+        assert all(type(n) is int for n in bursts + iois)
+
+
+class TestBurstConvergence:
+    def test_rows_match_single_row_runs(self, cfg_b, tables_b):
+        rows = burst_convergence(cfg_b, 2, 11)
+        assert [(r["policy_id"], r["checkpoint"]) for r in rows] == [
+            (pid, cp) for pid in range(2) for cp in CHECKPOINTS
+        ]
+        for pid in range(2):
+            rng = np.random.default_rng(derive_seed(11, pid, 0))
+            pol = rng.integers(0, cfg_b.link.blocklength_total + 1, size=cfg_b.n_states)
+            stats = burst_stats(cfg_b, pol, tables=tables_b)
+            seed = derive_seed(11, pid, 1)
+            seq = simulate(cfg_b, pol, max(CHECKPOINTS), seed, tables=tables_b).outage_sequence
+            for row, cp in zip(rows[pid * len(CHECKPOINTS) :], CHECKPOINTS):
+                bursts, iois = groupby_bursts(seq[:cp].tolist())
+                measured = [seq[:cp].mean(), np.mean(bursts) if bursts else np.nan,
+                            np.mean(iois) if iois else np.nan]
+                analytic = [stats.p_out, stats.mean_outage_duration, stats.mean_ioi]
+                assert row["sim_seed"] == seed
+                for q, m, a in zip(("p_out", "mean_burst", "mean_ioi"), measured, analytic):
+                    assert np.array_equal(row[f"measured_{q}"], m, equal_nan=True)
+                    assert row[f"analytic_{q}"] == a
+                    assert np.array_equal(row[f"err_{q}"], abs(m - a) / a, equal_nan=True)
+
+    def test_median_errors_per_checkpoint(self):
+        rows = [
+            {"checkpoint": cp, "err_p_out": v, "err_mean_burst": 2 * v,
+             "err_mean_ioi": float("nan") if v == 1 else v}
+            for cp in CHECKPOINTS for v in (1.0, 2.0, 4.0 * cp)
+        ]
+        medians = median_errors(rows)
+        assert medians.tolist() == [[2.0, 4.0, 2.0 * cp + 1.0] for cp in CHECKPOINTS]
 
 
 class TestRepetitions:
