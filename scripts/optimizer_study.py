@@ -11,13 +11,11 @@ import sys
 from aoi_outage import (
     PenaltyKind,
     TransitionTables,
-    build_transition_matrix,
+    burst_stats,
     load_scenario,
     min_error_policy,
     naive_policy,
     optimize,
-    outage_probability,
-    steady_state,
 )
 
 
@@ -36,8 +34,7 @@ def main() -> int:
             print(f"{preset:<12}{kind.value:<16}{report.best_p_out:>14.6e}")
         for name, policy in (("naive", naive_policy(cfg)),
                              ("min-error", min_error_policy(cfg, tables=tables))):
-            p = build_transition_matrix(cfg, policy, tables=tables)
-            p_out = outage_probability(steady_state(p), cfg)
+            p_out = burst_stats(cfg, policy, tables=tables).p_out
             print(f"{preset:<12}{name:<16}{p_out:>14.6e}")
     return 0
 

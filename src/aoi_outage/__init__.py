@@ -9,16 +9,7 @@ bursts, and cross-validates everything with a seeded simulator.
 
 __version__ = "0.1.0"
 
-from .burstiness import (
-    BurstStats,
-    OutageUnreachableError,
-    burst_stats,
-    mean_ioi,
-    mean_outage_duration,
-    outage_duration_pmf,
-    xi_matrix,
-    xi_set_to_set,
-)
+from .burstiness import BurstStats, burst_stats, chain_burst_stats
 from .fbl import (
     ChannelProfile,
     LinkParams,
@@ -32,7 +23,6 @@ from .markov import (
     SteadyStateError,
     TransitionTables,
     build_transition_matrix,
-    k_step_distribution,
     outage_probability,
     steady_state,
     validate_policy,

@@ -1,10 +1,11 @@
 """Dense Markov machinery for the two-device age chain.
 
 The transition law as per-config arrays (TransitionTables), dense matrix
-assembly as one scatter of that law, stationary distribution, k-step
-distributions, and the stationary outage rate. A policy is an integer
-vector over the enumerated state space giving device 1's share of the
-shared blocklength; device 2 receives the remainder.
+assembly as one scatter of that law, the stationary distribution, and the
+stationary outage rate. Burst statistics of the solved chain live in
+burstiness. A policy is an integer vector over the enumerated state space
+giving device 1's share of the shared blocklength; device 2 receives the
+remainder.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
@@ -148,24 +149,6 @@ def steady_state(p) -> np.ndarray:
     if residual >= RESIDUAL_TOL:
         raise SteadyStateError(f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return pi
-
-
-def k_step_distribution(p, initial_index: int, k: int) -> np.ndarray:
-    """State distribution after k periods from the 1-based initial index.
-
-    Computed by iterated vector-matrix products, never by matrix powers.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if not 1 <= initial_index <= n:
-        raise ValueError(f"initial_index must lie in [1, {n}], got {initial_index}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k}")
-    v = np.zeros(n)
-    v[initial_index - 1] = 1.0
-    for _ in range(k):
-        v = v @ p
-    return v
 
 
 def outage_probability(pi, cfg: SystemConfig) -> float:

@@ -33,13 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .markov import (
-    TransitionTables,
-    build_transition_matrix,
-    outage_probability,
-    steady_state,
-    validate_policy,
-)
+from .markov import TransitionTables, build_transition_matrix, steady_state, validate_policy
 from .states import SystemConfig
 
 
@@ -145,7 +139,7 @@ def optimize(
     t = tables if tables is not None else TransitionTables(cfg)
     lam = improve_policy(cfg, np.ones(cfg.n_states), kind, tables=t)
     pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
-    p_out = outage_probability(pi, cfg)
+    p_out = float(pi[t.outage].sum())
     return OptimizeReport(
         final_policy=lam,
         iterations=1,

@@ -85,13 +85,16 @@ def _require(mapping, where: str, required: tuple[str, ...], optional: tuple[str
         raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
-def _number(mapping, where: str, key: str, kind=float):
-    value = mapping[key]
+def _value(value, label: str, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+        raise ConfigError(f"{label} must be a number, got {value!r}")
     if kind is int and int(value) != value:
-        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{label} must be an integer, got {value!r}")
     return kind(value)
+
+
+def _number(mapping, where: str, key: str, kind=float):
+    return _value(mapping[key], f"{where}.{key}", kind)
 
 
 def parse_scenario(document: dict, name: str = "custom") -> Scenario:
@@ -109,6 +112,7 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     alpha = document["alpha"]
     if not (isinstance(alpha, list) and len(alpha) == 2):
         raise ConfigError("alpha must be a list of two probabilities")
+    alpha = [_value(v, f"alpha[{i}]") for i, v in enumerate(alpha)]
     _require(document["snr_db"], "snr_db", ("good", "bad"))
     _require(document["blocklength"], "blocklength", ("N", "d"))
     _require(document["state"], "state", ("a_max", "a_out", "initial"))
@@ -118,11 +122,12 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     initial = document["state"]["initial"]
     if not (isinstance(initial, list) and len(initial) == 4):
         raise ConfigError("state.initial must be a list of four integers")
+    initial = [_value(v, f"state.initial[{i}]", int) for i, v in enumerate(initial)]
 
     try:
         profile = ChannelProfile(
-            alpha_1=float(alpha[0]),
-            alpha_2=float(alpha[1]),
+            alpha_1=alpha[0],
+            alpha_2=alpha[1],
             gamma_good_db=_number(document["snr_db"], "snr_db", "good"),
             gamma_bad_db=_number(document["snr_db"], "snr_db", "bad"),
         )
@@ -136,7 +141,7 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
             a_max=_number(document["state"], "state", "a_max", int),
             a_out=_number(document["state"], "state", "a_out", int),
             epsilon_cvg=_number(document["optimizer"], "optimizer", "epsilon_cvg"),
-            initial_state=SystemState(*(int(v) for v in initial)),
+            initial_state=SystemState(*initial),
         )
     except ConfigError:
         raise

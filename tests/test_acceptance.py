@@ -21,12 +21,11 @@ import numpy as np
 import pytest
 
 from aoi_outage import cli
-from aoi_outage.burstiness import burst_stats, xi_matrix
+from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate, q_function
 from aoi_outage.markov import (
     TransitionTables,
     build_transition_matrix,
-    k_step_distribution,
     outage_probability,
     steady_state,
 )
@@ -36,7 +35,8 @@ from aoi_outage.scenarios import load_scenario
 from aoi_outage.simulate import burst_convergence, median_errors, run_repetitions
 
 from conftest import make_config, random_policy
-from test_burstiness import xi_path_oracle
+from test_burstiness import res_to_res_mass, xi_path_oracle
+from test_markov import reference_k_step_distribution
 
 GAMMA_GOOD = 10 ** (-12.2 / 10)
 GAMMA_BAD = 10 ** (-15.2 / 10)
@@ -125,7 +125,7 @@ class TestAC2:
             pol = random_policy(cfg3, rng)
             p = build_transition_matrix(cfg3, pol, tables=tables3)
             pi = steady_state(p)
-            v = k_step_distribution(p, cfg3.initial_index, 10_000)
+            v = reference_k_step_distribution(p, cfg3.initial_index, 10_000)
             worst_tv = max(worst_tv, 0.5 * np.abs(v - pi).sum())
         assert worst_tv < 1e-8
         print(f"AC-2 PASS: rows stochastic within {worst_row:.2e}, two-state closed form exact, "
@@ -236,17 +236,27 @@ class TestAC6:
         print(f"AC-6 PASS: outage-rate identity within {worst:.2e} over 60 random policies; ", end="")
 
     def test_masked_walk_path_oracle(self):
+        # the burst-start flow is the one-step walk into the outage set, and
+        # the pmf at t is the (t + 1)-step walk back out over that flow
         rng = np.random.default_rng(31)
         worst = 0.0
         for n_states in (3, 4, 5):
             raw = rng.random((n_states, n_states))
             p = raw / raw.sum(axis=1, keepdims=True)
             mask = rng.random(n_states) < 0.5
-            for k in range(1, 5):
-                gap = np.abs(xi_matrix(p, mask, k) - xi_path_oracle(p, mask, k)).max()
-                worst = max(worst, gap)
+            pi = steady_state(p)
+            stats = chain_burst_stats(p, mask)
+            one_step = xi_path_oracle(p, mask, 1)
+            gaps = [stats.xi_res_out_1 - float(pi[~mask] @ one_step[np.ix_(~mask, mask)].sum(axis=1))]
+            if stats.defined:
+                gaps += [
+                    stats.duration_pmf[k - 2] * stats.xi_res_out_1
+                    - res_to_res_mass(pi, xi_path_oracle(p, mask, k), mask)
+                    for k in range(2, 5)
+                ]
+            worst = max(worst, np.abs(gaps).max())
         assert worst <= 1e-14
-        print(f"masked-walk matrices within {worst:.2e} of path enumeration")
+        print(f"burst-start flow and duration pmf within {worst:.2e} of path enumeration")
 
 
 class TestAC7:

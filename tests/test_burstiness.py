@@ -1,4 +1,10 @@
-"""Masked k-step recursion, burst-duration statistics, and the rate identity."""
+"""Burst analysis of a chain: masked-walk pmf, exact mean, and the rate identity.
+
+The masked k-step forms of the paper (the xi matrix and its set-to-set
+aggregation) live here as reference oracles, pinned against brute-force
+path enumeration; the program's chain_burst_stats is checked against them
+and against closed forms on hand-built chains.
+"""
 
 import itertools
 
@@ -9,13 +15,9 @@ from aoi_outage.burstiness import (
     IDENTITY_TOL,
     SERIES_CAP,
     SERIES_TOLERANCE,
-    OutageUnreachableError,
+    _exact_mean,
     burst_stats,
-    mean_ioi,
-    mean_outage_duration,
-    outage_duration_pmf,
-    xi_matrix,
-    xi_set_to_set,
+    chain_burst_stats,
 )
 from aoi_outage.markov import TransitionTables, build_transition_matrix, steady_state
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
@@ -43,6 +45,26 @@ def xi_path_oracle(p, mask, k):
                 prob *= p[path[-1], j]
                 xi[i, j] += prob
     return xi
+
+
+def reference_xi_matrix(p, mask, k):
+    """Masked k-step matrix: entry (i, j) is the probability of reaching j
+    from i in exactly k steps through outage-only intermediate states."""
+    xi = p.copy()
+    for _ in range(k - 1):
+        xi = p @ (xi * mask[:, None])
+    return xi
+
+
+def reference_xi_set_to_set(pi, p, from_outage, to_outage, k, mask):
+    """Stationary-weighted mass of masked k-step walks between the outage
+    set and its complement, selected by the two boolean flags."""
+    src = mask if from_outage else ~mask
+    dst = mask if to_outage else ~mask
+    u = (pi * src) @ p
+    for _ in range(k - 1):
+        u = (u * mask) @ p
+    return float(u[dst].sum())
 
 
 def reference_duration_series(pi, p, out):
@@ -83,37 +105,35 @@ def reference_duration_pmf(pi, p, out, t_max):
     return pmf
 
 
+def res_to_res_mass(pi, xi, mask):
+    """Stationary-weighted mass of the masked walks in xi that leave the
+    complement of the outage set and return to it."""
+    return float(pi[~mask] @ xi[np.ix_(~mask, ~mask)].sum(axis=1))
+
+
 @pytest.fixture(scope="module")
 def two_state():
     """res <-> out chain with entry rate r and escape rate s."""
     r, s = 0.3, 0.5
     p = np.array([[1 - r, r], [s, 1 - s]])
     mask = np.array([False, True])
-    pi = steady_state(p)
-    return p, mask, pi, r, s
+    return p, mask, r, s
 
 
 class TestXiMatrix:
-    def test_first_step_is_transition_matrix(self, small_cfg):
-        p = build_transition_matrix(small_cfg, naive_policy(small_cfg))
-        mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
-        out = xi_matrix(p, mask, 1)
-        assert np.array_equal(out, p)
-        out[0, 0] = -1.0  # returned matrix must be a copy
-        assert p[0, 0] != -1.0
-
-    def test_empty_mask_kills_longer_walks(self):
-        p = np.array([[0.7, 0.3], [0.1, 0.9]])
-        assert np.all(xi_matrix(p, np.array([False, False]), 2) == 0.0)
-
     def test_three_state_double_sum(self):
+        # the first pmf term is the two-step double sum through one outage state
         p = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
         mask = np.array([False, True, True])
-        xi2 = xi_matrix(p, mask, 2)
-        for i in range(3):
-            for j in range(3):
-                expected = sum(p[i, l] * p[l, j] for l in range(3) if mask[l])
-                assert xi2[i, j] == pytest.approx(expected, abs=1e-16)
+        pi = steady_state(p)
+        stats = chain_burst_stats(p, mask)
+        expected = sum(
+            pi[i] * p[i, l] * p[l, j]
+            for i in range(3) if not mask[i]
+            for l in range(3) if mask[l]
+            for j in range(3) if not mask[j]
+        )
+        assert stats.duration_pmf[0] * stats.xi_res_out_1 == pytest.approx(expected, abs=1e-16)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_path_enumeration_oracle(self, k):
@@ -121,25 +141,14 @@ class TestXiMatrix:
         raw = rng.random((5, 5))
         p = raw / raw.sum(axis=1, keepdims=True)
         mask = np.array([True, False, True, True, False])
-        assert xi_matrix(p, mask, k) == pytest.approx(xi_path_oracle(p, mask, k), abs=1e-14)
-
-    def test_rejects_bad_k(self):
-        with pytest.raises(ValueError):
-            xi_matrix(np.eye(2), np.array([True, False]), 0)
+        assert reference_xi_matrix(p, mask, k) == pytest.approx(
+            xi_path_oracle(p, mask, k), abs=1e-14
+        )
 
 
 class TestXiSetToSet:
-    def test_one_step_partition_of_unity(self, small_cfg, small_tables):
-        p = build_transition_matrix(small_cfg, naive_policy(small_cfg), tables=small_tables)
-        pi = steady_state(p)
-        total = sum(
-            xi_set_to_set(pi, p, a, b, 1, small_cfg)
-            for a in (False, True)
-            for b in (False, True)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-
     def test_one_step_definition_unrolled(self, small_cfg, small_tables):
+        stats = burst_stats(small_cfg, naive_policy(small_cfg), tables=small_tables)
         p = build_transition_matrix(small_cfg, naive_policy(small_cfg), tables=small_tables)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
@@ -150,25 +159,23 @@ class TestXiSetToSet:
             for j in range(small_cfg.n_states)
             if mask[j]
         )
-        assert xi_set_to_set(pi, p, False, True, 1, small_cfg) == pytest.approx(
-            expected, rel=1e-12
-        )
+        assert stats.xi_res_out_1 == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_matrix_aggregation(self, small_cfg, small_tables, k):
+        # k = 1 from the complement into the outage set is the burst-start
+        # flow; k > 1 back to the complement is a burst of k - 1 periods
         pol = random_policy(small_cfg, np.random.default_rng(2))
+        stats = burst_stats(small_cfg, pol, tables=small_tables)
         p = build_transition_matrix(small_cfg, pol, tables=small_tables)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
-        xi = xi_matrix(p, mask, k)
-        for a in (False, True):
-            for b in (False, True):
-                src = mask if a else ~mask
-                dst = mask if b else ~mask
-                expected = float(pi[src] @ xi[np.ix_(src, dst)].sum(axis=1))
-                assert xi_set_to_set(pi, p, a, b, k, small_cfg) == pytest.approx(
-                    expected, rel=1e-12, abs=1e-300
-                )
+        xi = reference_xi_matrix(p, mask, k)
+        if k == 1:
+            got, expected = stats.xi_res_out_1, float(pi[~mask] @ xi[np.ix_(~mask, mask)].sum(axis=1))
+        else:
+            got, expected = stats.duration_pmf[k - 2] * stats.xi_res_out_1, res_to_res_mass(pi, xi, mask)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
     def test_path_oracle_on_hand_chain(self):
         # 4-state chain, k = 3: enumerate every path and filter interiors
@@ -188,66 +195,67 @@ class TestXiSetToSet:
             for a, b in zip(path, path[1:]):
                 prob *= p[a, b]
             expected += prob
-        assert xi_set_to_set(pi, p, False, True, k, mask) == pytest.approx(expected, abs=1e-15)
+        assert reference_xi_set_to_set(pi, p, False, True, k, mask) == pytest.approx(
+            expected, abs=1e-15
+        )
 
 
 class TestDurationPmf:
     def test_no_chaining_means_unit_burst(self):
         # the single outage state always escapes, so every burst lasts 1 period
         p = np.array([[0.7, 0.3], [1.0, 0.0]])
-        mask = np.array([False, True])
-        pi = steady_state(p)
-        pmf = outage_duration_pmf(pi, p, mask, 5)
+        pmf = chain_burst_stats(p, np.array([False, True])).duration_pmf
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(pmf[1:] == pytest.approx(0.0, abs=1e-16))
 
     def test_normalization_and_sign(self, cfg_b, tables_b):
-        p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
-        pi = steady_state(p)
-        pmf = outage_duration_pmf(pi, p, cfg_b, 60)
+        pmf = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b).duration_pmf
         assert np.all(pmf >= 0.0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_geometric_tail(self, cfg_b, tables_b):
+        # the stop rule ends this pmf before t = 30; the reference walk goes on
+        stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
         p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
-        pi = steady_state(p)
-        pmf = outage_duration_pmf(pi, p, cfg_b, 30)
+        pmf = reference_duration_pmf(steady_state(p), p, tables_b.outage, 30)
+        assert np.array_equal(stats.duration_pmf, pmf[: stats.truncation_t])
         ratios = pmf[20:29] / pmf[19:28]
         assert np.all(ratios > 0.0)
         assert ratios.max() - ratios.min() < 1e-3  # tail settles to one decay rate
 
-    def test_unreachable_outage_raises(self, two_state):
-        p, mask, pi, _, _ = two_state
-        with pytest.raises(OutageUnreachableError):
-            outage_duration_pmf(pi, p, np.array([False, False]), 5)
+    def test_unreachable_outage_is_undefined(self, two_state):
+        # no flow enters an empty outage set, so no burst is ever measured
+        p, _, _, _ = two_state
+        stats = chain_burst_stats(p, np.array([False, False]))
+        assert not stats.defined
+        assert stats.p_out == 0.0 and stats.xi_res_out_1 == 0.0
+        assert stats.duration_pmf is None and stats.truncation_residual is None
+        assert stats.mean_outage_duration is None and stats.mean_ioi is None
 
 
 class TestMeanDuration:
     def test_geometric_escape(self, two_state):
-        p, mask, pi, r, s = two_state
+        p, mask, r, s = two_state
         # burst length is geometric with continuation probability 1 - s
-        assert mean_outage_duration(pi, p, mask) == pytest.approx(1.0 / s, rel=1e-12)
+        assert chain_burst_stats(p, mask).mean_outage_duration == pytest.approx(1.0 / s, rel=1e-12)
 
     def test_no_chaining_is_exactly_one(self):
         p = np.array([[0.7, 0.3], [1.0, 0.0]])
         mask = np.array([False, True])
-        pi = steady_state(p)
-        assert mean_outage_duration(pi, p, mask) == pytest.approx(1.0, abs=1e-12)
+        assert chain_burst_stats(p, mask).mean_outage_duration == pytest.approx(1.0, abs=1e-12)
 
     def test_slow_escape_past_series_cap(self):
-        # escape probability 0.001 per period: the pmf walk would reach
+        # escape probability 0.001 per period: the pmf walk reaches
         # SERIES_CAP before its tolerance; the exact mean is 1 / 0.001
         p = np.array([[0.5, 0.5], [0.001, 0.999]])
-        mask = np.array([False, True])
-        pi = steady_state(p)
-        assert mean_outage_duration(pi, p, mask) == pytest.approx(1000.0, rel=1e-9)
+        stats = chain_burst_stats(p, np.array([False, True]))
+        assert stats.truncation_t == SERIES_CAP
+        assert stats.mean_outage_duration == pytest.approx(1000.0, rel=1e-9)
 
     def test_mean_matches_pmf_expectation(self, cfg_b, tables_b):
-        p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
-        pi = steady_state(p)
-        pmf = outage_duration_pmf(pi, p, cfg_b, 80)
-        t = np.arange(1, 81)
-        assert mean_outage_duration(pi, p, cfg_b) == pytest.approx(float(t @ pmf), rel=1e-9)
+        stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
+        t = np.arange(1, stats.truncation_t + 1)
+        assert stats.mean_outage_duration == pytest.approx(float(t @ stats.duration_pmf), rel=1e-9)
 
     def test_two_escape_rates(self):
         # half the bursts escape at rate 5e-5, half at 1e-4: mean (2e4 + 1e4) / 2;
@@ -255,15 +263,22 @@ class TestMeanDuration:
         p = np.array([[0.5, 0.25, 0.25], [5e-5, 0.99995, 0.0], [1e-4, 0.0, 0.9999]])
         mask = np.array([False, True, True])
         pi = steady_state(p)
-        mean = mean_outage_duration(pi, p, mask)
-        assert mean == pytest.approx(15000.0, rel=1e-12)
-        entry = xi_set_to_set(pi, p, False, True, 1, mask)
-        assert abs(float(pi[mask].sum()) - entry * mean) < IDENTITY_TOL
+        stats = chain_burst_stats(p, mask)
+        assert stats.mean_outage_duration == pytest.approx(15000.0, rel=1e-12)
+        entry = reference_xi_set_to_set(pi, p, False, True, 1, mask)
+        assert stats.xi_res_out_1 == entry
+        assert abs(float(pi[mask].sum()) - entry * stats.mean_outage_duration) < IDENTITY_TOL
 
     def test_closed_outage_set_raises(self):
+        # a closed outage set holds all the stationary mass and no flow enters
+        # it; fed a flow anyway, the mean solve reports that it has no exit
         p = np.array([[0.5, 0.5], [0.0, 1.0]])
+        mask = np.array([False, True])
+        stats = chain_burst_stats(p, mask)
+        assert not stats.defined and stats.p_out == 1.0
+        u = (np.array([0.5, 0.5]) * ~mask) @ p
         with pytest.raises(RuntimeError, match="no exit"):
-            mean_outage_duration(np.array([0.5, 0.5]), p, np.array([False, True]))
+            _exact_mean(u, p, mask, float(u[mask].sum()))
 
 
 class TestMatchesReferenceSeries:
@@ -307,15 +322,14 @@ class TestMatchesReferenceSeries:
 
 class TestMeanIoi:
     def test_two_state_closed_form(self, two_state):
-        p, mask, pi, r, s = two_state
-        assert mean_ioi(pi, p, mask) == pytest.approx(1.0 / r, rel=1e-12)
+        p, mask, r, s = two_state
+        assert chain_burst_stats(p, mask).mean_ioi == pytest.approx(1.0 / r, rel=1e-12)
 
     def test_grows_as_outage_vanishes(self):
         values = []
         for r in (0.2, 0.02, 0.002):
             p = np.array([[1 - r, r], [0.5, 0.5]])
-            pi = steady_state(p)
-            values.append(mean_ioi(pi, p, np.array([False, True])))
+            values.append(chain_burst_stats(p, np.array([False, True])).mean_ioi)
         assert values[0] < values[1] < values[2]
 
 

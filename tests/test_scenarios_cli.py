@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -21,6 +22,19 @@ def write_config(tmp_path, document, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(document))
     return str(path)
+
+
+# list entries that are not numbers of the right kind: (mutation, message pattern)
+BAD_LIST_ENTRIES = [
+    pytest.param(lambda d: d.update(alpha=[None, 0.4]), r"alpha\[0\] must be a number",
+                 id="alpha-null"),
+    pytest.param(lambda d: d.update(alpha=["0.6", 0.4]), r"alpha\[0\] must be a number",
+                 id="alpha-string"),
+    pytest.param(lambda d: d["state"].update(initial=[1, None, 0, 0]),
+                 r"state\.initial\[1\] must be a number", id="initial-null"),
+    pytest.param(lambda d: d["state"].update(initial=[1.7, 1, 0, 0]),
+                 r"state\.initial\[0\] must be an integer", id="initial-fraction"),
+]
 
 
 class TestScenarios:
@@ -68,7 +82,8 @@ class TestScenarios:
             (lambda d: d["blocklength"].update(N=10.5), "N"),
             (lambda d: d.update(schema_version=2), "schema_version"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
-        ],
+        ]
+        + BAD_LIST_ENTRIES,
     )
     def test_rejects_malformed(self, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
@@ -133,6 +148,17 @@ class TestCliEvaluate:
                         "--out", str(tmp_path / "x.json")])
         assert code == 1
         assert "alphaa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES)
+    def test_bad_list_entry_exits_one(self, tmp_path, capsys, mutate, fragment):
+        doc = json.loads(json.dumps(PRESETS["scenario_a"]))
+        mutate(doc)
+        code = run_cli(["evaluate", "--config", write_config(tmp_path, doc), "--policy", "naive",
+                        "--out", str(tmp_path / "x.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert re.match(f"error: {fragment}", err)
+        assert "Traceback" not in err
 
     def test_missing_policy_file_flag(self, tmp_path, capsys):
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
