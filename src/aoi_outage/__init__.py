@@ -43,7 +43,6 @@ from .simulate import (
     burst_convergence,
     derive_seed,
     measure_bursts,
-    repetition_seed,
     run_repetitions,
     simulate,
     simulate_many,

@@ -27,8 +27,8 @@ SERIES_TOLERANCE = 1e-12
 SERIES_CAP = 10_000
 IDENTITY_TOL = 1e-9
 
-#: Burst length counts the outage periods of an excursion. The alternative
-#: "excursion" convention also counts the recovery period (length + 1).
+#: Burst length counts the outage periods of an excursion, not the
+#: recovery period that ends it.
 DURATION_CONVENTION = "outage-periods"
 
 
@@ -48,7 +48,6 @@ class BurstStats:
     truncation_t: int
     truncation_residual: float | None
     defined: bool = True
-    convention: str = DURATION_CONVENTION
 
 
 def _duration_walk(u, p, out, xi1: float) -> np.ndarray:

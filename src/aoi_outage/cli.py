@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -62,12 +63,17 @@ def _burst_dict(stats: BurstStats) -> dict:
         "duration_pmf": None if stats.duration_pmf is None else stats.duration_pmf.tolist(),
         "truncation_t": stats.truncation_t,
         "truncation_residual": stats.truncation_residual,
-        "convention": stats.convention,
+        "convention": DURATION_CONVENTION,
     }
 
 
+def _defined(value: float | None) -> float | None:
+    """A measured statistic, or None (JSON null) where it is undefined."""
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _write_json(path: str, document: dict) -> None:
-    Path(path).write_text(json.dumps(document, indent=2, sort_keys=False) + "\n")
+    Path(path).write_text(json.dumps(document, indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
 def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | None):
@@ -93,44 +99,20 @@ def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | Non
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.config)
-    cfg = scenario.system
     kind = PenaltyKind(args.penalty)
-    n_seeds = args.seeds if args.seeds is not None else scenario.optimizer.seeds
-    max_iter = args.max_iter if args.max_iter is not None else scenario.optimizer.max_iter
-    tables = TransitionTables(cfg)
-    reports = [optimize(cfg, kind, seed, max_iter, tables=tables) for seed in range(n_seeds)]
-    best = min(reports, key=lambda r: r.best_p_out)
-    p_outs = sorted(r.best_p_out for r in reports)
+    report = optimize(scenario.system, kind, 0)
     document = {
         "metadata": _metadata(scenario),
         "penalty": kind.value,
-        "n_seeds": n_seeds,
-        "max_iter": max_iter,
-        "seed_reports": [
-            {
-                "seed": r.seed,
-                "iterations": r.iterations,
-                "terminated_by": r.terminated_by.value,
-                "best_p_out": r.best_p_out,
-                "best_iteration": r.best_iteration,
-                "trace": [
-                    {"iteration": it, "metric": m, "p_out": po}
-                    for it, m, po in r.convergence_trace
-                ],
-            }
-            for r in reports
-        ],
         "best": {
-            "seed": best.seed,
-            "analytic_p_out": best.best_p_out,
-            "policy_lambda": best.final_policy.tolist(),
+            "analytic_p_out": report.best_p_out,
+            "policy_lambda": report.final_policy.tolist(),
             "index_base": 1,
         },
-        "median_p_out": p_outs[len(p_outs) // 2],
     }
     _write_json(args.out, document)
-    print(f"optimize[{scenario.name}/{kind.value}]: best analytic p_out "
-          f"{best.best_p_out:.6e} over {n_seeds} seeds -> {args.out}")
+    print(f"optimize[{scenario.name}/{kind.value}]: analytic p_out "
+          f"{report.best_p_out:.6e} -> {args.out}")
     return 0
 
 
@@ -169,14 +151,14 @@ def cmd_simulate(args) -> int:
         "outage_rate_std": summary.outage_rate_std,
         "per_rep_outage_rate": summary.outage_rates.tolist(),
         "n_bursts": len(summary.burst_durations),
-        "mean_burst": summary.mean_burst,
+        "mean_burst": _defined(summary.mean_burst),
         "n_iois": len(summary.ioi_durations),
-        "mean_ioi": summary.mean_ioi,
+        "mean_ioi": _defined(summary.mean_ioi),
         "analytic": _burst_dict(stats),
         "normalized_errors": {
-            "p_out": summary.err_p_out,
-            "mean_burst": summary.err_mean_burst,
-            "mean_ioi": summary.err_mean_ioi,
+            "p_out": _defined(summary.err_p_out),
+            "mean_burst": _defined(summary.err_mean_burst),
+            "mean_ioi": _defined(summary.err_mean_ioi),
         },
     }
     _write_json(args.out, document)
@@ -199,6 +181,8 @@ _TABLE2_POLICIES = ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi", "naive", "m
 
 
 def cmd_reproduce_table2(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
     rows = []
     started = time.time()
     for preset in ("scenario_a", "scenario_b", "scenario_c"):
@@ -214,12 +198,7 @@ def cmd_reproduce_table2(args) -> int:
             elif policy_name == "min-error":
                 policy = min_error_policy(cfg, tables=tables)
             else:
-                kind = PenaltyKind(policy_name)
-                reports = [
-                    optimize(cfg, kind, seed, scenario.optimizer.max_iter, tables=tables)
-                    for seed in range(seeds)
-                ]
-                policy = min(reports, key=lambda r: r.best_p_out).final_policy
+                policy = optimize(cfg, PenaltyKind(policy_name), 0, tables=tables).final_policy
             stats = burst_stats(cfg, policy, tables=tables)
             summary = run_repetitions(
                 cfg, policy, reps, periods, scenario.simulation.master_seed,
@@ -271,8 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt = sub.add_parser("optimize", help="run the recursive policy optimizer")
     p_opt.add_argument("--config", required=True, help="preset name or JSON config path")
     p_opt.add_argument("--penalty", required=True, choices=PENALTY_CHOICES)
-    p_opt.add_argument("--seeds", type=int, default=None, help="override optimizer.seeds")
-    p_opt.add_argument("--max-iter", type=int, default=None, help="override optimizer.max_iter")
     p_opt.add_argument("--out", required=True, help="output JSON path")
     p_opt.set_defaults(func=cmd_optimize)
 
@@ -295,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tab = sub.add_parser("reproduce-table2", help="benchmark grid over all presets")
     p_tab.add_argument("--out", required=True, help="output CSV path")
-    p_tab.add_argument("--seeds", type=int, default=None, help="override optimizer.seeds")
+    p_tab.add_argument("--seeds", type=int, default=None,
+                       help="seeds column of the penalty rows (default optimizer.seeds)")
     p_tab.add_argument("--reps", type=int, default=None)
     p_tab.add_argument("--periods", type=int, default=None)
     p_tab.set_defaults(func=cmd_reproduce_table2)

@@ -39,13 +39,11 @@ def channel_dispersion(gamma: float) -> float:
     return 1.0 - 1.0 / (g1 * g1)
 
 
-def shannon_capacity(gamma: float, bandwidth: float = 1.0) -> float:
-    """Capacity C = B * log2(1 + gamma) in bits per channel use."""
+def shannon_capacity(gamma: float) -> float:
+    """Capacity C = log2(1 + gamma) in bits per channel use."""
     if gamma < 0.0:
         raise ValueError(f"SNR must be nonnegative, got {gamma}")
-    if bandwidth <= 0.0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
-    return bandwidth * math.log2(1.0 + gamma)
+    return math.log2(1.0 + gamma)
 
 
 def block_error_rate(n, d: int, gamma: float):
@@ -115,19 +113,16 @@ class ChannelProfile:
 
 @dataclass(frozen=True)
 class LinkParams:
-    """Shared frame budget: total blocklength, payload size, and bandwidth.
+    """Shared frame budget: total blocklength and payload size.
 
-    Bandwidth is normalized to 1 Hz so capacity is in bits per channel use.
+    Bandwidth is normalized to 1 Hz, so capacity is in bits per channel use.
     """
 
     blocklength_total: int
     payload_bits: int
-    bandwidth: float = 1.0
 
     def __post_init__(self):
         if self.blocklength_total < 1:
             raise ValueError(f"total blocklength must be >= 1, got {self.blocklength_total}")
         if self.payload_bits < 1:
             raise ValueError(f"payload must be >= 1 bit, got {self.payload_bits}")
-        if self.bandwidth != 1.0:
-            raise ValueError("bandwidth is normalized to 1 Hz in this model")

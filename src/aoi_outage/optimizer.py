@@ -5,17 +5,17 @@ distribution of the chain induced by the current policy, then re-pick each
 state's allocation to minimize a per-state penalty weighted by that
 distribution. The per-state penalty is pi[i] * f(i, lam), where f is the
 expected successor weight and does not depend on pi. A positive factor does
-not move an argmin, so every state with stationary mass gets the same
-allocation whatever pi the sweep is given: the first sweep already returns
-the fixed point, and the recursion reduces to one sweep (with unit weights)
-plus one stationary solve to score it.
+not move an argmin, so the sweep minimizes f alone and has no pi: every
+state with stationary mass gets the allocation the recursion would give it,
+the first sweep is already the fixed point, and the recursion reduces to
+one sweep plus one stationary solve to score it.
 
 There is deliberately no second solve-and-sweep to "settle" states with
 zero stationary mass. Weighted by a solved pi, such states tie at every
-allocation and the sweep sends them to allocation 0. That can strand a
+allocation and the recursion sends them to allocation 0. That can strand a
 device: the states become a second closed class, the chain is no longer
 ergodic, and the next stationary solve fails or scores the wrong class.
-The unit-weight sweep gives every state its own argmin instead.
+The unweighted sweep gives every state its own argmin instead.
 
 The sweep is array work over the transition law in TransitionTables: the
 successor weights of every state come from one lookup through its
@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrix, steady_state, validate_policy
+from .markov import TransitionTables, build_transition_matrix, steady_state
 from .states import SystemConfig
 
 
@@ -80,25 +80,19 @@ def _age_weight_grid(kind: PenaltyKind, cfg: SystemConfig) -> np.ndarray:
 
 
 def improve_policy(
-    cfg: SystemConfig,
-    pi,
-    kind: PenaltyKind,
-    *,
-    tables: TransitionTables | None = None,
+    cfg: SystemConfig, kind: PenaltyKind, *, tables: TransitionTables | None = None
 ) -> np.ndarray:
-    """Per-state argmin over every allocation 0..N of the penalty
-    pi[i] * sum_b branch_b(lam) * w(successor b of state i).
+    """Per-state argmin over every allocation 0..N of the expected successor
+    weight sum_b branch_b(lam) * w(successor b of state i).
 
     The four branch products depend on the state only through its channel
     bits, so there is one pass per bit pair: it forms that pair's branch
     products over all allocations once and scores every state with those
     bits against its successor weights, read from the transition table. The
     sweep is exhaustive by design (the error-rate sum need not be unimodal
-    near the extremes). Ties break to the smallest allocation, so states
-    with zero stationary mass get allocation 0.
+    near the extremes). Ties break to the smallest allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    pi = np.asarray(pi)
     weights = _age_weight_grid(kind, cfg)[1:, 1:].ravel()[t.succ // 4]
     new = np.empty(cfg.n_states, dtype=np.int64)
     for bits in range(4):  # states with these channel bits sit at positions bits::4
@@ -111,7 +105,7 @@ def improve_policy(
             + e1 * (1.0 - e2) * w[:, 2]
             + e1 * e2 * w[:, 3]
         )
-        new[bits::4] = np.argmin(pi[bits::4, None] * cost, axis=1)
+        new[bits::4] = np.argmin(cost, axis=1)
     return new
 
 
@@ -125,11 +119,11 @@ def optimize(
 ) -> OptimizeReport:
     """Fixed point of the recursive optimizer: one sweep, one solve.
 
-    The sweep weights every state by 1. Since the per-state penalty is the
-    state's stationary mass times a term free of it, this is the policy the
-    recursion settles on whenever its solved pi is positive everywhere (see
-    the module docstring), and it gives zero-mass states their own argmin
-    rather than allocation 0.
+    The sweep has no stationary weights. Since the per-state penalty is the
+    state's stationary mass times a term free of it, its policy is the one
+    the recursion settles on whenever its solved pi is positive everywhere
+    (see the module docstring), and it gives zero-mass states their own
+    argmin rather than allocation 0.
 
     seed is only echoed into the report, and max_iter is only checked to be
     >= 1: neither changes the result.
@@ -137,7 +131,7 @@ def optimize(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t = tables if tables is not None else TransitionTables(cfg)
-    lam = improve_policy(cfg, np.ones(cfg.n_states), kind, tables=t)
+    lam = improve_policy(cfg, kind, tables=t)
     pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
     p_out = float(pi[t.outage].sum())
     return OptimizeReport(

@@ -140,7 +140,6 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
             link=link,
             a_max=_number(document["state"], "state", "a_max", int),
             a_out=_number(document["state"], "state", "a_out", int),
-            epsilon_cvg=_number(document["optimizer"], "optimizer", "epsilon_cvg"),
             initial_state=SystemState(*initial),
         )
     except ConfigError:
@@ -154,6 +153,10 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     )
     if opt.max_iter < 1 or opt.seeds < 1:
         raise ConfigError("optimizer.max_iter and optimizer.seeds must be >= 1")
+    # The one-sweep optimizer has no convergence tolerance; the key stays in
+    # the schema so existing documents, and their hashes, stay valid.
+    if _number(document["optimizer"], "optimizer", "epsilon_cvg") <= 0.0:
+        raise ConfigError("optimizer.epsilon_cvg must be > 0")
     sim = SimulationSettings(
         reps=_number(document["simulation"], "simulation", "reps", int),
         periods=_number(document["simulation"], "simulation", "periods", int),

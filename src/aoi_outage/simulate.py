@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats
+from .burstiness import BurstStats, burst_stats
 from .markov import TransitionTables, validate_policy
 from .states import SystemConfig, SystemState, index_to_state
 
@@ -27,11 +27,6 @@ def derive_seed(master_seed: int, *key: int) -> int:
     SeedSequence(master_seed, spawn_key=key)."""
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def repetition_seed(master_seed: int, rep: int) -> int:
-    """Per-repetition seed used by run_repetitions."""
-    return derive_seed(master_seed, rep)
 
 
 @dataclass
@@ -48,25 +43,20 @@ class SimResult:
     outage_sequence: np.ndarray = field(repr=False)
 
 
-def measure_bursts(outage_sequence, convention: str = DURATION_CONVENTION):
+def measure_bursts(outage_sequence):
     """Split an outage indicator sequence into maximal runs.
 
-    Returns (burst_durations, ioi_durations). Runs touching either end of
-    the sequence are discarded from both lists as boundary-truncated.
-    Convention "outage-periods" counts a burst as its number of outage
-    periods; "excursion" also counts the recovery period (length + 1).
+    Returns (burst_durations, ioi_durations): a burst counts its outage
+    periods (burstiness.DURATION_CONVENTION), an interval its periods out
+    of outage. Runs touching either end of the sequence are discarded from
+    both lists as boundary-truncated.
     """
-    if convention not in ("outage-periods", "excursion"):
-        raise ValueError(f"unknown duration convention: {convention!r}")
     seq = np.asarray(outage_sequence, dtype=bool)
     change = np.flatnonzero(seq[1:] != seq[:-1]) + 1
     # the interior runs lie between consecutive change points
     lengths = np.diff(change)
     in_outage = seq[change[:-1]]
-    bursts = lengths[in_outage]
-    if convention == "excursion":
-        bursts = bursts + 1
-    return bursts.tolist(), lengths[~in_outage].tolist()
+    return lengths[in_outage].tolist(), lengths[~in_outage].tolist()
 
 
 #: Periods of uniforms drawn per row at a time. The draw buffer holds
@@ -120,7 +110,6 @@ def simulate_many(
     seeds,
     *,
     tables: TransitionTables | None = None,
-    convention: str = DURATION_CONVENTION,
 ) -> list[SimResult]:
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
     periods from cfg.initial_state. Row r equals
@@ -137,7 +126,7 @@ def simulate_many(
     outage, final = _lockstep(t, pols, periods, seeds)
     results = []
     for seq, seed, state in zip(outage, seeds, final):
-        bursts, iois = measure_bursts(seq, convention)
+        bursts, iois = measure_bursts(seq)
         count = int(seq.sum())
         results.append(SimResult(
             periods=periods,
@@ -161,10 +150,9 @@ def simulate(
     seed: int,
     *,
     tables: TransitionTables | None = None,
-    convention: str = DURATION_CONVENTION,
 ) -> SimResult:
     """Simulate the chain for `periods` periods from cfg.initial_state."""
-    return simulate_many(cfg, [policy], periods, [seed], tables=tables, convention=convention)[0]
+    return simulate_many(cfg, [policy], periods, [seed], tables=tables)[0]
 
 
 @dataclass
@@ -194,14 +182,13 @@ def run_repetitions(
     *,
     analytic: BurstStats | None = None,
     tables: TransitionTables | None = None,
-    convention: str = DURATION_CONVENTION,
 ) -> RepetitionSummary:
     """Independent repetitions with index-derived seeds, pooled statistics,
     and optional normalized errors against analytic predictions."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    seeds = [repetition_seed(master_seed, r) for r in range(reps)]
-    results = simulate_many(cfg, [policy] * reps, periods, seeds, tables=tables, convention=convention)
+    seeds = [derive_seed(master_seed, r) for r in range(reps)]
+    results = simulate_many(cfg, [policy] * reps, periods, seeds, tables=tables)
     rates = np.array([r.outage_rate for r in results])
     bursts: list[int] = []
     iois: list[int] = []

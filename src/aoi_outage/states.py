@@ -85,7 +85,6 @@ class SystemConfig:
     link: LinkParams
     a_max: int
     a_out: int
-    epsilon_cvg: float
     initial_state: SystemState = SystemState(1, 1, 0, 0)
 
     def __post_init__(self):
@@ -93,8 +92,6 @@ class SystemConfig:
             raise ValueError(f"a_max must be >= 1, got {self.a_max}")
         if not 1 <= self.a_out <= self.a_max:
             raise ValueError(f"a_out must lie in [1, a_max={self.a_max}], got {self.a_out}")
-        if self.epsilon_cvg <= 0.0:
-            raise ValueError(f"epsilon_cvg must be positive, got {self.epsilon_cvg}")
         self.initial_state.validate(self.a_max)
         if self.a_out == self.a_max:
             warnings.warn(

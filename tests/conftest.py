@@ -12,10 +12,10 @@ GOOD_DB = -12.2
 BAD_DB = -15.2
 
 
-def make_config(alpha_1=0.6, alpha_2=0.4, n=40, d=2, a_max=2, a_out=1, epsilon_cvg=1e-5):
+def make_config(alpha_1=0.6, alpha_2=0.4, n=40, d=2, a_max=2, a_out=1):
     profile = ChannelProfile(alpha_1, alpha_2, GOOD_DB, BAD_DB)
     link = LinkParams(blocklength_total=n, payload_bits=d)
-    return SystemConfig(profile=profile, link=link, a_max=a_max, a_out=a_out, epsilon_cvg=epsilon_cvg)
+    return SystemConfig(profile=profile, link=link, a_max=a_max, a_out=a_out)
 
 
 def random_policy(cfg, rng, low=0):

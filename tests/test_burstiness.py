@@ -352,7 +352,6 @@ class TestBurstStats:
         assert stats.truncation_t == len(stats.duration_pmf)
         assert stats.truncation_residual < 1e-9
         assert stats.duration_pmf.sum() >= 1.0 - stats.truncation_residual - 1e-15
-        assert stats.convention == "outage-periods"
 
     def test_empty_outage_set_is_undefined(self):
         with pytest.warns(UserWarning):

@@ -102,22 +102,17 @@ class TestDispersion:
 
 class TestCapacity:
     def test_unit_snr(self):
-        assert shannon_capacity(1.0, 1.0) == 1.0
+        assert shannon_capacity(1.0) == 1.0
 
     def test_zero_snr(self):
-        assert shannon_capacity(0.0, 1.0) == 0.0
+        assert shannon_capacity(0.0) == 0.0
 
     def test_derived_value(self):
-        assert shannon_capacity(0.060256, 1.0) == pytest.approx(0.08441264718405529, rel=1e-12)
-
-    def test_bandwidth_scales(self):
-        assert shannon_capacity(3.0, 2.0) == pytest.approx(4.0, rel=1e-15)
+        assert shannon_capacity(0.060256) == pytest.approx(0.08441264718405529, rel=1e-12)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             shannon_capacity(-1.0)
-        with pytest.raises(ValueError):
-            shannon_capacity(1.0, 0.0)
 
 
 class TestBlockErrorRate:
@@ -221,5 +216,3 @@ class TestProfileAndLink:
             LinkParams(0, 16)
         with pytest.raises(ValueError):
             LinkParams(1000, 0)
-        with pytest.raises(ValueError):
-            LinkParams(1000, 16, bandwidth=2.0)

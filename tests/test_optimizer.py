@@ -63,7 +63,7 @@ def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
 
 
 def reference_improve_policy(cfg, pi, kind, *, tables):
-    """The per-state loop the bit-pair sweep replaced: each state's
+    """The sweep of the paper's recursion, as a per-state loop: each state's
     pi-weighted successor cost over every allocation, then its argmin."""
     w = _age_weight_grid(kind, cfg)
     e_dev2 = (tables.eps_by_bit[0][::-1], tables.eps_by_bit[1][::-1])  # allocation N - lam
@@ -104,7 +104,7 @@ def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
     seen = {lam.tobytes()}
     best_policy, best_p_out = lam, math.inf
     for _ in range(max_iter):
-        lam = improve_policy(cfg, pi, kind, tables=t)
+        lam = reference_improve_policy(cfg, pi, kind, tables=t)
         pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
         p_out = outage_probability(pi, cfg)
         if p_out < best_p_out:
@@ -212,7 +212,8 @@ class TestPenalty:
 class TestImprovePolicy:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_matches_exhaustive_minimum(self, small_cfg, small_pi, kind):
-        improved = improve_policy(small_cfg, small_pi, kind)
+        # the pi-weighted penalty has the argmin of the unweighted sweep
+        improved = improve_policy(small_cfg, kind)
         n = small_cfg.link.blocklength_total
         for i in range(small_cfg.n_states):
             values = np.array(
@@ -222,20 +223,19 @@ class TestImprovePolicy:
             assert chosen == values.min()
             assert int(improved[i]) == int(np.argmin(values))  # smallest-allocation tie-break
 
-    def test_bounds(self, small_cfg, small_pi):
+    def test_bounds(self, small_cfg):
         for kind in ALL_KINDS:
-            improved = improve_policy(small_cfg, small_pi, kind)
+            improved = improve_policy(small_cfg, kind)
             assert improved.min() >= 0
             assert improved.max() <= small_cfg.link.blocklength_total
 
     def test_symmetric_states_lean_small(self):
         profile = ChannelProfile(0.5, 0.5, -12.2, -15.2)
         link = LinkParams(40, 2)
-        cfg = SystemConfig(profile=profile, link=link, a_max=2, a_out=1, epsilon_cvg=1e-5)
-        pi = np.full(cfg.n_states, 1 / cfg.n_states)
+        cfg = SystemConfig(profile=profile, link=link, a_max=2, a_out=1)
         states = enumerate_states(cfg.a_max)
         for kind in ALL_KINDS:
-            improved = improve_policy(cfg, pi, kind)
+            improved = improve_policy(cfg, kind)
             for s, lam in zip(states, improved):
                 if s.a1 == s.a2 and s.x1 == s.x2:
                     assert lam <= cfg.link.blocklength_total // 2
@@ -243,50 +243,49 @@ class TestImprovePolicy:
     def test_shields_endangered_device(self, cfg_b, tables_b):
         # device 1 sits at the threshold, device 2 is fresh: the binary
         # penalty is minimized by sending as much as possible to device 1
-        pi = steady_state(build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b))
-        improved = improve_policy(cfg_b, pi, PenaltyKind.BINARY_OUTAGE, tables=tables_b)
+        improved = improve_policy(cfg_b, PenaltyKind.BINARY_OUTAGE, tables=tables_b)
         states = enumerate_states(cfg_b.a_max)
         for s, lam in zip(states, improved):
             if s.a1 == cfg_b.a_out and s.a2 == 1:
                 assert lam > 500
 
-    def test_zero_mass_state_gets_zero_allocation(self, small_cfg, small_pi):
-        pi = small_pi.copy()
-        pi[4] = 0.0
-        improved = improve_policy(small_cfg, pi, PenaltyKind.MEAN_PEAK_AOI)
-        assert improved[4] == 0
-
     def test_scale_invariance(self, small_cfg, small_pi):
+        # a positive factor on the paper's pi-weighted penalty never moves
+        # its argmin, which is why the sweep carries no weights
+        assert small_pi.min() > 0.0
+        tables = TransitionTables(small_cfg)
         for kind in ALL_KINDS:
-            a = improve_policy(small_cfg, small_pi, kind)
-            b = improve_policy(small_cfg, 3.0 * small_pi, kind)
-            assert np.array_equal(a, b)
+            improved = improve_policy(small_cfg, kind, tables=tables)
+            for scale in (1.0, 3.0, 1e-9):
+                weighted = reference_improve_policy(small_cfg, scale * small_pi, kind, tables=tables)
+                assert np.array_equal(improved, weighted)
 
 
 class TestSweepMatchesReferenceLoop:
+    """The unweighted sweep picks the allocations of the pi-weighted loop
+    for any positive pi."""
+
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_presets_bit_exact(self, preset, kind):
         cfg = load_scenario(preset).system
         tables = TransitionTables(cfg)
         solved = steady_state(build_transition_matrix(cfg, naive_policy(cfg), tables=tables))
-        random_pi = np.random.default_rng(29).random(cfg.n_states)
+        random_pi = 1.0 - np.random.default_rng(29).random(cfg.n_states)  # in (0, 1]
+        improved = improve_policy(cfg, kind, tables=tables)
         for pi in (np.ones(cfg.n_states), random_pi, solved):
-            assert np.array_equal(
-                improve_policy(cfg, pi, kind, tables=tables),
-                reference_improve_policy(cfg, pi, kind, tables=tables),
-            )
+            assert pi.min() > 0.0
+            assert np.array_equal(improved, reference_improve_policy(cfg, pi, kind, tables=tables))
 
     @pytest.mark.parametrize("a_max, a_out", [(1, 1), (2, 1), (3, 2)])
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_small_configs_with_zero_mass_bit_exact(self, a_max, a_out, kind):
+    def test_small_configs_bit_exact(self, a_max, a_out, kind):
         with pytest.warns(UserWarning) if a_max == a_out else contextlib.nullcontext():
             cfg = make_config(a_max=a_max, a_out=a_out)
         tables = TransitionTables(cfg)
-        pi = np.random.default_rng(a_max).random(cfg.n_states)
-        pi[::3] = 0.0  # zero-mass states tie at every allocation
+        pi = 1.0 - np.random.default_rng(a_max).random(cfg.n_states)  # in (0, 1]
         assert np.array_equal(
-            improve_policy(cfg, pi, kind, tables=tables),
+            improve_policy(cfg, kind, tables=tables),
             reference_improve_policy(cfg, pi, kind, tables=tables),
         )
 
@@ -345,9 +344,9 @@ class TestOptimizeOffPreset:
     def test_no_stranded_device_off_preset(self, kind):
         # Here the recursion sends zero-mass states to allocation 0, strands a
         # device and fails its stationary solve from every seed; the
-        # unit-weight sweep keeps the chain ergodic.
+        # unweighted sweep keeps the chain ergodic.
         profile = ChannelProfile(0.6, 0.4, -5.0, -8.0)
-        cfg = SystemConfig(profile, LinkParams(1000, 2), a_max=3, a_out=2, epsilon_cvg=1e-5)
+        cfg = SystemConfig(profile, LinkParams(1000, 2), a_max=3, a_out=2)
         report = optimize(cfg, kind, seed=0)
         pi = steady_state(build_transition_matrix(cfg, report.final_policy))
         assert report.best_p_out == outage_probability(pi, cfg)

@@ -7,6 +7,7 @@ import re
 import pytest
 
 from aoi_outage import cli
+from aoi_outage.optimizer import PenaltyKind, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
 
@@ -16,6 +17,15 @@ def run_cli(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def read_strict_json(path):
+    """Parse a report, refusing the NaN/Infinity tokens strict JSON lacks."""
+    return json.loads(path.read_text(), parse_constant=_reject_constant)
 
 
 def write_config(tmp_path, document, name="config.json"):
@@ -51,7 +61,6 @@ class TestScenarios:
             assert sc.system.link.payload_bits == 16
             assert sc.system.a_max == 5
             assert sc.system.a_out == 3
-            assert sc.system.epsilon_cvg == 1e-5
             assert sc.system.initial_index == 1
             assert sc.optimizer.seeds == 10
             assert sc.simulation.reps == 100
@@ -79,6 +88,8 @@ class TestScenarios:
             (lambda d: d["blocklength"].pop("d"), "d"),
             (lambda d: d["state"].update(a_out=9), "a_out"),
             (lambda d: d["optimizer"].update(seeds=0), "seeds"),
+            (lambda d: d["optimizer"].update(epsilon_cvg=0.0), "epsilon_cvg"),
+            (lambda d: d["optimizer"].update(epsilon_cvg=-1e-5), "epsilon_cvg"),
             (lambda d: d["blocklength"].update(N=10.5), "N"),
             (lambda d: d.update(schema_version=2), "schema_version"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
@@ -177,14 +188,23 @@ class TestCliOptimize:
         path = write_config(tmp_path, small)
         for out in (a, b):
             code = run_cli(["optimize", "--config", path, "--penalty", "exp-peak-aoi",
-                            "--seeds", "1", "--out", str(out)])
+                            "--out", str(out)])
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
-        doc = json.loads(a.read_text())
+        doc = read_strict_json(a)
+        assert list(doc) == ["metadata", "penalty", "best"]
         assert doc["penalty"] == "exp-peak-aoi"
+        report = optimize(load_scenario(path).system, PenaltyKind.EXP_MEAN_PEAK_AOI, 0)
+        assert doc["best"]["analytic_p_out"] == report.best_p_out
+        assert doc["best"]["policy_lambda"] == report.final_policy.tolist()
         assert doc["best"]["index_base"] == 1
         assert len(doc["best"]["policy_lambda"]) == 16
-        assert doc["seed_reports"][0]["trace"][0]["iteration"] == 1
+
+    def test_removed_flags_are_usage_errors(self, tmp_path):
+        for flag in ("--seeds", "--max-iter"):
+            code = run_cli(["optimize", "--config", "scenario_b", "--penalty", "binary",
+                            flag, "1", "--out", str(tmp_path / "x.json")])
+            assert code == 1
 
     def test_unknown_penalty(self, tmp_path, capsys):
         code = run_cli(["optimize", "--config", "scenario_b", "--penalty", "bogus",
@@ -219,6 +239,16 @@ class TestCliSimulate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_undefined_statistics_are_null(self, tmp_path):
+        # 2 x 200 periods of min-error on scenario_b see no complete burst
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--config", "scenario_b", "--policy", "min-error",
+                        "--reps", "2", "--periods", "200", "--out", str(out)]) == 0
+        doc = read_strict_json(out)
+        assert doc["n_bursts"] == 0
+        assert doc["mean_burst"] is None
+        assert doc["normalized_errors"]["mean_burst"] is None
+
 
 class TestCliGrids:
     def test_reproduce_table2_smoke(self, tmp_path):
@@ -233,6 +263,14 @@ class TestCliGrids:
             key = (row["scenario"], row["policy"])
             assert float(row["published_p_out"]) == PUBLISHED_OUTAGE_RATES[key]
             assert float(row["analytic_p_out"]) >= 0.0
+
+    def test_reproduce_table2_rejects_zero_seeds(self, tmp_path, capsys):
+        out = tmp_path / "table2.csv"
+        code = run_cli(["reproduce-table2", "--seeds", "0", "--reps", "1",
+                        "--periods", "10", "--out", str(out)])
+        assert code == 1
+        assert re.match(r"error: seeds must be >= 1", capsys.readouterr().err)
+        assert not out.exists()
 
     def test_burst_convergence_smoke(self, tmp_path):
         out = tmp_path / "cvg.csv"

@@ -16,7 +16,6 @@ from aoi_outage.simulate import (
     derive_seed,
     measure_bursts,
     median_errors,
-    repetition_seed,
     run_repetitions,
     simulate,
     simulate_many,
@@ -49,12 +48,11 @@ def reference_simulate(cfg, policy, periods, seed):
     return np.array(outage), (a1, a2, x1, x2)
 
 
-def groupby_bursts(seq, convention="outage-periods"):
+def groupby_bursts(seq):
     """Independent run-length oracle for measure_bursts."""
     runs = [(key, len(list(group))) for key, group in itertools.groupby(seq)]
     interior = runs[1:-1]
-    extra = 1 if convention == "excursion" else 0
-    bursts = [n + extra for key, n in interior if key]
+    bursts = [n for key, n in interior if key]
     iois = [n for key, n in interior if not key]
     return bursts, iois
 
@@ -149,22 +147,12 @@ class TestMeasureBursts:
     def test_empty(self):
         assert measure_bursts([]) == ([], [])
 
-    def test_excursion_convention_adds_recovery_period(self):
-        seq = [False, True, True, False, True, False]
-        outage_periods, _ = measure_bursts(seq)
-        excursions, iois = measure_bursts(seq, convention="excursion")
-        assert excursions == [b + 1 for b in outage_periods]
-        assert iois == measure_bursts(seq)[1]
-
-    def test_unknown_convention(self):
-        with pytest.raises(ValueError):
-            measure_bursts([True], convention="nonsense")
-
-    @pytest.mark.parametrize("convention", ["outage-periods", "excursion"])
+    # the simulator passes numpy bool arrays, callers may pass plain lists
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
     @given(st.lists(st.booleans(), max_size=120))
-    def test_matches_groupby_oracle(self, convention, seq):
-        bursts, iois = measure_bursts(seq, convention)
-        assert (bursts, iois) == groupby_bursts(seq, convention)
+    def test_matches_groupby_oracle(self, container, seq):
+        bursts, iois = measure_bursts(container(seq))
+        assert (bursts, iois) == groupby_bursts(seq)
         assert all(type(n) is int for n in bursts + iois)
 
 
@@ -205,7 +193,7 @@ class TestRepetitions:
     def test_single_repetition_equals_simulate(self, small_cfg):
         pol = naive_policy(small_cfg)
         summary = run_repetitions(small_cfg, pol, 1, 200, master_seed=6)
-        single = simulate(small_cfg, pol, 200, seed=repetition_seed(6, 0))
+        single = simulate(small_cfg, pol, 200, seed=derive_seed(6, 0))
         assert summary.outage_rate_mean == single.outage_rate
         assert summary.outage_rate_std == 0.0
         assert summary.burst_durations == single.burst_durations
@@ -215,7 +203,7 @@ class TestRepetitions:
         pol = random_policy(small_cfg, np.random.default_rng(3))
         summary = run_repetitions(small_cfg, pol, 8, 150, master_seed=13)
         reversed_results = [
-            simulate(small_cfg, pol, 150, seed=repetition_seed(13, r))
+            simulate(small_cfg, pol, 150, seed=derive_seed(13, r))
             for r in reversed(range(8))
         ]
         assert sorted(r.outage_rate for r in reversed_results) == sorted(summary.outage_rates)
@@ -254,5 +242,10 @@ class TestSeeds:
         seeds = {derive_seed(9, i) for i in range(500)}
         assert len(seeds) == 500
 
-    def test_repetition_seed_is_indexed_derivation(self):
-        assert repetition_seed(55, 3) == derive_seed(55, 3)
+    def test_repetition_seed_is_indexed_derivation(self, small_cfg):
+        pol = random_policy(small_cfg, np.random.default_rng(5))
+        summary = run_repetitions(small_cfg, pol, 4, 120, master_seed=55)
+        assert [r.seed for r in summary.results] == [derive_seed(55, r) for r in range(4)]
+        for r, result in enumerate(summary.results):
+            single = simulate(small_cfg, pol, 120, seed=derive_seed(55, r))
+            assert np.array_equal(result.outage_sequence, single.outage_sequence)

@@ -112,10 +112,6 @@ class TestSystemConfig:
         with pytest.warns(UserWarning, match="outage set is empty"):
             make_config(a_max=2, a_out=2)
 
-    def test_epsilon_cvg_positive(self):
-        with pytest.raises(ValueError):
-            make_config(epsilon_cvg=0.0)
-
     def test_initial_state_validated(self):
         cfg = make_config()
         with pytest.raises(ValueError):
@@ -124,6 +120,5 @@ class TestSystemConfig:
                 link=cfg.link,
                 a_max=2,
                 a_out=1,
-                epsilon_cvg=1e-5,
                 initial_state=SystemState(3, 1, 0, 0),
             )
