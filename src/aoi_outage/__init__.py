@@ -47,12 +47,4 @@ from .simulate import (
     simulate,
     simulate_many,
 )
-from .states import (
-    SystemConfig,
-    SystemState,
-    enumerate_states,
-    index_to_state,
-    is_outage,
-    outage_mask,
-    state_to_index,
-)
+from .states import SystemConfig, outage_mask

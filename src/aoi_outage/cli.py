@@ -169,8 +169,8 @@ def cmd_simulate(args) -> int:
             for rep, result in enumerate(summary.results):
                 writer.writerow([
                     rep, result.seed, result.outage_rate,
-                    len(result.burst_durations), result.mean_burst,
-                    len(result.ioi_durations), result.mean_ioi,
+                    len(result.burst_durations), _defined(result.mean_burst),
+                    len(result.ioi_durations), _defined(result.mean_ioi),
                 ])
     print(f"simulate[{scenario.name}/{source}]: mean outage rate "
           f"{summary.outage_rate_mean:.6e} over {reps} x {periods} periods -> {args.out}")
@@ -201,8 +201,7 @@ def cmd_reproduce_table2(args) -> int:
                 policy = optimize(cfg, PenaltyKind(policy_name), 0, tables=tables).final_policy
             stats = burst_stats(cfg, policy, tables=tables)
             summary = run_repetitions(
-                cfg, policy, reps, periods, scenario.simulation.master_seed,
-                analytic=stats, tables=tables,
+                cfg, policy, reps, periods, scenario.simulation.master_seed, tables=tables
             )
             published = PUBLISHED_OUTAGE_RATES[preset, policy_name]
             rows.append({

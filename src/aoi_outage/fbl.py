@@ -71,7 +71,7 @@ def block_error_rate(n, d: int, gamma: float):
     pos = nf >= 1.0
     npos = nf[pos]
     arg = np.sqrt(npos / v) * (c - d / npos) * _LN2
-    eps[pos] = 0.5 * erfc(arg / _SQRT2)
+    eps[pos] = q_function(arg)
     return float(eps[0]) if n_in.ndim == 0 else eps
 
 
@@ -98,17 +98,6 @@ class ChannelProfile:
             raise ValueError("good-channel SNR must exceed bad-channel SNR")
         object.__setattr__(self, "gamma_good", db_to_linear(self.gamma_good_db))
         object.__setattr__(self, "gamma_bad", db_to_linear(self.gamma_bad_db))
-
-    def gamma_for_bit(self, bit: int) -> float:
-        """Linear SNR selected by a channel-state bit (1 means good)."""
-        return self.gamma_good if bit else self.gamma_bad
-
-    def bit_probability(self, device: int, bit: int) -> float:
-        """Probability that the channel bit of device 1 or 2 equals `bit`."""
-        if device not in (1, 2):
-            raise ValueError(f"device must be 1 or 2, got {device}")
-        alpha = self.alpha_1 if device == 1 else self.alpha_2
-        return alpha if bit else 1.0 - alpha
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fbl import block_error_rate
-from .states import SystemConfig, decode_states, outage_mask
+from .states import SystemConfig, decode_states, encode_states, outage_mask
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -69,9 +69,10 @@ class TransitionTables:
         ))
         self.a1, self.a2, self.x1, self.x2 = decode_states(cfg.a_max)
         fail1, fail2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        self.succ = self.row_base(
+        self.succ = encode_states(
             np.where(fail1, np.minimum(self.a1 + 1, cfg.a_max)[:, None], 1),
             np.where(fail2, np.minimum(self.a2 + 1, cfg.a_max)[:, None], 1),
+            0, 0, cfg.a_max,
         )
         self.outage = outage_mask(cfg.a_max, cfg.a_out)
         a1p = cfg.profile.alpha_1
@@ -84,10 +85,6 @@ class TransitionTables:
     @property
     def n_total(self) -> int:
         return self.cfg.link.blocklength_total
-
-    def row_base(self, a1_next, a2_next):
-        """0-based position of state (a1_next, a2_next, 0, 0); elementwise on arrays."""
-        return 4 * ((a1_next - 1) * self.cfg.a_max + (a2_next - 1))
 
     def error_rates(self, policy) -> tuple[np.ndarray, np.ndarray]:
         """Error rates (e1, e2) of the transition out of each state under

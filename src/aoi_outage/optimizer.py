@@ -93,19 +93,21 @@ def improve_policy(
     near the extremes). Ties break to the smallest allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    weights = _age_weight_grid(kind, cfg)[1:, 1:].ravel()[t.succ // 4]
+    weights = _age_weight_grid(kind, cfg)[t.a1[t.succ], t.a2[t.succ]]
+    bit_pair = 2 * t.x1 + t.x2
     new = np.empty(cfg.n_states, dtype=np.int64)
-    for bits in range(4):  # states with these channel bits sit at positions bits::4
+    for bits in range(4):
+        at = bit_pair == bits
         e1 = t.eps_by_bit[bits >> 1]  # indexed by allocation to device 1
         e2 = t.eps_by_bit[bits & 1][::-1]  # allocation N - lam
-        w = weights[bits::4, :, None]
+        w = weights[at, :, None]
         cost = (
             (1.0 - e1) * (1.0 - e2) * w[:, 0]
             + (1.0 - e1) * e2 * w[:, 1]
             + e1 * (1.0 - e2) * w[:, 2]
             + e1 * e2 * w[:, 3]
         )
-        new[bits::4] = np.argmin(cost, axis=1)
+        new[at] = np.argmin(cost, axis=1)
     return new
 
 
@@ -158,4 +160,4 @@ def min_error_policy(cfg: SystemConfig, *, tables: TransitionTables | None = Non
     """
     t = tables if tables is not None else TransitionTables(cfg)
     by_bits = [np.argmin(t.eps_by_bit[bits >> 1] + t.eps_by_bit[bits & 1][::-1]) for bits in range(4)]
-    return np.tile(np.array(by_bits, dtype=np.int64), cfg.n_states // 4)
+    return np.array(by_bits, dtype=np.int64)[2 * t.x1 + t.x2]

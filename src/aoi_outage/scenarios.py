@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .fbl import ChannelProfile, LinkParams
-from .states import SystemConfig, SystemState
+from .states import SystemConfig
 
 SCHEMA_VERSION = 1
 
@@ -140,7 +140,7 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
             link=link,
             a_max=_number(document["state"], "state", "a_max", int),
             a_out=_number(document["state"], "state", "a_out", int),
-            initial_state=SystemState(*initial),
+            initial=tuple(initial),
         )
     except ConfigError:
         raise

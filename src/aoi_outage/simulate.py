@@ -19,7 +19,7 @@ import numpy as np
 
 from .burstiness import BurstStats, burst_stats
 from .markov import TransitionTables, validate_policy
-from .states import SystemConfig, SystemState, index_to_state
+from .states import SystemConfig
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -39,7 +39,7 @@ class SimResult:
     mean_burst: float  # nan when no complete burst was observed
     mean_ioi: float
     seed: int
-    final_state: SystemState
+    final_position: int
     outage_sequence: np.ndarray = field(repr=False)
 
 
@@ -69,7 +69,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, periods: int, seeds) ->
     period. Row r follows policies[r] from the initial state and consumes
     default_rng(seeds[r]).random((periods, 4)), drawn DRAW_CHUNK periods at a
     time. Returns the (R, periods) outage indicators and each row's final
-    0-based state index.
+    0-based state position.
 
     A row's state is held as the global index r * n_states + s, so the
     per-row error-rate and successor tables are single flat lookups.
@@ -88,7 +88,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, periods: int, seeds) ->
     draws = np.empty((rows, DRAW_CHUNK, 4))
     visited = np.empty((DRAW_CHUNK, rows), dtype=np.int64)
     outage = np.empty((rows, periods), dtype=bool)
-    g = offset + (cfg.initial_index - 1)
+    g = offset + cfg.initial_position
     for start in range(0, periods, DRAW_CHUNK):
         m = min(DRAW_CHUNK, periods - start)
         for rng, buf in zip(rngs, draws):
@@ -112,7 +112,7 @@ def simulate_many(
     tables: TransitionTables | None = None,
 ) -> list[SimResult]:
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
-    periods from cfg.initial_state. Row r equals
+    periods from cfg.initial. Row r equals
     simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
     lockstep."""
     if periods < 1:
@@ -137,7 +137,7 @@ def simulate_many(
             mean_burst=float(np.mean(bursts)) if bursts else float("nan"),
             mean_ioi=float(np.mean(iois)) if iois else float("nan"),
             seed=seed,
-            final_state=index_to_state(int(state) + 1, cfg.a_max),
+            final_position=int(state),
             outage_sequence=seq,
         ))
     return results
@@ -151,7 +151,7 @@ def simulate(
     *,
     tables: TransitionTables | None = None,
 ) -> SimResult:
-    """Simulate the chain for `periods` periods from cfg.initial_state."""
+    """Simulate the chain for `periods` periods from cfg.initial."""
     return simulate_many(cfg, [policy], periods, [seed], tables=tables)[0]
 
 
@@ -264,7 +264,7 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
             ):
                 row[f"measured_{name}"] = measured
                 row[f"analytic_{name}"] = analytic
-                row[f"err_{name}"] = abs(measured - analytic) / analytic
+                row[f"err_{name}"] = _normalized_error(measured, analytic)
             rows.append(row)
     return rows
 

@@ -125,7 +125,7 @@ class TestAC2:
             pol = random_policy(cfg3, rng)
             p = build_transition_matrix(cfg3, pol, tables=tables3)
             pi = steady_state(p)
-            v = reference_k_step_distribution(p, cfg3.initial_index, 10_000)
+            v = reference_k_step_distribution(p, cfg3.initial_position, 10_000)
             worst_tv = max(worst_tv, 0.5 * np.abs(v - pi).sum())
         assert worst_tv < 1e-8
         print(f"AC-2 PASS: rows stochastic within {worst_row:.2e}, two-state closed form exact, "
@@ -185,25 +185,18 @@ class TestAC4:
             me_pout = outage_probability(
                 steady_state(build_transition_matrix(cfg, me, tables=tables)), cfg
             )
-            exp_reports = [
-                optimize(cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, seed, sc.optimizer.max_iter, tables=tables)
-                for seed in range(10)
-            ]
-            bin_reports = [
-                optimize(cfg, PenaltyKind.BINARY_OUTAGE, seed, sc.optimizer.max_iter, tables=tables)
-                for seed in range(10)
-            ]
-            best_exp = min(r.best_p_out for r in exp_reports)
-            exp_beats_min_error[preset] = best_exp <= 1.05 * me_pout
-            if any(r.best_p_out > best_exp for r in bin_reports):
+            exp_pout = optimize(cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, 0, sc.optimizer.max_iter,
+                                tables=tables).best_p_out
+            bin_pout = optimize(cfg, PenaltyKind.BINARY_OUTAGE, 0, sc.optimizer.max_iter,
+                                tables=tables).best_p_out
+            exp_beats_min_error[preset] = exp_pout <= 1.05 * me_pout
+            if bin_pout > exp_pout:
                 binary_worse_somewhere = True
-            print(f"AC-4 [{preset}]: exp-peak best {best_exp:.3e} vs min-error {me_pout:.3e} "
-                  f"(ratio {best_exp / me_pout:.3f}); binary seeds span "
-                  f"[{min(r.best_p_out for r in bin_reports):.3e}, "
-                  f"{max(r.best_p_out for r in bin_reports):.3e}]")
+            print(f"AC-4 [{preset}]: exp-peak {exp_pout:.3e} vs min-error {me_pout:.3e} "
+                  f"(ratio {exp_pout / me_pout:.3f}); binary {bin_pout:.3e}")
         assert all(exp_beats_min_error.values()), exp_beats_min_error
-        assert binary_worse_somewhere, "no binary-penalty seed converged worse than exp-peak best"
-        print("AC-4 PASS: exp-peak best within 1.05x of min-error everywhere; "
+        assert binary_worse_somewhere, "the binary penalty converged no worse than exp-peak everywhere"
+        print("AC-4 PASS: exp-peak within 1.05x of min-error everywhere; "
               "binary penalty shows immature convergence")
 
 

@@ -16,9 +16,18 @@ from aoi_outage.markov import (
 )
 from aoi_outage.optimizer import min_error_policy, naive_policy
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.states import SystemState, enumerate_states, outage_mask, state_to_index
+from aoi_outage.states import encode_states, outage_mask
 
-from conftest import make_config, random_policy
+from conftest import (
+    ReferenceState,
+    make_config,
+    random_policy,
+    reference_bit_probability,
+    reference_enumerate_states,
+    reference_gamma_for_bit,
+    reference_state_to_index,
+    reference_validate,
+)
 
 PRESET_NAMES = ("scenario_a", "scenario_b", "scenario_c")
 
@@ -35,16 +44,18 @@ def reference_transition_prob(cfg, lam, from_state, to_state):
     n = cfg.link.blocklength_total
     if not 0 <= lam <= n:
         raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
-    from_state.validate(cfg.a_max)
-    to_state.validate(cfg.a_max)
+    reference_validate(from_state, cfg.a_max)
+    reference_validate(to_state, cfg.a_max)
     d = cfg.link.payload_bits
-    e1 = block_error_rate(lam, d, cfg.profile.gamma_for_bit(from_state.x1))
-    e2 = block_error_rate(n - lam, d, cfg.profile.gamma_for_bit(from_state.x2))
+    e1 = block_error_rate(lam, d, reference_gamma_for_bit(cfg.profile, from_state.x1))
+    e2 = block_error_rate(n - lam, d, reference_gamma_for_bit(cfg.profile, from_state.x2))
     clamp1 = min(from_state.a1 + 1, cfg.a_max)
     clamp2 = min(from_state.a2 + 1, cfg.a_max)
     p1 = (1.0 - e1) * (to_state.a1 == 1) + e1 * (to_state.a1 == clamp1)
     p2 = (1.0 - e2) * (to_state.a2 == 1) + e2 * (to_state.a2 == clamp2)
-    w = cfg.profile.bit_probability(1, to_state.x1) * cfg.profile.bit_probability(2, to_state.x2)
+    w = reference_bit_probability(cfg.profile, 1, to_state.x1) * reference_bit_probability(
+        cfg.profile, 2, to_state.x2
+    )
     return p1 * p2 * w
 
 
@@ -54,23 +65,23 @@ def reference_build_transition_matrix(cfg, policy, tables):
     pol = validate_policy(policy, cfg)
     n = tables.n_total
     p = np.zeros((cfg.n_states, cfg.n_states))
-    for i, s in enumerate(enumerate_states(cfg.a_max)):
+    for i, s in enumerate(reference_enumerate_states(cfg.a_max)):
         e1 = tables.eps_by_bit[s.x1][pol[i]]
         e2 = tables.eps_by_bit[s.x2][n - pol[i]]
         c1 = min(s.a1 + 1, cfg.a_max)
         c2 = min(s.a2 + 1, cfg.a_max)
         for a1n, p1 in ((1, 1.0 - e1), (c1, e1)):
             for a2n, p2 in ((1, 1.0 - e2), (c2, e2)):
-                base = state_to_index(SystemState(a1n, a2n, 0, 0), cfg.a_max) - 1
+                base = reference_state_to_index(ReferenceState(a1n, a2n, 0, 0), cfg.a_max) - 1
                 p[i, base : base + 4] += (p1 * p2) * tables.bit_weights
     return p
 
 
-def reference_k_step_distribution(p, initial_index, k):
-    """State distribution after k periods from the 1-based initial index,
+def reference_k_step_distribution(p, initial_position, k):
+    """State distribution after k periods from the 0-based initial position,
     by iterated vector-matrix products."""
     v = np.zeros(p.shape[0])
-    v[initial_index - 1] = 1.0
+    v[initial_position] = 1.0
     for _ in range(k):
         v = v @ p
     return v
@@ -81,41 +92,41 @@ class TestTransitionProb:
         cfg = mid_cfg
         n = cfg.link.blocklength_total
         lam = 13
-        frm = SystemState(2, 3, 1, 0)
+        frm = ReferenceState(2, 3, 1, 0)
         e1 = block_error_rate(lam, cfg.link.payload_bits, cfg.profile.gamma_good)
         e2 = block_error_rate(n - lam, cfg.link.payload_bits, cfg.profile.gamma_bad)
-        to = SystemState(1, 1, 1, 0)
+        to = ReferenceState(1, 1, 1, 0)
         expected = (1 - e1) * (1 - e2) * cfg.profile.alpha_1 * (1 - cfg.profile.alpha_2)
         assert reference_transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
 
     def test_mixed_branch_with_clamp(self, mid_cfg):
         cfg = mid_cfg
         lam = 20
-        frm = SystemState(3, 1, 0, 1)  # a1 already at the cap
+        frm = ReferenceState(3, 1, 0, 1)  # a1 already at the cap
         e1 = block_error_rate(lam, cfg.link.payload_bits, cfg.profile.gamma_bad)
         e2 = block_error_rate(
             cfg.link.blocklength_total - lam, cfg.link.payload_bits, cfg.profile.gamma_good
         )
-        to = SystemState(3, 2, 0, 0)  # device 1 fails (clamped), device 2 fails
+        to = ReferenceState(3, 2, 0, 0)  # device 1 fails (clamped), device 2 fails
         expected = e1 * e2 * (1 - cfg.profile.alpha_1) * (1 - cfg.profile.alpha_2)
         assert reference_transition_prob(cfg, lam, frm, to) == pytest.approx(expected, rel=1e-14)
 
     def test_unchanged_age_is_impossible(self, mid_cfg):
         # an age below the cap must either reset to 1 or increment
-        frm = SystemState(2, 1, 0, 0)
-        to = SystemState(2, 1, 0, 0)
+        frm = ReferenceState(2, 1, 0, 0)
+        to = ReferenceState(2, 1, 0, 0)
         assert reference_transition_prob(mid_cfg, 10, frm, to) == 0.0
 
     @pytest.mark.parametrize("lam", [0, 7, 40])
     def test_total_probability(self, mid_cfg, lam):
-        frm = SystemState(2, 3, 1, 0)
+        frm = ReferenceState(2, 3, 1, 0)
         total = sum(
-            reference_transition_prob(mid_cfg, lam, frm, to) for to in enumerate_states(mid_cfg.a_max)
+            reference_transition_prob(mid_cfg, lam, frm, to) for to in reference_enumerate_states(mid_cfg.a_max)
         )
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_bad_allocation(self, mid_cfg):
-        frm = SystemState(1, 1, 0, 0)
+        frm = ReferenceState(1, 1, 0, 0)
         with pytest.raises(ValueError):
             reference_transition_prob(mid_cfg, -1, frm, frm)
         with pytest.raises(ValueError):
@@ -144,7 +155,7 @@ class TestBuildMatrix:
         rng = np.random.default_rng(5)
         pol = random_policy(small_cfg, rng)
         p = build_transition_matrix(small_cfg, pol)
-        states = enumerate_states(small_cfg.a_max)
+        states = reference_enumerate_states(small_cfg.a_max)
         for i, frm in enumerate(states):
             for j, to in enumerate(states):
                 assert p[i, j] == pytest.approx(
@@ -168,29 +179,41 @@ class TestTransitionTables:
     def test_decoded_fields_match_states(self, a_max):
         with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
             t = TransitionTables(make_config(a_max=a_max, a_out=1))
-        states = enumerate_states(a_max)
+        states = reference_enumerate_states(a_max)
         assert t.a1.tolist() == [s.a1 for s in states]
         assert t.a2.tolist() == [s.a2 for s in states]
         assert t.x1.tolist() == [s.x1 for s in states]
         assert t.x2.tolist() == [s.x2 for s in states]
 
     @pytest.mark.parametrize("a_max", [1, 2, 5])
-    def test_succ_rows_are_row_bases_of_the_four_branches(self, a_max):
+    def test_succ_rows_encode_the_four_branches(self, a_max):
         with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
             t = TransitionTables(make_config(a_max=a_max, a_out=1))
-        for i, s in enumerate(enumerate_states(a_max)):
+        for i, s in enumerate(reference_enumerate_states(a_max)):
             c1, c2 = min(s.a1 + 1, a_max), min(s.a2 + 1, a_max)
-            # branch order 2 * fail1 + fail2
-            expected = [t.row_base(1, 1), t.row_base(1, c2), t.row_base(c1, 1), t.row_base(c1, c2)]
-            assert t.succ[i].tolist() == expected
+            # branch order 2 * fail1 + fail2, each with channel bits (0, 0)
+            branches = [(1, 1), (1, c2), (c1, 1), (c1, c2)]
+            assert t.succ[i].tolist() == [encode_states(b1, b2, 0, 0, a_max) for b1, b2 in branches]
+            assert t.succ[i].tolist() == [
+                reference_state_to_index(ReferenceState(b1, b2, 0, 0), a_max) - 1 for b1, b2 in branches
+            ]
+
+    def test_bit_weights_are_products_of_bit_probabilities(self, small_cfg, small_tables):
+        profile = small_cfg.profile
+        expected = [
+            reference_bit_probability(profile, 1, x1) * reference_bit_probability(profile, 2, x2)
+            for x1 in (0, 1)
+            for x2 in (0, 1)
+        ]
+        assert small_tables.bit_weights.tolist() == expected
 
     def test_error_rates_follow_the_channel_bits(self, small_cfg, small_tables):
         pol = random_policy(small_cfg, np.random.default_rng(4))
         e1, e2 = small_tables.error_rates(pol)
         n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
-        for i, s in enumerate(enumerate_states(small_cfg.a_max)):
-            assert e1[i] == block_error_rate(int(pol[i]), d, small_cfg.profile.gamma_for_bit(s.x1))
-            assert e2[i] == block_error_rate(n - int(pol[i]), d, small_cfg.profile.gamma_for_bit(s.x2))
+        for i, s in enumerate(reference_enumerate_states(small_cfg.a_max)):
+            assert e1[i] == block_error_rate(int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x1))
+            assert e2[i] == block_error_rate(n - int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x2))
 
 
 class TestBuildMatchesReferenceLoop:
@@ -262,7 +285,7 @@ class TestKStep:
             pol = random_policy(small_cfg, rng, low=1)
             p = build_transition_matrix(small_cfg, pol, tables=small_tables)
             pi = steady_state(p)
-            v = reference_k_step_distribution(p, small_cfg.initial_index, 10_000)
+            v = reference_k_step_distribution(p, small_cfg.initial_position, 10_000)
             assert 0.5 * np.abs(v - pi).sum() < 1e-8
 
     def test_time_average_matches_stationary_outage(self, small_cfg, small_tables):
@@ -272,7 +295,7 @@ class TestKStep:
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
         v = np.zeros(small_cfg.n_states)
-        v[small_cfg.initial_index - 1] = 1.0
+        v[small_cfg.initial_position] = 1.0
         running = 0.0
         for _ in range(5000):
             v = v @ p

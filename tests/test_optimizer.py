@@ -24,9 +24,15 @@ from aoi_outage.optimizer import (
     optimize,
 )
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.states import SystemConfig, enumerate_states, index_to_state, is_outage
+from aoi_outage.states import SystemConfig
 
-from conftest import make_config, random_policy
+from conftest import (
+    make_config,
+    random_policy,
+    reference_enumerate_states,
+    reference_index_to_state,
+    reference_is_outage,
+)
 from test_markov import PRESET_NAMES, reference_transition_prob
 
 ALL_KINDS = list(PenaltyKind)
@@ -54,7 +60,7 @@ def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
         raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
     if not 1 <= from_index <= cfg.n_states:
         raise ValueError(f"from_index must lie in [1, {cfg.n_states}], got {from_index}")
-    s = index_to_state(from_index, cfg.a_max)
+    s = reference_index_to_state(from_index, cfg.a_max)
     e1 = t.eps_by_bit[s.x1][lam]
     e2 = t.eps_by_bit[s.x2][n - lam]
     w = _age_weight_grid(kind, cfg)
@@ -68,7 +74,7 @@ def reference_improve_policy(cfg, pi, kind, *, tables):
     w = _age_weight_grid(kind, cfg)
     e_dev2 = (tables.eps_by_bit[0][::-1], tables.eps_by_bit[1][::-1])  # allocation N - lam
     new = np.empty(cfg.n_states, dtype=np.int64)
-    for i, s in enumerate(enumerate_states(cfg.a_max)):
+    for i, s in enumerate(reference_enumerate_states(cfg.a_max)):
         c1, c2 = min(s.a1 + 1, cfg.a_max), min(s.a2 + 1, cfg.a_max)
         cost = pi[i] * reference_successor_cost(w, c1, c2, tables.eps_by_bit[s.x1], e_dev2[s.x2])
         new[i] = np.argmin(cost)
@@ -77,12 +83,12 @@ def reference_improve_policy(cfg, pi, kind, *, tables):
 
 def penalty_oracle(cfg, lam, from_index, pi, kind):
     """Literal double-sum evaluation over every successor state."""
-    states = enumerate_states(cfg.a_max)
+    states = reference_enumerate_states(cfg.a_max)
     frm = states[from_index - 1]
     total = 0.0
     for to in states:
         if kind is PenaltyKind.BINARY_OUTAGE:
-            w = 1.0 if is_outage(to, cfg.a_out) else 0.0
+            w = 1.0 if reference_is_outage(to, cfg.a_out) else 0.0
         elif kind is PenaltyKind.MEAN_SUM_AOI:
             w = to.a1 + to.a2
         elif kind is PenaltyKind.MEAN_PEAK_AOI:
@@ -133,7 +139,7 @@ class TestBenchmarkPolicies:
 
     def test_min_error_depends_only_on_bits(self, cfg_b):
         pol = min_error_policy(cfg_b)
-        states = enumerate_states(cfg_b.a_max)
+        states = reference_enumerate_states(cfg_b.a_max)
         by_bits = {}
         for lam, s in zip(pol, states):
             by_bits.setdefault((s.x1, s.x2), set()).add(int(lam))
@@ -141,14 +147,14 @@ class TestBenchmarkPolicies:
 
     def test_min_error_symmetric_bits_split_evenly(self, cfg_b):
         pol = min_error_policy(cfg_b)
-        states = enumerate_states(cfg_b.a_max)
+        states = reference_enumerate_states(cfg_b.a_max)
         lam = {(s.x1, s.x2): int(l) for s, l in zip(states, pol)}
         assert lam[0, 0] == 500
         assert lam[1, 1] == 500
 
     def test_min_error_favors_weak_channel(self, cfg_b):
         pol = min_error_policy(cfg_b)
-        states = enumerate_states(cfg_b.a_max)
+        states = reference_enumerate_states(cfg_b.a_max)
         lam = {(s.x1, s.x2): int(l) for s, l in zip(states, pol)}
         assert lam[1, 0] < 500  # own channel good: cede symbols to the other device
         assert lam[0, 1] > 500
@@ -157,7 +163,7 @@ class TestBenchmarkPolicies:
     def test_min_error_truly_minimizes(self, cfg_b, tables_b):
         pol = min_error_policy(cfg_b, tables=tables_b)
         n = cfg_b.link.blocklength_total
-        states = enumerate_states(cfg_b.a_max)
+        states = reference_enumerate_states(cfg_b.a_max)
         lam = {(s.x1, s.x2): int(l) for s, l in zip(states, pol)}
         sweep = np.arange(n + 1)
         for (b1, b2), l in lam.items():
@@ -233,7 +239,7 @@ class TestImprovePolicy:
         profile = ChannelProfile(0.5, 0.5, -12.2, -15.2)
         link = LinkParams(40, 2)
         cfg = SystemConfig(profile=profile, link=link, a_max=2, a_out=1)
-        states = enumerate_states(cfg.a_max)
+        states = reference_enumerate_states(cfg.a_max)
         for kind in ALL_KINDS:
             improved = improve_policy(cfg, kind)
             for s, lam in zip(states, improved):
@@ -244,7 +250,7 @@ class TestImprovePolicy:
         # device 1 sits at the threshold, device 2 is fresh: the binary
         # penalty is minimized by sending as much as possible to device 1
         improved = improve_policy(cfg_b, PenaltyKind.BINARY_OUTAGE, tables=tables_b)
-        states = enumerate_states(cfg_b.a_max)
+        states = reference_enumerate_states(cfg_b.a_max)
         for s, lam in zip(states, improved):
             if s.a1 == cfg_b.a_out and s.a2 == 1:
                 assert lam > 500

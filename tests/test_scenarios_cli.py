@@ -46,6 +46,16 @@ BAD_LIST_ENTRIES = [
                  r"state\.initial\[0\] must be an integer", id="initial-fraction"),
 ]
 
+# initial states outside the preset's state space (a_max = 5)
+OUT_OF_RANGE_INITIAL = [
+    pytest.param(lambda d: d["state"].update(initial=[6, 1, 0, 0]), r"ages must lie in \[1, 5\]",
+                 id="initial-age-above-a_max"),
+    pytest.param(lambda d: d["state"].update(initial=[0, 1, 0, 0]), r"ages must lie in \[1, 5\]",
+                 id="initial-age-zero"),
+    pytest.param(lambda d: d["state"].update(initial=[1, 1, 2, 0]), r"channel bits must be 0 or 1",
+                 id="initial-bit-two"),
+]
+
 
 class TestScenarios:
     def test_presets_load(self):
@@ -61,7 +71,8 @@ class TestScenarios:
             assert sc.system.link.payload_bits == 16
             assert sc.system.a_max == 5
             assert sc.system.a_out == 3
-            assert sc.system.initial_index == 1
+            assert sc.system.initial == (1, 1, 0, 0)
+            assert sc.system.initial_position == 0
             assert sc.optimizer.seeds == 10
             assert sc.simulation.reps == 100
             assert sc.simulation.periods == 2500
@@ -94,7 +105,8 @@ class TestScenarios:
             (lambda d: d.update(schema_version=2), "schema_version"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
         ]
-        + BAD_LIST_ENTRIES,
+        + BAD_LIST_ENTRIES
+        + OUT_OF_RANGE_INITIAL,
     )
     def test_rejects_malformed(self, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
@@ -160,7 +172,7 @@ class TestCliEvaluate:
         assert code == 1
         assert "alphaa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES)
+    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL)
     def test_bad_list_entry_exits_one(self, tmp_path, capsys, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
         mutate(doc)
@@ -248,6 +260,19 @@ class TestCliSimulate:
         assert doc["n_bursts"] == 0
         assert doc["mean_burst"] is None
         assert doc["normalized_errors"]["mean_burst"] is None
+
+    def test_undefined_statistics_are_empty_csv_cells(self, tmp_path):
+        # the CSV leaves the same undefined statistics empty, with no nan token
+        table = tmp_path / "sim.csv"
+        assert run_cli(["simulate", "--config", "scenario_b", "--policy", "min-error",
+                        "--reps", "2", "--periods", "200", "--out", str(tmp_path / "sim.json"),
+                        "--csv", str(table)]) == 0
+        assert "nan" not in table.read_text().lower()
+        with open(table, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n_bursts"], r["mean_burst"], r["n_iois"], r["mean_ioi"]) for r in rows] == [
+            ("0", "", "0", "")
+        ] * 2
 
 
 class TestCliGrids:

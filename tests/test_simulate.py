@@ -20,8 +20,14 @@ from aoi_outage.simulate import (
     simulate,
     simulate_many,
 )
+from aoi_outage.states import decode_states
 
-from conftest import random_policy
+from conftest import (
+    ReferenceState,
+    random_policy,
+    reference_gamma_for_bit,
+    reference_state_to_index,
+)
 
 
 def reference_simulate(cfg, policy, periods, seed):
@@ -31,21 +37,20 @@ def reference_simulate(cfg, policy, periods, seed):
     u = rng.random((periods, 4))
     n = cfg.link.blocklength_total
     d = cfg.link.payload_bits
-    s = cfg.initial_state
-    a1, a2, x1, x2 = s.a1, s.a2, s.x1, s.x2
+    a1, a2, x1, x2 = cfg.initial
     outage = []
     for k in range(periods):
         idx = 2 * (2 * ((a1 - 1) * cfg.a_max + a2 - 1) + x1) + x2  # 0-based
         lam = int(policy[idx])
-        e1 = block_error_rate(lam, d, cfg.profile.gamma_for_bit(x1))
-        e2 = block_error_rate(n - lam, d, cfg.profile.gamma_for_bit(x2))
+        e1 = block_error_rate(lam, d, reference_gamma_for_bit(cfg.profile, x1))
+        e2 = block_error_rate(n - lam, d, reference_gamma_for_bit(cfg.profile, x2))
         a1 = min(a1 + 1, cfg.a_max) if u[k, 0] < e1 else 1
         a2 = min(a2 + 1, cfg.a_max) if u[k, 1] < e2 else 1
         x1 = 1 if u[k, 2] < cfg.profile.alpha_1 else 0
         x2 = 1 if u[k, 3] < cfg.profile.alpha_2 else 0
         assert 1 <= a1 <= cfg.a_max and 1 <= a2 <= cfg.a_max
         outage.append(a1 > cfg.a_out or a2 > cfg.a_out)
-    return np.array(outage), (a1, a2, x1, x2)
+    return np.array(outage), ReferenceState(a1, a2, x1, x2)
 
 
 def groupby_bursts(seq):
@@ -63,7 +68,7 @@ class TestSimulate:
         a = simulate(small_cfg, pol, 500, seed=42)
         b = simulate(small_cfg, pol, 500, seed=42)
         assert np.array_equal(a.outage_sequence, b.outage_sequence)
-        assert a.final_state == b.final_state
+        assert a.final_position == b.final_position
         assert a.burst_durations == b.burst_durations
         assert a.ioi_durations == b.ioi_durations
         assert a.outage_rate == b.outage_rate
@@ -73,12 +78,7 @@ class TestSimulate:
         result = simulate(small_cfg, pol, 400, seed=9)
         ref_seq, ref_final = reference_simulate(small_cfg, pol, 400, seed=9)
         assert np.array_equal(result.outage_sequence, ref_seq)
-        assert (
-            result.final_state.a1,
-            result.final_state.a2,
-            result.final_state.x1,
-            result.final_state.x2,
-        ) == ref_final
+        assert result.final_position == reference_state_to_index(ref_final, small_cfg.a_max) - 1
 
     def test_starving_device_forces_outage(self, cfg_b):
         # allocation 0 everywhere: device 1 never succeeds, so its age walks
@@ -86,7 +86,7 @@ class TestSimulate:
         pol = np.zeros(cfg_b.n_states, dtype=int)
         result = simulate(cfg_b, pol, 50, seed=4)
         assert result.outage_sequence[cfg_b.a_out :].all()
-        assert result.final_state.a1 == cfg_b.a_max
+        assert decode_states(cfg_b.a_max)[0][result.final_position] == cfg_b.a_max
 
     def test_outage_accounting(self, small_cfg):
         pol = random_policy(small_cfg, np.random.default_rng(2))
@@ -116,8 +116,7 @@ class TestSimulateMany:
         for pol, seed, result in zip(policies, seeds, results):
             ref_seq, ref_final = reference_simulate(mid_cfg, pol, periods, seed)
             assert np.array_equal(result.outage_sequence, ref_seq)
-            s = result.final_state
-            assert (s.a1, s.a2, s.x1, s.x2) == ref_final
+            assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
             assert result.seed == seed and result.periods == periods
 
     def test_rejects_mismatched_lengths(self, small_cfg):
