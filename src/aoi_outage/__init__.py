@@ -44,6 +44,7 @@ from .simulate import (
     derive_seed,
     measure_bursts,
     run_repetitions,
+    run_repetitions_many,
     simulate,
     simulate_many,
 )

@@ -59,48 +59,68 @@ def measure_bursts(outage_sequence):
     return lengths[in_outage].tolist(), lengths[~in_outage].tolist()
 
 
-#: Periods of uniforms drawn per row at a time. The draw buffer holds
-#: rows x DRAW_CHUNK x 4 doubles whatever the horizon.
-DRAW_CHUNK = 128
+#: Periods of uniforms drawn per generator at a time. Per chunk the kernel
+#: holds DRAW_CHUNK x 4 doubles per distinct seed and, when rows share
+#: seeds, DRAW_CHUNK x 2 doubles and bit codes per row, whatever the horizon.
+DRAW_CHUNK = 64
 
 
-def _lockstep(t: TransitionTables, policies: np.ndarray, periods: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, periods: int,
+              seeds, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Advance R independent rows of the chain together, one numpy step per
-    period. Row r follows policies[r] from the initial state and consumes
-    default_rng(seeds[r]).random((periods, 4)), drawn DRAW_CHUNK periods at a
-    time. Returns the (R, periods) outage indicators and each row's final
-    0-based state position.
+    period. Row r follows policies[group[r]] from the initial state and
+    consumes default_rng(seeds[stream[r]]).random((periods, 4)). Returns the
+    (R, periods) outage indicators and each row's final 0-based state
+    position.
 
-    A row's state is held as the global index r * n_states + s, so the
-    per-row error-rate and successor tables are single flat lookups.
+    The error rates and successors are tabled once per distinct policy. A
+    row's state at position s is held as h = 4 * (group[r] * n_states + s),
+    the first of its four branch slots 2 * fail1 + fail2, and every table is
+    indexed by h, so a step is single flat lookups. Each distinct seed's
+    generator is built once and drawn DRAW_CHUNK periods at a time; when rows
+    share seeds, each chunk's uniforms and bit codes are then copied to the
+    rows that consume them, contiguous per period.
     """
     cfg = t.cfg
     n_states = cfg.n_states
-    rows = len(seeds)
-    # error rates of the transition out of each (row, state), policy applied once
-    e1, e2 = (e.ravel() for e in t.error_rates(policies))
-    # successor with channel bits (0, 0), at position 4 * s + 2 * fail1 + fail2
-    offset = np.arange(rows) * n_states
-    succ = (t.succ.ravel() + offset[:, None]).ravel()
-    out = np.tile(t.outage, rows)
+    offset = 4 * n_states * np.arange(len(policies))
+    # error rates of the transition out of each (policy, state)
+    e1, e2 = (np.repeat(e.ravel(), 4) for e in t.error_rates(policies))
+    # slot of the successor with channel bits (0, 0)
+    succ = (4 * t.succ + offset[:, None, None]).ravel()
+    out = np.repeat(np.tile(t.outage, len(policies)), 4)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    draws = np.empty((rows, DRAW_CHUNK, 4))
-    visited = np.empty((DRAW_CHUNK, rows), dtype=np.int64)
-    outage = np.empty((rows, periods), dtype=bool)
-    g = offset + cfg.initial_position
+    draws = np.empty((len(rngs), DRAW_CHUNK, 4))
+    visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.int64)
+    outage = np.empty((len(group), periods), dtype=bool)
+    base = offset[group]
+    h = base + 4 * cfg.initial_position
     for start in range(0, periods, DRAW_CHUNK):
         m = min(DRAW_CHUNK, periods - start)
         for rng, buf in zip(rngs, draws):
             rng.random(out=buf[:m])
-        u = draws[:, :m].transpose(1, 2, 0)  # (period, column, row)
-        fail_u1, fail_u2 = u[:, 0], u[:, 1]
-        bits = 2 * (u[:, 2] < cfg.profile.alpha_1) + (u[:, 3] < cfg.profile.alpha_2)
+        u = draws[:, :m].transpose(2, 1, 0)  # (column, period, seed)
+        # fresh channel bits k = 2 * x1 + x2 move the successor's slot by 4 * k
+        fail, bits = u[:2], 8 * (u[2] < cfg.profile.alpha_1) + 4 * (u[3] < cfg.profile.alpha_2)
+        # rows that each own a seed read the buffer in place: for them the
+        # copy costs more per chunk than contiguous reads save per step
+        if len(rngs) < len(group):
+            fail, bits = np.take(fail, stream, axis=2), np.take(bits, stream, axis=1)
+        fail_u1, fail_u2 = fail
         for j in range(m):
-            g = succ[4 * g + 2 * (fail_u1[j] < e1[g]) + (fail_u2[j] < e2[g])] + bits[j]
-            visited[j] = g
+            h = succ[h + 2 * (fail_u1[j] < e1[h]) + (fail_u2[j] < e2[h])] + bits[j]
+            visited[j] = h
         outage[:, start : start + m] = out[visited[:m]].T
-    return outage, g - offset
+    return outage, (h - base) // 4
+
+
+def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, numbered in order of first
+    occurrence, and the position of each distinct key's first occurrence."""
+    rank: dict = {}
+    which = np.array([rank.setdefault(key, len(rank)) for key in keys], dtype=np.intp)
+    return which, np.unique(which, return_index=True)[1]
 
 
 def simulate_many(
@@ -114,16 +134,20 @@ def simulate_many(
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
     periods from cfg.initial. Row r equals
     simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
-    lockstep."""
+    lockstep. Rows may share policies and seeds: each distinct policy is
+    validated once and each distinct seed's stream is drawn once."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     if len(policies) != len(seeds):
         raise ValueError(f"got {len(policies)} policies for {len(seeds)} seeds")
     if len(seeds) == 0:
         raise ValueError("need at least one policy and seed")
-    pols = np.stack([validate_policy(p, cfg) for p in policies])
+    arrays = [np.asarray(p) for p in policies]
+    group, first = _distinct((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+    pols = np.stack([validate_policy(arrays[i], cfg) for i in first])
+    stream, first = _distinct(seeds)
     t = tables if tables is not None else TransitionTables(cfg)
-    outage, final = _lockstep(t, pols, periods, seeds)
+    outage, final = _lockstep(t, pols, group, periods, [seeds[i] for i in first], stream)
     results = []
     for seq, seed, state in zip(outage, seeds, final):
         bursts, iois = measure_bursts(seq)
@@ -173,6 +197,38 @@ class RepetitionSummary:
     err_mean_ioi: float | None = None
 
 
+def run_repetitions_many(
+    cfg: SystemConfig,
+    policies,
+    reps: int,
+    periods: int,
+    master_seed: int,
+    *,
+    analytics=None,
+    tables: TransitionTables | None = None,
+) -> list[RepetitionSummary]:
+    """run_repetitions for each policy, all simulated in one lockstep batch.
+
+    Every policy's repetition r uses the seed derive_seed(master_seed, r),
+    so the batch draws each seed's stream once; its rows are policy-major.
+    analytics, when given, holds one BurstStats (or None) per policy.
+    """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    if analytics is None:
+        analytics = [None] * len(policies)
+    elif len(analytics) != len(policies):
+        raise ValueError(f"got {len(analytics)} analytic results for {len(policies)} policies")
+    seeds = [derive_seed(master_seed, r) for r in range(reps)]
+    results = simulate_many(
+        cfg, [p for p in policies for _ in range(reps)], periods, seeds * len(policies), tables=tables
+    )
+    return [
+        _summarize(results[i * reps : (i + 1) * reps], master_seed, analytic)
+        for i, analytic in enumerate(analytics)
+    ]
+
+
 def run_repetitions(
     cfg: SystemConfig,
     policy,
@@ -185,10 +241,14 @@ def run_repetitions(
 ) -> RepetitionSummary:
     """Independent repetitions with index-derived seeds, pooled statistics,
     and optional normalized errors against analytic predictions."""
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    seeds = [derive_seed(master_seed, r) for r in range(reps)]
-    results = simulate_many(cfg, [policy] * reps, periods, seeds, tables=tables)
+    return run_repetitions_many(
+        cfg, [policy], reps, periods, master_seed, analytics=[analytic], tables=tables
+    )[0]
+
+
+def _summarize(results: list[SimResult], master_seed: int, analytic: BurstStats | None) -> RepetitionSummary:
+    """Pooled statistics of one policy's repetitions."""
+    reps = len(results)
     rates = np.array([r.outage_rate for r in results])
     bursts: list[int] = []
     iois: list[int] = []
@@ -199,7 +259,7 @@ def run_repetitions(
     mean_ioi_v = float(np.mean(iois)) if iois else float("nan")
     summary = RepetitionSummary(
         reps=reps,
-        periods=periods,
+        periods=results[0].periods,
         master_seed=master_seed,
         outage_rates=rates,
         outage_rate_mean=float(rates.mean()),

@@ -3,6 +3,7 @@
 import csv
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from aoi_outage import cli
 from aoi_outage.optimizer import PenaltyKind, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_cli(argv):
@@ -288,6 +291,13 @@ class TestCliGrids:
             key = (row["scenario"], row["policy"])
             assert float(row["published_p_out"]) == PUBLISHED_OUTAGE_RATES[key]
             assert float(row["analytic_p_out"]) >= 0.0
+
+    def test_reproduce_table2_matches_golden_csv(self, tmp_path):
+        # recorded from `reproduce-table2 --reps 3 --periods 300` when each
+        # policy's repetitions were still simulated in a batch of their own
+        out = tmp_path / "table2.csv"
+        assert run_cli(["reproduce-table2", "--reps", "3", "--periods", "300", "--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / "table2_reps3_periods300.csv").read_bytes()
 
     def test_reproduce_table2_rejects_zero_seeds(self, tmp_path, capsys):
         out = tmp_path / "table2.csv"

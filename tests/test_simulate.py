@@ -1,5 +1,6 @@
 """Simulator determinism, dynamics legality, and burst measurement."""
 
+import importlib
 import itertools
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
+from aoi_outage.markov import validate_policy
 from aoi_outage.optimizer import naive_policy
 from aoi_outage.simulate import (
     CHECKPOINTS,
@@ -17,6 +19,7 @@ from aoi_outage.simulate import (
     measure_bursts,
     median_errors,
     run_repetitions,
+    run_repetitions_many,
     simulate,
     simulate_many,
 )
@@ -28,6 +31,9 @@ from conftest import (
     reference_gamma_for_bit,
     reference_state_to_index,
 )
+
+# the package re-exports the function simulate under the module's name
+simulate_module = importlib.import_module("aoi_outage.simulate")
 
 
 def reference_simulate(cfg, policy, periods, seed):
@@ -118,6 +124,50 @@ class TestSimulateMany:
             assert np.array_equal(result.outage_sequence, ref_seq)
             assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
             assert result.seed == seed and result.periods == periods
+
+    @pytest.mark.parametrize("layout", ["policy-major", "shuffled", "one-repeat"])
+    @pytest.mark.parametrize(
+        "periods", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+    )
+    def test_shared_policies_and_seeds_match_reference(self, mid_cfg, periods, layout):
+        # table2's layout: every policy repeats over the same seeds, policy-major;
+        # the last row repeats a (policy, seed) pair outright
+        rng = np.random.default_rng(33)
+        distinct = [random_policy(mid_cfg, rng) for _ in range(2)] + [naive_policy(mid_cfg)]
+        seeds = [derive_seed(8, r) for r in range(4)]
+        pairs = [(pol, seed) for pol in distinct for seed in seeds] + [(distinct[1], seeds[2])]
+        if layout == "shuffled":
+            pairs = [pairs[i] for i in rng.permutation(len(pairs))]
+        elif layout == "one-repeat":
+            # a single row shares its seed; every other row has its own
+            pairs = [(distinct[r % 3], seed) for r, seed in enumerate(seeds)] + [(distinct[0], seeds[1])]
+        # fresh copies, so rows share policies by value and not by identity
+        policies = [pol.copy() for pol, _ in pairs]
+        results = simulate_many(mid_cfg, policies, periods, [seed for _, seed in pairs])
+        for (pol, seed), result in zip(pairs, results):
+            ref_seq, ref_final = reference_simulate(mid_cfg, pol, periods, seed)
+            assert np.array_equal(result.outage_sequence, ref_seq)
+            assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
+            assert result.seed == seed and result.periods == periods
+
+    def test_validates_each_distinct_policy_once(self, small_cfg, monkeypatch):
+        calls = []
+
+        def counting(policy, cfg):
+            calls.append(1)
+            return validate_policy(policy, cfg)
+
+        monkeypatch.setattr(simulate_module, "validate_policy", counting)
+        pols = [naive_policy(small_cfg), random_policy(small_cfg, np.random.default_rng(4))]
+        simulate_many(small_cfg, [p.copy() for p in pols for _ in range(5)], 20, list(range(10)))
+        assert len(calls) == 2
+        calls.clear()
+        run_repetitions_many(small_cfg, pols, 7, 20, master_seed=3)
+        assert len(calls) == 2
+
+    def test_rejects_empty_input(self, small_cfg):
+        with pytest.raises(ValueError):
+            simulate_many(small_cfg, [], 10, [])
 
     def test_rejects_mismatched_lengths(self, small_cfg):
         pol = naive_policy(small_cfg)
@@ -226,6 +276,25 @@ class TestRepetitions:
         summary = run_repetitions(cfg_b, pol, 10, 100_000, master_seed=7, tables=tables_b)
         se = summary.outage_rate_std / np.sqrt(summary.reps)
         assert abs(summary.outage_rate_mean - stats.p_out) < 3 * se
+
+    def test_many_equals_one_policy_at_a_time(self, cfg_b, tables_b):
+        pols = [naive_policy(cfg_b), random_policy(cfg_b, np.random.default_rng(12), low=300)]
+        stats = [burst_stats(cfg_b, pol, tables=tables_b) for pol in pols]
+        many = run_repetitions_many(cfg_b, pols, 4, 700, master_seed=9, analytics=stats, tables=tables_b)
+        for pol, analytic, summary in zip(pols, stats, many):
+            single = run_repetitions(cfg_b, pol, 4, 700, master_seed=9, analytic=analytic, tables=tables_b)
+            assert [r.seed for r in summary.results] == [r.seed for r in single.results]
+            for a, b in zip(summary.results, single.results):
+                assert np.array_equal(a.outage_sequence, b.outage_sequence)
+                assert a.final_position == b.final_position
+            assert np.array_equal(summary.outage_rates, single.outage_rates)
+            assert (summary.outage_rate_mean, summary.outage_rate_std) == (
+                single.outage_rate_mean, single.outage_rate_std)
+            assert summary.burst_durations == single.burst_durations
+            assert summary.ioi_durations == single.ioi_durations
+            assert np.array_equal(
+                [summary.err_p_out, summary.err_mean_burst, summary.err_mean_ioi],
+                [single.err_p_out, single.err_mean_burst, single.err_mean_ioi], equal_nan=True)
 
     def test_rejects_bad_reps(self, small_cfg):
         with pytest.raises(ValueError):
