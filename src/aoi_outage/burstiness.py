@@ -11,7 +11,7 @@ absorbing-chain fundamental matrix (Kemeny & Snell, Finite Markov Chains),
 over xi1. Only the pmf is truncated. The mean interval between bursts is
 (1 - p_out) / xi1, and the product identity p_out = xi1 * mean length
 cross-checks the stationary outage rate to solver precision. burst_stats
-runs the same analysis on the chain a policy induces.
+runs the same analysis on the age chain a policy induces.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def chain_burst_stats(p, out) -> BurstStats:
 def burst_stats(
     cfg: SystemConfig, policy, *, tables: TransitionTables | None = None
 ) -> BurstStats:
-    """Burstiness record for one policy: chain_burst_stats of the chain it
-    induces, with the config's outage set."""
+    """Burstiness record for one policy: chain_burst_stats of the age chain
+    it induces, with the config's outage set."""
     t = tables if tables is not None else TransitionTables(cfg)
     return chain_burst_stats(build_transition_matrix(cfg, policy, tables=t), t.outage)

@@ -9,7 +9,10 @@ remainder.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
-independent draws and only select the next period's SNR.
+independent draws and only select the next period's SNR. So the ages alone
+form a Markov chain, Q[a, a'] = sum_x bit_weights[x] P[(a, x) -> a'], the
+outage set depends on the ages alone, and every analytic quantity comes
+from this a_max**2-state age chain (lumpability; Kemeny & Snell, 6.3).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class TransitionTables:
       steps to its successor, clamped at a_max, on failure.
     - bit_weights[k]: probability of fresh channel bits k = 2 * x1 + x2; the
       full successor is succ[i, b] + k.
-    - outage: the outage set.
+    - outage: the outage set, over the a_max**2 age positions.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -93,20 +96,20 @@ class TransitionTables:
 
 
 def build_transition_matrix(cfg: SystemConfig, policy, *, tables: TransitionTables | None = None) -> np.ndarray:
-    """Dense row-stochastic transition matrix of the chain induced by `policy`.
+    """Dense row-stochastic transition matrix of the age chain `policy` induces.
 
-    One scatter of the transition law: row i receives branch[i, b] *
-    bit_weights[k] at column succ[i, b] + k. With a_max = 1 the four
-    branches share their columns and accumulate in branch order.
+    One scatter of the transition law: state i, at age position i // 4 with
+    channel bits i & 3, adds branch[i, b] * bit_weights[i & 3] at column
+    succ[i, b] // 4. Entries accumulate in state order, then branch order.
     """
     pol = validate_policy(policy, cfg)
     t = tables if tables is not None else TransitionTables(cfg)
     e1, e2 = t.error_rates(pol)
     branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=1)
-    rows = np.arange(cfg.n_states)[:, None, None]
-    p = np.zeros((cfg.n_states, cfg.n_states))
-    np.add.at(p, (rows, t.succ[:, :, None] + np.arange(4)), branch[:, :, None] * t.bit_weights)
-    return p
+    states = np.arange(cfg.n_states)[:, None]
+    q = np.zeros((cfg.a_max**2, cfg.a_max**2))
+    np.add.at(q, (states // 4, t.succ // 4), branch * t.bit_weights[states & 3])
+    return q
 
 
 def _check_stochastic(p: np.ndarray) -> None:
@@ -149,8 +152,8 @@ def steady_state(p) -> np.ndarray:
 
 
 def outage_probability(pi, cfg: SystemConfig) -> float:
-    """Stationary outage rate: total mass on states past the age threshold."""
+    """Stationary outage rate: mass of the age chain's law pi past the threshold."""
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (cfg.n_states,):
-        raise ValueError(f"pi must have shape ({cfg.n_states},), got {pi.shape}")
+    if pi.shape != (cfg.a_max**2,):
+        raise ValueError(f"pi must have shape ({cfg.a_max**2},), got {pi.shape}")
     return float(pi[outage_mask(cfg.a_max, cfg.a_out)].sum())

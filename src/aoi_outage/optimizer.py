@@ -33,8 +33,8 @@ from enum import Enum
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrix, steady_state
-from .states import SystemConfig
+from .markov import TransitionTables, build_transition_matrix, outage_probability, steady_state
+from .states import SystemConfig, decode_states, outage_mask
 
 
 class PenaltyKind(Enum):
@@ -64,12 +64,12 @@ class OptimizeReport:
 
 
 def _age_weight_grid(kind: PenaltyKind, cfg: SystemConfig) -> np.ndarray:
-    """Successor weight w(a1', a2') for each penalty; the fresh channel bits
-    never enter the weight, so their Bernoulli factors sum out to 1."""
-    ages = np.arange(cfg.a_max + 1)  # row/col 0 unused, ages are 1-based
-    g1, g2 = np.meshgrid(ages, ages, indexing="ij")
+    """Successor weight w(a1', a2') of each penalty over the age positions;
+    the fresh channel bits never enter it, so their factors sum out to 1."""
     if kind is PenaltyKind.BINARY_OUTAGE:
-        return ((g1 > cfg.a_out) | (g2 > cfg.a_out)).astype(float)
+        return outage_mask(cfg.a_max, cfg.a_out).astype(float)
+    a1, a2, _, _ = decode_states(cfg.a_max)
+    g1, g2 = a1[::4], a2[::4]  # the ages at each age position
     if kind is PenaltyKind.MEAN_SUM_AOI:
         return (g1 + g2).astype(float)
     if kind is PenaltyKind.MEAN_PEAK_AOI:
@@ -93,7 +93,7 @@ def improve_policy(
     near the extremes). Ties break to the smallest allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    weights = _age_weight_grid(kind, cfg)[t.a1[t.succ], t.a2[t.succ]]
+    weights = _age_weight_grid(kind, cfg)[t.succ // 4]
     bit_pair = 2 * t.x1 + t.x2
     new = np.empty(cfg.n_states, dtype=np.int64)
     for bits in range(4):
@@ -134,8 +134,7 @@ def optimize(
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     t = tables if tables is not None else TransitionTables(cfg)
     lam = improve_policy(cfg, kind, tables=t)
-    pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
-    p_out = float(pi[t.outage].sum())
+    p_out = outage_probability(steady_state(build_transition_matrix(cfg, lam, tables=t)), cfg)
     return OptimizeReport(
         final_policy=lam,
         iterations=1,

@@ -88,7 +88,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     e1, e2 = (np.repeat(e.ravel(), 4) for e in t.error_rates(policies))
     # slot of the successor with channel bits (0, 0)
     succ = (4 * t.succ + offset[:, None, None]).ravel()
-    out = np.repeat(np.tile(t.outage, len(policies)), 4)
+    out = np.tile(np.repeat(t.outage, 16), len(policies))  # 4 states x 4 slots per age position
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))

@@ -32,9 +32,9 @@ def decode_states(a_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.nd
 
 
 def outage_mask(a_max: int, a_out: int) -> np.ndarray:
-    """Boolean vector over 0-based state positions marking the outage set."""
+    """Boolean vector over the age positions (state position // 4) marking the outage set."""
     a1, a2, _, _ = decode_states(a_max)
-    return (a1 > a_out) | (a2 > a_out)
+    return ((a1 > a_out) | (a2 > a_out))[::4]
 
 
 @dataclass(frozen=True)

@@ -125,7 +125,7 @@ class TestAC2:
             pol = random_policy(cfg3, rng)
             p = build_transition_matrix(cfg3, pol, tables=tables3)
             pi = steady_state(p)
-            v = reference_k_step_distribution(p, cfg3.initial_position, 10_000)
+            v = reference_k_step_distribution(p, cfg3.initial_position // 4, 10_000)
             worst_tv = max(worst_tv, 0.5 * np.abs(v - pi).sum())
         assert worst_tv < 1e-8
         print(f"AC-2 PASS: rows stochastic within {worst_row:.2e}, two-state closed form exact, "
@@ -260,7 +260,7 @@ class TestAC7:
         steady_state(build_transition_matrix(cfg, pol, tables=tables))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
-        print(f"AC-7: one build+solve at 100 states took {elapsed * 1e3:.1f} ms; ", end="")
+        print(f"AC-7: one build+solve of the 25-state age chain took {elapsed * 1e3:.1f} ms; ", end="")
 
     def test_full_benchmark_grid_under_thirty_minutes(self, tmp_path):
         out = tmp_path / "table2.csv"

@@ -154,9 +154,9 @@ class TestXiSetToSet:
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
         expected = sum(
             pi[i] * p[i, j]
-            for i in range(small_cfg.n_states)
+            for i in range(len(p))
             if not mask[i]
-            for j in range(small_cfg.n_states)
+            for j in range(len(p))
             if mask[j]
         )
         assert stats.xi_res_out_1 == pytest.approx(expected, rel=1e-12)

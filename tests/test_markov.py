@@ -1,10 +1,17 @@
-"""Transition law, matrix assembly, stationary solve, and the outage rate."""
+"""Transition law, matrix assembly, stationary solve, and the outage rate.
+
+The program builds the age chain, the full (age, age, bit, bit) chain with
+its fresh channel bits lumped out. The full chain survives here as the
+reference_build_transition_matrix oracle, and the lumpability tests check
+every analytic output of the age chain against it.
+"""
 
 import contextlib
 
 import numpy as np
 import pytest
 
+from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
@@ -14,7 +21,7 @@ from aoi_outage.markov import (
     steady_state,
     validate_policy,
 )
-from aoi_outage.optimizer import min_error_policy, naive_policy
+from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import encode_states, outage_mask
 
@@ -77,6 +84,15 @@ def reference_build_transition_matrix(cfg, policy, tables):
     return p
 
 
+def reference_lump(p, bit_weights):
+    """Age chain of a full-chain matrix p: Q[a, a'] = sum_x bit_weights[x] *
+    sum_x' p[(a, x), (a', x')], the rows of each age pair mixed by their bit
+    probabilities and the columns summed over the successor's bits."""
+    n = p.shape[0] // 4
+    mixed = (p * np.tile(bit_weights, n)[:, None]).reshape(n, 4, n, 4)
+    return mixed.sum(axis=(1, 3))
+
+
 def reference_k_step_distribution(p, initial_position, k):
     """State distribution after k periods from the 0-based initial position,
     by iterated vector-matrix products."""
@@ -135,14 +151,19 @@ class TestTransitionProb:
 
 class TestBuildMatrix:
     def test_degenerate_single_age(self):
-        # with the age cap at 1 every row is the product channel-bit law
+        # with the age cap at 1 the age chain is one absorbing age pair, and
+        # every row of the full oracle is the product channel-bit law
         with pytest.warns(UserWarning):
             cfg = make_config(a_max=1, a_out=1)
-        p = build_transition_matrix(cfg, [7, 0, 40, 21])
+        tables = TransitionTables(cfg)
+        assert build_transition_matrix(cfg, [7, 0, 40, 21], tables=tables) == pytest.approx(
+            np.ones((1, 1)), abs=1e-15
+        )
+        full = reference_build_transition_matrix(cfg, [7, 0, 40, 21], tables)
         a1, a2 = cfg.profile.alpha_1, cfg.profile.alpha_2
         row = [(1 - a1) * (1 - a2), (1 - a1) * a2, a1 * (1 - a2), a1 * a2]
         for i in range(4):
-            assert p[i] == pytest.approx(row, rel=1e-14)
+            assert full[i] == pytest.approx(row, rel=1e-14)
 
     def test_rows_sum_to_one(self, small_cfg):
         rng = np.random.default_rng(11)
@@ -151,16 +172,17 @@ class TestBuildMatrix:
             assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
             assert p.min() >= 0.0
 
-    def test_matches_pairwise_probabilities(self, small_cfg):
+    def test_matches_pairwise_probabilities(self, small_cfg, small_tables):
         rng = np.random.default_rng(5)
         pol = random_policy(small_cfg, rng)
         p = build_transition_matrix(small_cfg, pol)
+        assert p.shape == (small_cfg.a_max**2, small_cfg.a_max**2)
         states = reference_enumerate_states(small_cfg.a_max)
-        for i, frm in enumerate(states):
-            for j, to in enumerate(states):
-                assert p[i, j] == pytest.approx(
-                    reference_transition_prob(small_cfg, int(pol[i]), frm, to), abs=1e-15
-                )
+        full = np.array([
+            [reference_transition_prob(small_cfg, int(pol[i]), frm, to) for to in states]
+            for i, frm in enumerate(states)
+        ])
+        assert p == pytest.approx(reference_lump(full, small_tables.bit_weights), abs=1e-15)
 
     def test_policy_validation(self, small_cfg):
         with pytest.raises(ValueError):
@@ -216,31 +238,48 @@ class TestTransitionTables:
             assert e2[i] == block_error_rate(n - int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x2))
 
 
-class TestBuildMatchesReferenceLoop:
+def lumpability_policies(cfg, tables, rng):
+    """The named policies of a preset and 30 random ones."""
+    policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
+    policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+    return policies + [random_policy(cfg, rng) for _ in range(30)]
+
+
+class TestLumpability:
+    """The age chain against the full chain it lumps (Kemeny & Snell,
+    Finite Markov Chains, section 6.3): its matrix, its stationary law, and
+    every burst statistic."""
+
     @pytest.mark.parametrize("preset", PRESET_NAMES)
-    def test_presets_bit_exact(self, preset):
+    def test_presets(self, preset):
         cfg = load_scenario(preset).system
         tables = TransitionTables(cfg)
-        rng = np.random.default_rng(17)
-        policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
-        policies += [random_policy(cfg, rng) for _ in range(20)]
-        for pol in policies:
-            assert np.array_equal(
-                build_transition_matrix(cfg, pol, tables=tables),
-                reference_build_transition_matrix(cfg, pol, tables),
-            )
+        full_out = np.repeat(tables.outage, 4)
+        for pol in lumpability_policies(cfg, tables, np.random.default_rng(17)):
+            full = reference_build_transition_matrix(cfg, pol, tables)
+            q = build_transition_matrix(cfg, pol, tables=tables)
+            assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
+            # the full chain's stationary law is the age chain's times the
+            # bit weights; the 100-state LU is only accurate absolutely
+            nu = steady_state(q)
+            assert np.abs(steady_state(full) - np.kron(nu, tables.bit_weights)).max() <= 1e-14
+            got, want = burst_stats(cfg, pol, tables=tables), chain_burst_stats(full, full_out)
+            assert got.p_out == pytest.approx(want.p_out, rel=1e-10)
+            for field in ("xi_res_out_1", "mean_outage_duration", "mean_ioi"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13)
+            assert got.truncation_t == want.truncation_t
+            assert np.abs(got.duration_pmf - want.duration_pmf).max() <= 1e-14
 
-    def test_single_age_bit_exact(self):
-        # with a_max = 1 all four branches land on the same four columns
+    def test_single_age(self):
+        # with a_max = 1 all four branches land on the one age pair
         with pytest.warns(UserWarning):
             cfg = make_config(a_max=1, a_out=1)
         tables = TransitionTables(cfg)
         rng = np.random.default_rng(2)
         for pol in [[7, 0, 40, 21]] + [random_policy(cfg, rng) for _ in range(20)]:
-            assert np.array_equal(
-                build_transition_matrix(cfg, pol, tables=tables),
-                reference_build_transition_matrix(cfg, pol, tables),
-            )
+            full = reference_build_transition_matrix(cfg, pol, tables)
+            q = build_transition_matrix(cfg, pol, tables=tables)
+            assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
 
 
 class TestSteadyState:
@@ -285,7 +324,7 @@ class TestKStep:
             pol = random_policy(small_cfg, rng, low=1)
             p = build_transition_matrix(small_cfg, pol, tables=small_tables)
             pi = steady_state(p)
-            v = reference_k_step_distribution(p, small_cfg.initial_position, 10_000)
+            v = reference_k_step_distribution(p, small_cfg.initial_position // 4, 10_000)
             assert 0.5 * np.abs(v - pi).sum() < 1e-8
 
     def test_time_average_matches_stationary_outage(self, small_cfg, small_tables):
@@ -294,8 +333,8 @@ class TestKStep:
         p = build_transition_matrix(small_cfg, pol, tables=small_tables)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
-        v = np.zeros(small_cfg.n_states)
-        v[small_cfg.initial_position] = 1.0
+        v = np.zeros(len(p))
+        v[small_cfg.initial_position // 4] = 1.0
         running = 0.0
         for _ in range(5000):
             v = v @ p
@@ -306,15 +345,18 @@ class TestKStep:
 class TestOutageProbability:
     def test_uniform_distribution(self):
         cfg = make_config(n=1000, d=16, a_max=5, a_out=3)
-        pi = np.full(100, 0.01)
+        pi = np.full(25, 0.04)
         assert outage_probability(pi, cfg) == pytest.approx(0.64, rel=1e-12)
 
     def test_empty_outage_set(self):
         with pytest.warns(UserWarning):
             cfg = make_config(a_max=2, a_out=2)
-        pi = np.full(16, 1 / 16)
+        pi = np.full(4, 1 / 4)
         assert outage_probability(pi, cfg) == 0.0
 
     def test_shape_check(self, small_cfg):
+        # the law is over the a_max**2 age positions, not the 4 * a_max**2 states
         with pytest.raises(ValueError):
-            outage_probability(np.ones(4) / 4, small_cfg)
+            outage_probability(np.ones(16) / 16, small_cfg)
+        with pytest.raises(ValueError):
+            outage_probability(np.ones(9) / 9, small_cfg)

@@ -38,6 +38,20 @@ from test_markov import PRESET_NAMES, reference_transition_prob
 ALL_KINDS = list(PenaltyKind)
 
 
+def reference_weight_grid(kind, cfg):
+    """Successor weight w[a1', a2'] of each penalty on a 1-based grid whose
+    row and column 0 are unused."""
+    ages = np.arange(cfg.a_max + 1)
+    g1, g2 = np.meshgrid(ages, ages, indexing="ij")
+    if kind is PenaltyKind.BINARY_OUTAGE:
+        return ((g1 > cfg.a_out) | (g2 > cfg.a_out)).astype(float)
+    if kind is PenaltyKind.MEAN_SUM_AOI:
+        return (g1 + g2).astype(float)
+    if kind is PenaltyKind.MEAN_PEAK_AOI:
+        return np.maximum(g1, g2).astype(float)
+    return np.exp(np.maximum(g1, g2))
+
+
 def reference_successor_cost(w, c1, c2, e1, e2):
     """Expected successor weight over the four reset/increment branches.
 
@@ -63,7 +77,7 @@ def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
     s = reference_index_to_state(from_index, cfg.a_max)
     e1 = t.eps_by_bit[s.x1][lam]
     e2 = t.eps_by_bit[s.x2][n - lam]
-    w = _age_weight_grid(kind, cfg)
+    w = reference_weight_grid(kind, cfg)
     c1, c2 = min(s.a1 + 1, cfg.a_max), min(s.a2 + 1, cfg.a_max)
     return float(pi[from_index - 1] * reference_successor_cost(w, c1, c2, e1, e2))
 
@@ -71,7 +85,7 @@ def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
 def reference_improve_policy(cfg, pi, kind, *, tables):
     """The sweep of the paper's recursion, as a per-state loop: each state's
     pi-weighted successor cost over every allocation, then its argmin."""
-    w = _age_weight_grid(kind, cfg)
+    w = reference_weight_grid(kind, cfg)
     e_dev2 = (tables.eps_by_bit[0][::-1], tables.eps_by_bit[1][::-1])  # allocation N - lam
     new = np.empty(cfg.n_states, dtype=np.int64)
     for i, s in enumerate(reference_enumerate_states(cfg.a_max)):
@@ -99,6 +113,12 @@ def penalty_oracle(cfg, lam, from_index, pi, kind):
     return pi[from_index - 1] * total
 
 
+def full_chain_law(nu, tables):
+    """Stationary law of the full chain from that of the age chain: the
+    fresh channel bits are independent of the ages."""
+    return np.kron(nu, tables.bit_weights)
+
+
 def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
     """The recursive optimizer as the paper states it: from a seeded random
     policy, alternate a stationary solve and a pi-weighted sweep until the
@@ -110,7 +130,7 @@ def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
     seen = {lam.tobytes()}
     best_policy, best_p_out = lam, math.inf
     for _ in range(max_iter):
-        lam = reference_improve_policy(cfg, pi, kind, tables=t)
+        lam = reference_improve_policy(cfg, full_chain_law(pi, t), kind, tables=t)
         pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
         p_out = outage_probability(pi, cfg)
         if p_out < best_p_out:
@@ -122,9 +142,9 @@ def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
 
 
 @pytest.fixture(scope="module")
-def small_pi(small_cfg):
+def small_pi(small_cfg, small_tables):
     pol = random_policy(small_cfg, np.random.default_rng(41))
-    return steady_state(build_transition_matrix(small_cfg, pol))
+    return full_chain_law(steady_state(build_transition_matrix(small_cfg, pol)), small_tables)
 
 
 class TestBenchmarkPolicies:
@@ -215,6 +235,21 @@ class TestPenalty:
             reference_penalty(small_cfg, 0, 17, small_pi, PenaltyKind.BINARY_OUTAGE)
 
 
+class TestAgeWeights:
+    @pytest.mark.parametrize("a_max, a_out", [(1, 1), (2, 1), (5, 3)])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_weights_are_the_grid_over_age_positions(self, a_max, a_out, kind):
+        with pytest.warns(UserWarning) if a_max == a_out else contextlib.nullcontext():
+            cfg = make_config(a_max=a_max, a_out=a_out)
+        weights = _age_weight_grid(kind, cfg)
+        assert weights.shape == (a_max * a_max,)
+        assert np.array_equal(weights, reference_weight_grid(kind, cfg)[1:, 1:].ravel())
+
+    def test_binary_weight_is_the_outage_set(self, cfg_b, tables_b):
+        weights = _age_weight_grid(PenaltyKind.BINARY_OUTAGE, cfg_b)
+        assert np.array_equal(weights, tables_b.outage.astype(float))
+
+
 class TestImprovePolicy:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_sweep_matches_exhaustive_minimum(self, small_cfg, small_pi, kind):
@@ -276,7 +311,8 @@ class TestSweepMatchesReferenceLoop:
     def test_presets_bit_exact(self, preset, kind):
         cfg = load_scenario(preset).system
         tables = TransitionTables(cfg)
-        solved = steady_state(build_transition_matrix(cfg, naive_policy(cfg), tables=tables))
+        nu = steady_state(build_transition_matrix(cfg, naive_policy(cfg), tables=tables))
+        solved = full_chain_law(nu, tables)
         random_pi = 1.0 - np.random.default_rng(29).random(cfg.n_states)  # in (0, 1]
         improved = improve_policy(cfg, kind, tables=tables)
         for pi in (np.ones(cfg.n_states), random_pi, solved):

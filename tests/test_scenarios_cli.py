@@ -156,6 +156,20 @@ class TestCliEvaluate:
             naive_out.read_text()
         )["analytic_p_out"]
 
+    def test_starved_device_is_undefined(self, tmp_path):
+        # allocation 0 everywhere: device 1 never transmits, so every age pair
+        # with its age below the cap is transient and the chain ends in outage
+        pol_path = tmp_path / "starve.json"
+        pol_path.write_text(json.dumps({"policy_lambda": [0] * 100}))
+        out = tmp_path / "eval.json"
+        assert run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
+                        "--policy-file", str(pol_path), "--out", str(out)]) == 0
+        doc = read_strict_json(out)
+        assert doc["burst"]["defined"] is False
+        assert doc["analytic_p_out"] == pytest.approx(1.0, abs=1e-12)
+        for key in ("mean_outage_duration", "mean_ioi", "duration_pmf", "truncation_residual"):
+            assert doc["burst"][key] is None
+
     def test_policy_file_out_of_range(self, tmp_path, capsys):
         pol_path = tmp_path / "bad.json"
         pol_path.write_text(json.dumps({"policy_lambda": [1500] * 100}))

@@ -91,31 +91,33 @@ class TestEncoding:
 
 
 class TestOutage:
+    # the mask runs over age positions, a state's position // 4
     def test_examples(self):
         assert reference_is_outage(ReferenceState(4, 1, 0, 0), 3) is True
         assert reference_is_outage(ReferenceState(3, 3, 1, 1), 3) is False  # threshold is strict
         assert reference_is_outage(ReferenceState(1, 1, 0, 0), 3) is False
         mask = outage_mask(5, 3)
-        assert mask[encode_states(4, 1, 0, 0, 5)]
-        assert not mask[encode_states(3, 3, 1, 1, 5)]
-        assert not mask[encode_states(1, 1, 0, 0, 5)]
+        assert mask[encode_states(4, 1, 0, 0, 5) // 4]
+        assert not mask[encode_states(3, 3, 1, 1, 5) // 4]
+        assert not mask[encode_states(1, 1, 0, 0, 5) // 4]
 
     def test_second_device_counts(self):
         assert reference_is_outage(ReferenceState(1, 4, 1, 0), 3) is True
-        assert outage_mask(5, 3)[encode_states(1, 4, 1, 0, 5)]
+        assert outage_mask(5, 3)[encode_states(1, 4, 1, 0, 5) // 4]
 
     @pytest.mark.parametrize("a_max", range(1, 7))
     def test_outage_set_size(self, a_max):
         for a_out in range(1, a_max + 1):
             mask = outage_mask(a_max, a_out)
-            assert mask.sum() == 4 * (a_max * a_max - a_out * a_out)
+            assert mask.shape == (a_max * a_max,)
+            assert mask.sum() == a_max * a_max - a_out * a_out
 
     @pytest.mark.parametrize("a_max", range(1, 7))
     def test_mask_matches_oracle(self, a_max):
         states = reference_enumerate_states(a_max)
         for a_out in range(1, a_max + 1):
             expected = [reference_is_outage(s, a_out) for s in states]
-            assert outage_mask(a_max, a_out).tolist() == expected
+            assert np.repeat(outage_mask(a_max, a_out), 4).tolist() == expected
 
 
 class TestEnumeration:
