@@ -1,8 +1,10 @@
 """Short-packet physical-layer math.
 
 dB conversion, Gaussian Q-function, channel dispersion, Shannon capacity,
-and the normal-approximation block error rate for an AWGN link carrying a
-fixed payload over a finite number of channel uses.
+and the normal-approximation block error rate (Polyanskiy, Poor & Verdu,
+IEEE Trans. IT 56(5), 2010) for an AWGN link carrying a fixed payload over
+a finite number of channel uses. Q(x) is the C library's `erfc` (libm,
+through `math.erfc`) applied elementwise, so the package needs numpy only.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
 
 _LN2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
+_ERFC = np.frompyfunc(math.erfc, 1, 1)
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -25,9 +27,10 @@ def db_to_linear(snr_db: float) -> float:
 def q_function(x):
     """Gaussian tail probability Q(x) = 0.5 * erfc(x / sqrt(2)).
 
-    Accepts scalars or arrays; scalars come back as plain floats.
+    Accepts scalars or arrays; scalars come back as plain floats, arrays as
+    float64 arrays of the same shape.
     """
-    arr = 0.5 * erfc(np.asarray(x, dtype=float) / _SQRT2)
+    arr = 0.5 * np.asarray(_ERFC(np.asarray(x, dtype=float) / _SQRT2), dtype=float)
     return float(arr) if arr.ndim == 0 else arr
 
 

@@ -3,18 +3,20 @@
 Each criterion prints one PASS line when it holds (run with -s to see them).
 
 Known red: AC-3's comparison of analytic outage rates against the published
-reference table. The published measurements are only consistent with an
-inclusive age threshold (outage at age >= a_out), while the outage set of
-this system is strictly above threshold; under the strict convention the
-benchmark rates sit 4x to 15x below the published numbers, far outside the
+reference table. The published rates of the two benchmark policies match
+an inclusive age threshold (outage at age >= a_out), while the outage set
+of this system is strictly above threshold; under the strict convention the
+benchmark rates sit 5x to 23x below the published numbers, far outside the
 30 percent tolerance. The test asserts the comparison as stated and its
-failure message carries the inclusive-threshold diagnostic, which does
-reproduce the published table to within a few percent. The criterion's
-second clause (simulator agrees with our own analytic values within three
-standard errors) passes and is tested separately.
+failure message carries the inclusive-threshold diagnostic, which puts
+both benchmark policies at 0.945x to 1.172x of the published rates
+(TestPublishedThreshold pins this within the same 30 percent). The
+criterion's second clause (simulator agrees with our own analytic values
+within three standard errors) passes and is tested separately.
 """
 
 import time
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -173,6 +175,24 @@ class TestAC3:
         )
         print(f"AC-3 PASS: {preset}/{policy_name} empirical mean within "
               f"{gap / se if se else 0.0:.2f} SE of analytic")
+
+
+class TestPublishedThreshold:
+    """What AC-3's red cells do and do not say. Scored with outage at age >=
+    3 (a_out = 2, one below the presets'), the two benchmark policies land
+    within AC-3's 30 percent of the published rates; neither depends on
+    a_out. The penalty and binary rows have no such account (README)."""
+
+    @pytest.mark.parametrize("preset,policy_name,published", AC3_BENCHMARKS)
+    def test_inclusive_threshold_matches_published(self, preset, policy_name, published):
+        _, cfg, _ = _scenario(preset)
+        assert cfg.a_out == 3
+        inclusive = replace(cfg, a_out=2)
+        tables = TransitionTables(inclusive)
+        pol = _benchmark_policy(inclusive, tables, policy_name)
+        p = build_transition_matrix(inclusive, pol, tables=tables)
+        ratio = outage_probability(steady_state(p), inclusive) / published
+        assert abs(ratio - 1.0) <= 0.30, f"{preset}/{policy_name}: {ratio:.3f} x published"
 
 
 class TestAC4:

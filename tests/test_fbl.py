@@ -58,6 +58,20 @@ class TestQFunction:
         assert q_function(1.96) == pytest.approx(0.024997895148220434, abs=1e-15)
         assert q_function(-3.0) == pytest.approx(0.9986501019683699, abs=1e-15)
 
+    def test_within_four_ulp_of_mpmath(self):
+        # Gated at the float64 argument u = x / sqrt(2) exactly as the program
+        # rounds it, so the gate measures erfc alone. Against Q exact in x, the
+        # rounding of u is amplified by about 2 u^2 in the tail: libm's and
+        # scipy's erfc both land ~1 400 ulp off at x = 37.
+        xs = np.linspace(-8.0, 37.0, 3001)
+        qs = q_function(xs)
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, q in zip(xs.tolist(), qs.tolist()):
+                exact = mpmath.erfc(mpmath.mpf(x / math.sqrt(2))) / 2
+                worst = max(worst, float(abs(q - exact)) / math.ulp(float(exact)))
+        assert worst <= 4.0, f"q_function is {worst:.1f} ulp from the oracle"
+
     def test_oracle_grid(self):
         xs = np.linspace(-8.0, 8.0, 201)
         qs = q_function(xs)

@@ -3,16 +3,33 @@
 import csv
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aoi_outage
 from aoi_outage import cli
 from aoi_outage.optimizer import PenaltyKind, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
+
+# A fresh interpreter in which every scipy import fails: it imports the
+# package this suite tests, runs one CLI command, and reports the exit code
+# and every scipy module that was loaded anyway.
+NO_SCIPY_EVALUATE = """
+import json, sys
+sys.modules["scipy"] = None
+sys.path.insert(0, sys.argv[1])
+import aoi_outage
+from aoi_outage import cli
+code = cli.main(["evaluate", "--config", "scenario_b", "--policy", "min-error", "--out", sys.argv[2]])
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"code": code, "scipy_modules": loaded}))
+"""
 
 
 def run_cli(argv):
@@ -342,3 +359,13 @@ class TestCliBasics:
     def test_usage_error_exits_one(self):
         assert run_cli([]) == 1
         assert run_cli(["no-such-command"]) == 1
+
+    def test_runs_without_scipy(self, tmp_path):
+        out = tmp_path / "eval.json"
+        package_parent = str(Path(aoi_outage.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_EVALUATE, package_parent, str(out)],
+                              capture_output=True, text=True, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result == {"code": 0, "scipy_modules": []}
+        assert read_strict_json(out)["analytic_p_out"] > 0.0
