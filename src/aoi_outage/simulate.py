@@ -60,9 +60,19 @@ def measure_bursts(outage_sequence):
 
 
 #: Periods of uniforms drawn per generator at a time. Per chunk the kernel
-#: holds DRAW_CHUNK x 4 doubles per distinct seed and, when rows share
-#: seeds, DRAW_CHUNK x 2 doubles and bit codes per row, whatever the horizon.
+#: holds DRAW_CHUNK x 4 doubles per distinct seed, and per row DRAW_CHUNK x 2
+#: failure doubles, bit codes and visited slots, whatever the horizon.
 DRAW_CHUNK = 64
+
+
+def _branch_table() -> np.ndarray:
+    """Branch 2 * fail1 + fail2 of each (fail1, fail2) flag pair, indexed by
+    the pair's two bool bytes read as one uint16. Built from that view, so
+    the table holds for either byte order."""
+    pairs = np.array([[False, False], [False, True], [True, False], [True, True]])
+    branch = np.zeros(258, dtype=np.intp)
+    branch[pairs.view(np.uint16).ravel()] = np.arange(4)
+    return branch
 
 
 def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, periods: int,
@@ -76,43 +86,53 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     The error rates and successors are tabled once per distinct policy. A
     row's state at position s is held as h = 4 * (group[r] * n_states + s),
     the first of its four branch slots 2 * fail1 + fail2, and every table is
-    indexed by h, so a step is single flat lookups. Each distinct seed's
-    generator is built once and drawn DRAW_CHUNK periods at a time; when rows
-    share seeds, each chunk's uniforms and bit codes are then copied to the
-    rows that consume them, contiguous per period.
+    indexed by h. The two devices' error rates form one (slots, 2) table and
+    each period's failure uniforms one contiguous (R, 2) block, so a step is
+    one packed compare into an (R, 2) bool buffer, whose uint16 view codes
+    the flag pair and picks the branch, then one successor lookup. Each
+    distinct seed's generator is built once and drawn DRAW_CHUNK periods at
+    a time; each chunk's failure uniforms and bit codes are then laid out
+    per period for the rows that consume them.
     """
     cfg = t.cfg
     n_states = cfg.n_states
     offset = 4 * n_states * np.arange(len(policies))
-    # error rates of the transition out of each (policy, state)
-    e1, e2 = (np.repeat(e.ravel(), 4) for e in t.error_rates(policies))
+    # error rates (e1, e2) of the transition out of each (policy, state)
+    rates = np.repeat(np.stack([e.ravel() for e in t.error_rates(policies)], axis=1), 4, axis=0)
     # slot of the successor with channel bits (0, 0)
     succ = (4 * t.succ + offset[:, None, None]).ravel()
     out = np.tile(np.repeat(t.outage, 16), len(policies))  # 4 states x 4 slots per age position
+    branch = _branch_table()
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
     visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.int64)
     outage = np.empty((len(group), periods), dtype=bool)
+    fail = np.empty((len(group), 2), dtype=bool)
+    code = fail.view(np.uint16).reshape(-1)
     base = offset[group]
     h = base + 4 * cfg.initial_position
     for start in range(0, periods, DRAW_CHUNK):
         m = min(DRAW_CHUNK, periods - start)
         for rng, buf in zip(rngs, draws):
             rng.random(out=buf[:m])
-        u = draws[:, :m].transpose(2, 1, 0)  # (column, period, seed)
+        u = draws[:, :m].transpose(1, 0, 2)  # (period, seed, column)
+        us = np.take(u[:, :, :2], stream, axis=1)  # (period, row, device)
         # fresh channel bits k = 2 * x1 + x2 move the successor's slot by 4 * k
-        fail, bits = u[:2], 8 * (u[2] < cfg.profile.alpha_1) + 4 * (u[3] < cfg.profile.alpha_2)
-        # rows that each own a seed read the buffer in place: for them the
-        # copy costs more per chunk than contiguous reads save per step
-        if len(rngs) < len(group):
-            fail, bits = np.take(fail, stream, axis=2), np.take(bits, stream, axis=1)
-        fail_u1, fail_u2 = fail
+        bits = np.take(8 * (u[:, :, 2] < cfg.profile.alpha_1) + 4 * (u[:, :, 3] < cfg.profile.alpha_2),
+                       stream, axis=1)
         for j in range(m):
-            h = succ[h + 2 * (fail_u1[j] < e1[h]) + (fail_u2[j] < e2[h])] + bits[j]
+            np.less(us[j], rates.take(h, axis=0), out=fail)
+            h = succ.take(h + branch.take(code)) + bits[j]
             visited[j] = h
         outage[:, start : start + m] = out[visited[:m]].T
     return outage, (h - base) // 4
+
+
+def _mean(lengths: list[int]) -> float:
+    """Mean of run lengths; nan for none. The integer sum is exact, so this
+    equals float(np.mean(lengths)) bit for bit."""
+    return sum(lengths) / len(lengths) if lengths else float("nan")
 
 
 def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
@@ -149,17 +169,16 @@ def simulate_many(
     t = tables if tables is not None else TransitionTables(cfg)
     outage, final = _lockstep(t, pols, group, periods, [seeds[i] for i in first], stream)
     results = []
-    for seq, seed, state in zip(outage, seeds, final):
+    for seq, count, seed, state in zip(outage, outage.sum(axis=1).tolist(), seeds, final):
         bursts, iois = measure_bursts(seq)
-        count = int(seq.sum())
         results.append(SimResult(
             periods=periods,
             outage_count=count,
             outage_rate=count / periods,
             burst_durations=bursts,
             ioi_durations=iois,
-            mean_burst=float(np.mean(bursts)) if bursts else float("nan"),
-            mean_ioi=float(np.mean(iois)) if iois else float("nan"),
+            mean_burst=_mean(bursts),
+            mean_ioi=_mean(iois),
             seed=seed,
             final_position=int(state),
             outage_sequence=seq,
@@ -255,8 +274,8 @@ def _summarize(results: list[SimResult], master_seed: int, analytic: BurstStats 
     for r in results:
         bursts.extend(r.burst_durations)
         iois.extend(r.ioi_durations)
-    mean_burst = float(np.mean(bursts)) if bursts else float("nan")
-    mean_ioi_v = float(np.mean(iois)) if iois else float("nan")
+    mean_burst = _mean(bursts)
+    mean_ioi_v = _mean(iois)
     summary = RepetitionSummary(
         reps=reps,
         periods=results[0].periods,
@@ -318,9 +337,9 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
             bursts, iois = measure_bursts(prefix)
             row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
             for name, measured, analytic in (
-                ("p_out", float(prefix.mean()), stats.p_out),
-                ("mean_burst", float(np.mean(bursts)) if bursts else float("nan"), stats.mean_outage_duration),
-                ("mean_ioi", float(np.mean(iois)) if iois else float("nan"), stats.mean_ioi),
+                ("p_out", int(np.count_nonzero(prefix)) / cp, stats.p_out),
+                ("mean_burst", _mean(bursts), stats.mean_outage_duration),
+                ("mean_ioi", _mean(iois), stats.mean_ioi),
             ):
                 row[f"measured_{name}"] = measured
                 row[f"analytic_{name}"] = analytic

@@ -330,6 +330,24 @@ class TestCliGrids:
         assert run_cli(["reproduce-table2", "--reps", "3", "--periods", "300", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "table2_reps3_periods300.csv").read_bytes()
 
+    def test_simulate_matches_golden_output(self, tmp_path):
+        # recorded from `simulate --config scenario_c --policy naive --reps 4
+        # --periods 2000` before the lockstep step packed both failure flags
+        # into one compare; every repetition has a complete burst and interval
+        # so the golden pins the simulated means. The analytic block and the
+        # normalized errors are left out: their last digits follow the BLAS
+        # kernel.
+        stem = "simulate_scenario_c_naive_reps4_periods2000"
+        report, table = tmp_path / "sim.json", tmp_path / "sim.csv"
+        assert run_cli(["simulate", "--config", "scenario_c", "--policy", "naive", "--reps", "4",
+                        "--periods", "2000", "--out", str(report), "--csv", str(table)]) == 0
+        assert table.read_bytes() == (DATA / f"{stem}.csv").read_bytes()
+        with open(table, newline="") as fh:
+            assert all(int(r["n_bursts"]) > 0 and int(r["n_iois"]) > 0 for r in csv.DictReader(fh))
+        golden = json.loads((DATA / f"{stem}.json").read_text())
+        document = json.loads(report.read_text())
+        assert repr({key: document[key] for key in golden}) == repr(golden)
+
     def test_reproduce_table2_rejects_zero_seeds(self, tmp_path, capsys):
         out = tmp_path / "table2.csv"
         code = run_cli(["reproduce-table2", "--seeds", "0", "--reps", "1",

@@ -5,11 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
-from aoi_outage.markov import validate_policy
+from aoi_outage.markov import TransitionTables, validate_policy
 from aoi_outage.optimizer import naive_policy
 from aoi_outage.simulate import (
     CHECKPOINTS,
@@ -109,6 +109,28 @@ class TestSimulate:
             simulate(small_cfg, naive_policy(small_cfg), 0, seed=1)
 
 
+def extreme_policies(cfg):
+    """The starved policy (all 0: device 1 always fails) and the saturated
+    one (all N: device 2 always fails)."""
+    n = cfg.link.blocklength_total
+    return [np.zeros(cfg.n_states, dtype=int), np.full(cfg.n_states, n)]
+
+
+class TestPackedBranch:
+    @pytest.mark.parametrize("fail1, fail2", itertools.product([False, True], repeat=2))
+    def test_flag_pair_maps_to_branch(self, fail1, fail2):
+        # the kernel reads a contiguous (rows, 2) bool buffer through its uint16 view
+        fail = np.array([[False, False], [fail1, fail2], [True, True]])
+        code = fail.view(np.uint16).reshape(-1)
+        assert simulate_module._branch_table()[code].tolist() == [0, 2 * fail1 + fail2, 3]
+
+    def test_extreme_policies_hit_certain_failure(self, mid_cfg):
+        starved, saturated = extreme_policies(mid_cfg)
+        t = TransitionTables(mid_cfg)
+        assert (t.error_rates(starved)[0] == 1.0).all()
+        assert (t.error_rates(saturated)[1] == 1.0).all()
+
+
 class TestSimulateMany:
     @pytest.mark.parametrize(
         "periods", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
@@ -116,6 +138,8 @@ class TestSimulateMany:
     def test_rows_match_reference_implementation(self, mid_cfg, periods):
         rng = np.random.default_rng(21)
         policies = [random_policy(mid_cfg, rng) for _ in range(3)] + [naive_policy(mid_cfg)]
+        # error rates of 1.0 and the smallest rates, each device in turn
+        policies += extreme_policies(mid_cfg)
         seeds = [derive_seed(5, r) for r in range(len(policies))]
         results = simulate_many(mid_cfg, policies, periods, seeds)
         assert len(results) == len(policies)
@@ -134,13 +158,15 @@ class TestSimulateMany:
         # the last row repeats a (policy, seed) pair outright
         rng = np.random.default_rng(33)
         distinct = [random_policy(mid_cfg, rng) for _ in range(2)] + [naive_policy(mid_cfg)]
+        distinct += extreme_policies(mid_cfg)
         seeds = [derive_seed(8, r) for r in range(4)]
         pairs = [(pol, seed) for pol in distinct for seed in seeds] + [(distinct[1], seeds[2])]
         if layout == "shuffled":
             pairs = [pairs[i] for i in rng.permutation(len(pairs))]
         elif layout == "one-repeat":
             # a single row shares its seed; every other row has its own
-            pairs = [(distinct[r % 3], seed) for r, seed in enumerate(seeds)] + [(distinct[0], seeds[1])]
+            pairs = [(distinct[r % len(distinct)], seed) for r, seed in enumerate(seeds)]
+            pairs += [(distinct[0], seeds[1])]
         # fresh copies, so rows share policies by value and not by identity
         policies = [pol.copy() for pol, _ in pairs]
         results = simulate_many(mid_cfg, policies, periods, [seed for _, seed in pairs])
@@ -203,6 +229,75 @@ class TestMeasureBursts:
         bursts, iois = measure_bursts(container(seq))
         assert (bursts, iois) == groupby_bursts(seq)
         assert all(type(n) is int for n in bursts + iois)
+
+
+def numpy_mean(lengths):
+    """The spelling the simulator's means must match bit for bit."""
+    return float(np.mean(lengths)) if lengths else float("nan")
+
+
+def fixed_lockstep(outage):
+    """A stand-in for the lockstep kernel that returns the given outage rows,
+    so the post-processing sees arbitrary sequences."""
+    def lockstep(t, policies, group, periods, seeds, stream):
+        assert outage.shape == (len(group), periods)
+        return outage.copy(), np.zeros(len(group), dtype=np.int64)
+    return lockstep
+
+
+@st.composite
+def rep_groups(draw):
+    """(n_policies, reps, outage rows): n_policies x reps equal-length
+    boolean sequences, policy-major as run_repetitions_many lays them out."""
+    n_policies, reps = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    periods = draw(st.integers(1, 150))
+    row = st.lists(st.booleans(), min_size=periods, max_size=periods)
+    rows = draw(st.lists(row, min_size=n_policies * reps, max_size=n_policies * reps))
+    return n_policies, reps, np.array(rows, dtype=bool)
+
+
+class TestMeans:
+    @settings(max_examples=60, deadline=None)
+    @given(rep_groups())
+    def test_result_and_pooled_means_match_numpy(self, small_cfg, groups):
+        n_policies, reps, outage = groups
+        periods = outage.shape[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate_module, "_lockstep", fixed_lockstep(outage))
+            summaries = run_repetitions_many(
+                small_cfg, [naive_policy(small_cfg)] * n_policies, reps, periods, master_seed=0
+            )
+        for i, summary in enumerate(summaries):
+            pooled_bursts, pooled_iois = [], []
+            for result, seq in zip(summary.results, outage[i * reps : (i + 1) * reps]):
+                bursts, iois = groupby_bursts(seq.tolist())
+                pooled_bursts += bursts
+                pooled_iois += iois
+                assert np.array_equal(result.outage_sequence, seq)
+                assert type(result.outage_count) is int and result.outage_count == int(seq.sum())
+                assert repr(result.outage_rate) == repr(float(seq.mean()))
+                assert repr(result.mean_burst) == repr(numpy_mean(bursts))
+                assert repr(result.mean_ioi) == repr(numpy_mean(iois))
+            assert repr(summary.mean_burst) == repr(numpy_mean(pooled_bursts))
+            assert repr(summary.mean_ioi) == repr(numpy_mean(pooled_iois))
+
+    # sticky sequences: a run ends with probability `switch`, so runs reach
+    # thousands of periods and their sums stay far from exact-integer limits
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.floats(1e-3, 1.0))
+    def test_convergence_measures_match_numpy(self, cfg_b, seed, switch):
+        rng = np.random.default_rng(seed)
+        flips = rng.random((2, max(CHECKPOINTS))) < switch
+        outage = np.cumsum(flips, axis=1) % 2 == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate_module, "_lockstep", fixed_lockstep(outage))
+            rows = burst_convergence(cfg_b, 2, 11)
+        for row in rows:
+            prefix = outage[row["policy_id"], : row["checkpoint"]]
+            bursts, iois = measure_bursts(prefix)
+            assert repr(row["measured_p_out"]) == repr(float(prefix.mean()))
+            assert repr(row["measured_mean_burst"]) == repr(numpy_mean(bursts))
+            assert repr(row["measured_mean_ioi"]) == repr(numpy_mean(iois))
 
 
 class TestBurstConvergence:
