@@ -11,7 +11,7 @@ import sys
 from aoi_outage import (
     PenaltyKind,
     TransitionTables,
-    burst_stats,
+    burst_stats_many,
     load_scenario,
     min_error_policy,
     naive_policy,
@@ -32,10 +32,9 @@ def main() -> int:
         for kind in PenaltyKind:
             report = optimize(cfg, kind, 0, tables=tables)
             print(f"{preset:<12}{kind.value:<16}{report.best_p_out:>14.6e}")
-        for name, policy in (("naive", naive_policy(cfg)),
-                             ("min-error", min_error_policy(cfg, tables=tables))):
-            p_out = burst_stats(cfg, policy, tables=tables).p_out
-            print(f"{preset:<12}{name:<16}{p_out:>14.6e}")
+        benchmarks = {"naive": naive_policy(cfg), "min-error": min_error_policy(cfg, tables=tables)}
+        for name, stats in zip(benchmarks, burst_stats_many(cfg, list(benchmarks.values()), tables=tables)):
+            print(f"{preset:<12}{name:<16}{stats.p_out:>14.6e}")
     return 0
 
 

@@ -9,7 +9,13 @@ bursts, and cross-validates everything with a seeded simulator.
 
 __version__ = "0.1.0"
 
-from .burstiness import BurstStats, burst_stats, chain_burst_stats
+from .burstiness import (
+    BurstStats,
+    burst_stats,
+    burst_stats_many,
+    chain_burst_stats,
+    chain_burst_stats_many,
+)
 from .fbl import (
     ChannelProfile,
     LinkParams,
@@ -22,9 +28,11 @@ from .fbl import (
 from .markov import (
     SteadyStateError,
     TransitionTables,
+    build_transition_matrices,
     build_transition_matrix,
     outage_probability,
     steady_state,
+    steady_states,
     validate_policy,
 )
 from .optimizer import (

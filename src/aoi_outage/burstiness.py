@@ -1,17 +1,22 @@
 """Run-length statistics of stationary outage excursions.
 
-One analysis, chain_burst_stats, serves every burstiness quantity of a
-chain from its stationary distribution pi and the burst-start flow u, the
-one-step flow from the complement into the outage set (its mass xi1 is the
-rate at which bursts start). A masked walk u <- (u * out) @ p follows the
-mass of a burst while it stays in outage; what leaves the set at step t is
-the burst-length pmf at t. The mean burst length is exact: u times the
-expected outage visits before escape, (I - P_OO)^-1 1, from the
-absorbing-chain fundamental matrix (Kemeny & Snell, Finite Markov Chains),
-over xi1. Only the pmf is truncated. The mean interval between bursts is
-(1 - p_out) / xi1, and the product identity p_out = xi1 * mean length
-cross-checks the stationary outage rate to solver precision. burst_stats
-runs the same analysis on the age chain a policy induces.
+One analysis, chain_burst_stats_many, serves every burstiness quantity of a
+stack of chains from each chain's stationary distribution pi and burst-start
+flow u, the one-step flow from the complement into the outage set (its mass
+xi1 is the rate at which bursts start). A masked walk, u <- u @ P with the
+rows of P outside the outage set zeroed, follows the mass of a burst while
+it stays in outage; what leaves the set at step t is the burst-length pmf
+at t. The walk advances every live
+chain WALK_BLOCK steps at a time and tests the stop rule once per block. The
+mean burst length is exact: u times the expected outage visits before
+escape, (I - P_OO)^-1 1, from the absorbing-chain fundamental matrix (Kemeny
+& Snell, Finite Markov Chains), over xi1, with all the chains' systems in one
+stacked solve. Only the pmf is truncated. The mean interval between bursts
+is (1 - p_out) / xi1, and the product identity p_out = xi1 * mean length
+cross-checks the stationary outage rate to solver precision. burst_stats_many
+runs the same analysis on the age chains a batch of policies induces. Every
+record is the same, bit for bit, whatever else is in its batch, and
+chain_burst_stats and burst_stats are the batches of one.
 """
 
 from __future__ import annotations
@@ -20,12 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrix, steady_state
+from .markov import TransitionTables, build_transition_matrices, steady_states
 from .states import SystemConfig
 
 SERIES_TOLERANCE = 1e-12
 SERIES_CAP = 10_000
 IDENTITY_TOL = 1e-9
+
+#: Steps the pmf walk takes between stop tests. Per block it stores
+#: WALK_BLOCK rows of every live chain, whatever the walk's length.
+WALK_BLOCK = 32
 
 #: Burst length counts the outage periods of an excursion, not the
 #: recovery period that ends it.
@@ -50,82 +59,136 @@ class BurstStats:
     defined: bool = True
 
 
-def _duration_walk(u, p, out, xi1: float) -> np.ndarray:
-    """Burst-length pmf from the masked walk u <- (u * out) @ p started at
-    the entry flow u: pmf[t - 1] is the mass escaping at step t over xi1.
-    The walk stops one step after the mass still in outage falls below
-    SERIES_TOLERANCE of xi1, or at SERIES_CAP steps."""
-    res = ~out
-    pmf = []
-    last = False
-    while not last:
-        last = float(u[out].sum()) / xi1 < SERIES_TOLERANCE or len(pmf) + 1 >= SERIES_CAP
-        u = (u * out) @ p
-        pmf.append(u[res].sum() / xi1)
-    return np.array(pmf)
-
-
-def _exact_mean(u, p, out, xi1: float) -> float:
-    """Mean burst length: the entry flow times the expected outage visits
-    before escape, (I - P_OO)^-1 1, over xi1."""
-    p_oo = p[np.ix_(out, out)]
+def _exact_means(u, ps, out, xi1) -> np.ndarray:
+    """Mean burst length of each chain of the stack ps: its entry flow u
+    times the expected outage visits before escape, (I - P_OO)^-1 1, over
+    xi1. All the (I - P_OO) systems go in one stacked solve."""
+    p_oo = ps.compress(out, axis=1).compress(out, axis=2)
+    n_out = p_oo.shape[1]
     try:
-        visits = np.linalg.solve(np.eye(len(p_oo)) - p_oo, np.ones(len(p_oo)))
+        visits = np.linalg.solve(np.eye(n_out) - p_oo, np.ones((len(ps), n_out, 1)))
     except np.linalg.LinAlgError:
         raise RuntimeError("outage set has no exit; mean duration diverges") from None
-    return float(u[out] @ visits) / xi1
+    return (u.compress(out, axis=1)[:, None, :] @ visits)[:, 0, 0] / xi1
+
+
+def _duration_pmfs(u, ps, out, xi1) -> list[np.ndarray]:
+    """Burst-length pmf of each chain of the stack ps from the masked walk
+    u <- u @ (P * out[:, None]) started at its entry flow u: pmf[t - 1] is
+    the mass escaping at step t over xi1. A chain's walk stops one step
+    after the mass still in outage falls below SERIES_TOLERANCE of xi1, or
+    at SERIES_CAP steps.
+
+    The live chains advance WALK_BLOCK steps at a time, one stacked matmul
+    and one row store per step; the stop test and the escaped masses are
+    read off the stored rows after each block, and the chains that stopped
+    leave the stack.
+    """
+    walk = ps * out[:, None]
+    u = u[:, None, :]
+    inside = u[:, 0].compress(out, axis=1).sum(axis=1)  # mass in outage before the next step
+    live = np.arange(len(ps))
+    pieces: list[list[np.ndarray]] = [[] for _ in live]
+    pmfs: list = [None] * len(live)
+    rows = np.empty((len(live), WALK_BLOCK, len(out)))
+    done = 0
+    while live.size:
+        m = min(WALK_BLOCK, SERIES_CAP - done)
+        block = rows[: len(live), :m]
+        for j in range(m):
+            u = u @ walk
+            block[:, j] = u[:, 0]
+        before = np.concatenate((inside[:, None], block.compress(out, axis=2).sum(axis=2)), axis=1)
+        stop = before[:, :m] / xi1[:, None] < SERIES_TOLERANCE
+        stop[:, -1] |= done + m == SERIES_CAP
+        escaped = block.compress(~out, axis=2).sum(axis=2) / xi1[:, None]
+        ended = stop.any(axis=1)
+        for c, piece, end, last in zip(live, escaped, ended, stop.argmax(axis=1)):
+            pieces[c].append(piece)
+            if end:
+                pmfs[c] = np.concatenate(pieces[c])[: done + last + 1]
+        done += m
+        keep = ~ended
+        live, u, walk, xi1, inside = live[keep], u[keep], walk[keep], xi1[keep], before[keep, m]
+    return pmfs
+
+
+def _undefined(p_out: float, xi1: float) -> BurstStats:
+    """Record of a chain into whose outage set no stationary flow enters."""
+    return BurstStats(
+        p_out=p_out,
+        xi_res_out_1=xi1,
+        mean_outage_duration=None,
+        mean_ioi=None,
+        duration_pmf=None,
+        truncation_t=0,
+        truncation_residual=None,
+        defined=False,
+    )
+
+
+def chain_burst_stats_many(ps, out) -> list[BurstStats]:
+    """Full analytic burstiness record of each chain of the (B, n, n)
+    stack ps, with the boolean outage mask out shared by all.
+
+    Recomputes each outage rate two ways (stationary mass, and entry flow
+    times mean duration) and raises for the first chain where the two
+    disagree beyond IDENTITY_TOL. A chain into whose outage set no
+    stationary flow enters (it is empty, or holds all the stationary mass)
+    gets an undefined record. Each record is the same whatever the stack.
+    """
+    ps = np.asarray(ps, dtype=float)
+    out = np.asarray(out, dtype=bool)
+    pi = steady_states(ps)
+    p_outs = pi.compress(out, axis=1).sum(axis=1)
+    u = ((pi * ~out)[:, None, :] @ ps)[:, 0]
+    xi1s = u.compress(out, axis=1).sum(axis=1)
+    defined = np.flatnonzero(xi1s > 0.0)
+    records = [_undefined(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
+    if defined.size == 0:
+        return records
+    means = _exact_means(u[defined], ps[defined], out, xi1s[defined])
+    pmfs = _duration_pmfs(u[defined], ps[defined], out, xi1s[defined])
+    for c, mean_dur, pmf in zip(defined, means.tolist(), pmfs):
+        p_out, xi1 = records[c].p_out, records[c].xi_res_out_1
+        identity_gap = abs(p_out - xi1 * mean_dur)
+        if identity_gap >= IDENTITY_TOL:
+            raise RuntimeError(
+                f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
+                f"= {identity_gap:.3e}"
+            )
+        records[c] = BurstStats(
+            p_out=p_out,
+            xi_res_out_1=xi1,
+            mean_outage_duration=mean_dur,
+            mean_ioi=(1.0 - p_out) / xi1,
+            duration_pmf=pmf,
+            truncation_t=len(pmf),
+            truncation_residual=max(0.0, 1.0 - float(pmf.sum())),
+        )
+    return records
 
 
 def chain_burst_stats(p, out) -> BurstStats:
     """Full analytic burstiness record of the chain p with the boolean
-    outage mask out.
+    outage mask out: the stack of one of chain_burst_stats_many."""
+    return chain_burst_stats_many(np.asarray(p, dtype=float)[None], out)[0]
 
-    Recomputes the outage rate two ways (stationary mass, and entry flow
-    times mean duration) and raises if the two disagree beyond
-    IDENTITY_TOL. When no stationary flow enters the outage set (it is
-    empty, or holds all the stationary mass) the record is undefined.
-    """
-    p = np.asarray(p, dtype=float)
-    out = np.asarray(out, dtype=bool)
-    pi = steady_state(p)
-    p_out = float(pi[out].sum())
-    u = (pi * ~out) @ p
-    xi1 = float(u[out].sum())
-    if xi1 <= 0.0:
-        return BurstStats(
-            p_out=p_out,
-            xi_res_out_1=xi1,
-            mean_outage_duration=None,
-            mean_ioi=None,
-            duration_pmf=None,
-            truncation_t=0,
-            truncation_residual=None,
-            defined=False,
-        )
-    mean_dur = _exact_mean(u, p, out, xi1)
-    pmf = _duration_walk(u, p, out, xi1)
-    residual = max(0.0, 1.0 - float(pmf.sum()))
-    identity_gap = abs(p_out - xi1 * mean_dur)
-    if identity_gap >= IDENTITY_TOL:
-        raise RuntimeError(
-            f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
-            f"= {identity_gap:.3e}"
-        )
-    return BurstStats(
-        p_out=p_out,
-        xi_res_out_1=xi1,
-        mean_outage_duration=mean_dur,
-        mean_ioi=(1.0 - p_out) / xi1,
-        duration_pmf=pmf,
-        truncation_t=len(pmf),
-        truncation_residual=residual,
-    )
+
+def burst_stats_many(
+    cfg: SystemConfig, policies, *, tables: TransitionTables | None = None
+) -> list[BurstStats]:
+    """Burstiness record of each policy: chain_burst_stats_many of the
+    stack of age chains they induce, with the config's outage set. No
+    policies give no records."""
+    if len(policies) == 0:
+        return []
+    t = tables if tables is not None else TransitionTables(cfg)
+    return chain_burst_stats_many(build_transition_matrices(cfg, policies, tables=t), t.outage)
 
 
 def burst_stats(
     cfg: SystemConfig, policy, *, tables: TransitionTables | None = None
 ) -> BurstStats:
-    """Burstiness record for one policy: chain_burst_stats of the age chain
-    it induces, with the config's outage set."""
-    t = tables if tables is not None else TransitionTables(cfg)
-    return chain_burst_stats(build_transition_matrix(cfg, policy, tables=t), t.outage)
+    """Burstiness record for one policy: burst_stats_many of one."""
+    return burst_stats_many(cfg, [policy], tables=tables)[0]

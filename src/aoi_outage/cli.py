@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats
+from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats, burst_stats_many
 from .markov import TransitionTables, validate_policy
 from .optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
@@ -200,7 +200,7 @@ def _table2_solve(preset: str) -> tuple:
             policies.append(min_error_policy(cfg, tables=tables))
         else:
             policies.append(optimize(cfg, PenaltyKind(policy_name), 0, tables=tables).final_policy)
-    return scenario, tables, policies, [burst_stats(cfg, p, tables=tables) for p in policies]
+    return scenario, tables, policies, burst_stats_many(cfg, policies, tables=tables)
 
 
 def _table2_rows(args, scenario: Scenario, tables: TransitionTables, policies, stats) -> list[dict]:

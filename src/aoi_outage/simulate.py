@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .burstiness import BurstStats, burst_stats
+from .burstiness import BurstStats, burst_stats_many
 from .markov import TransitionTables, validate_policy
 from .states import SystemConfig
 
@@ -313,31 +313,38 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     Policy pid draws its allocations from default_rng(derive_seed(master_seed,
     pid, 0)) and is simulated once for max(CHECKPOINTS) periods with seed
     derive_seed(master_seed, pid, 1); every checkpoint measures that run's
-    prefix. All policies are simulated together. Returns one row per
-    (policy, checkpoint) with the measured and analytic outage rate, mean
-    burst length and mean interval between bursts, and their relative
-    errors. Raises RuntimeError when a policy has no reachable outage.
+    prefix, and the last is the measurement simulate_many made of the whole
+    run. All policies are analysed in one burst_stats_many batch and
+    simulated together. Returns one row per (policy, checkpoint) with the
+    measured and analytic outage rate, mean burst length and mean interval
+    between bursts, and their relative errors. Raises RuntimeError for the
+    first policy with no reachable outage.
     """
     t = TransitionTables(cfg)
-    policies, all_stats = [], []
-    for pid in range(n_policies):
-        policy_rng = np.random.default_rng(derive_seed(master_seed, pid, 0))
-        policy = policy_rng.integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
-        stats = burst_stats(cfg, policy, tables=t)
+    policies = [
+        np.random.default_rng(derive_seed(master_seed, pid, 0)).integers(
+            0, cfg.link.blocklength_total + 1, size=cfg.n_states
+        )
+        for pid in range(n_policies)
+    ]
+    all_stats = burst_stats_many(cfg, policies, tables=t)
+    for pid, stats in enumerate(all_stats):
         if not stats.defined:
             raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
-        policies.append(policy)
-        all_stats.append(stats)
     sim_seeds = [derive_seed(master_seed, pid, 1) for pid in range(n_policies)]
     results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds, tables=t)
     rows = []
     for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
         for cp in CHECKPOINTS:
-            prefix = result.outage_sequence[:cp]
-            bursts, iois = measure_bursts(prefix)
+            if cp == result.periods:  # simulate_many measured the whole run
+                count, bursts, iois = result.outage_count, result.burst_durations, result.ioi_durations
+            else:
+                prefix = result.outage_sequence[:cp]
+                count = int(np.count_nonzero(prefix))
+                bursts, iois = measure_bursts(prefix)
             row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
             for name, measured, analytic in (
-                ("p_out", int(np.count_nonzero(prefix)) / cp, stats.p_out),
+                ("p_out", count / cp, stats.p_out),
                 ("mean_burst", _mean(bursts), stats.mean_outage_duration),
                 ("mean_ioi", _mean(iois), stats.mean_ioi),
             ):

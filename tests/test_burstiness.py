@@ -10,16 +10,21 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aoi_outage.burstiness import (
     IDENTITY_TOL,
     SERIES_CAP,
     SERIES_TOLERANCE,
-    _exact_mean,
+    WALK_BLOCK,
+    _exact_means,
     burst_stats,
+    burst_stats_many,
     chain_burst_stats,
+    chain_burst_stats_many,
 )
-from aoi_outage.markov import TransitionTables, build_transition_matrix, steady_state
+from aoi_outage.markov import SteadyStateError, TransitionTables, build_transition_matrix, steady_state
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import outage_mask
@@ -109,6 +114,44 @@ def res_to_res_mass(pi, xi, mask):
     """Stationary-weighted mass of the masked walks in xi that leave the
     complement of the outage set and return to it."""
     return float(pi[~mask] @ xi[np.ix_(~mask, ~mask)].sum(axis=1))
+
+
+def assert_matches_oracles(stats, p, out):
+    """The record of the chain p against the reference walk and series."""
+    pi = steady_state(p)
+    mean, stop_t = reference_duration_series(pi, p, out)
+    xi1 = float(((pi * ~out) @ p)[out].sum())
+    assert stats.p_out == float(pi[out].sum())
+    assert stats.mean_ioi == (1.0 - stats.p_out) / xi1
+    assert stats.truncation_t == stop_t
+    assert np.array_equal(stats.duration_pmf, reference_duration_pmf(pi, p, out, stop_t))
+    assert stats.mean_outage_duration == pytest.approx(mean, rel=1e-12)
+
+
+def record_bits(stats):
+    """Every field of a record, the pmf as its bytes, for exact comparison."""
+    pmf = None if stats.duration_pmf is None else stats.duration_pmf.tobytes()
+    return (stats.p_out, stats.xi_res_out_1, stats.mean_outage_duration, stats.mean_ioi, pmf,
+            stats.truncation_t, stats.truncation_residual, stats.defined)
+
+
+def cap_policy():
+    """Random policy 56 of perfbench's analytic workload at seed 4 on
+    scenario_a (its generator first draws 10 optimizer seeds): the
+    burst-length pmf decays too slowly for the tolerance, so the walk stops
+    at SERIES_CAP."""
+    cfg = load_scenario("scenario_a").system
+    rng = np.random.default_rng(4)
+    rng.integers(0, 2**32, size=10)
+    return rng.integers(0, cfg.link.blocklength_total + 1, size=(57, cfg.n_states))[56]
+
+
+def stop_at(t):
+    """Res <-> out chain whose walk stops at step t: the mass still in
+    outage after k steps is xi1 * (1 - s)**k, and s puts the tolerance
+    crossing half a step past k = t - 2."""
+    stay = SERIES_TOLERANCE ** (1.0 / (t - 1.5))
+    return np.array([[0.7, 0.3], [1.0 - stay, stay]])
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +321,7 @@ class TestMeanDuration:
         assert not stats.defined and stats.p_out == 1.0
         u = (np.array([0.5, 0.5]) * ~mask) @ p
         with pytest.raises(RuntimeError, match="no exit"):
-            _exact_mean(u, p, mask, float(u[mask].sum()))
+            _exact_means(u[None], p[None], mask, np.array([u[mask].sum()]))
 
 
 class TestMatchesReferenceSeries:
@@ -294,29 +337,14 @@ class TestMatchesReferenceSeries:
             self.check(cfg, pol, tables)
 
     def test_walk_stopped_by_cap(self):
-        # random policy 56 of perfbench's analytic workload at seed 4 (its
-        # generator first draws 10 optimizer seeds): the burst-length pmf
-        # decays too slowly for the tolerance, so the walk stops at SERIES_CAP
         cfg = load_scenario("scenario_a").system
-        rng = np.random.default_rng(4)
-        rng.integers(0, 2**32, size=10)
-        pol = rng.integers(0, cfg.link.blocklength_total + 1, size=(57, cfg.n_states))[56]
-        stats = self.check(cfg, pol, TransitionTables(cfg))
+        stats = self.check(cfg, cap_policy(), TransitionTables(cfg))
         assert stats.truncation_t == SERIES_CAP
 
     @staticmethod
     def check(cfg, pol, tables):
         stats = burst_stats(cfg, pol, tables=tables)
-        p = build_transition_matrix(cfg, pol, tables=tables)
-        pi = steady_state(p)
-        out = outage_mask(cfg.a_max, cfg.a_out)
-        mean, stop_t = reference_duration_series(pi, p, out)
-        xi1 = float(((pi * ~out) @ p)[out].sum())
-        assert stats.p_out == float(pi[out].sum())
-        assert stats.mean_ioi == (1.0 - stats.p_out) / xi1
-        assert stats.truncation_t == stop_t
-        assert np.array_equal(stats.duration_pmf, reference_duration_pmf(pi, p, out, stop_t))
-        assert stats.mean_outage_duration == pytest.approx(mean, rel=1e-12)
+        assert_matches_oracles(stats, build_transition_matrix(cfg, pol, tables=tables), tables.outage)
         return stats
 
 
@@ -362,3 +390,85 @@ class TestBurstStats:
         assert stats.mean_outage_duration is None
         assert stats.mean_ioi is None
         assert stats.duration_pmf is None
+
+
+@pytest.fixture(scope="module", params=["scenario_a", "scenario_b", "scenario_c"])
+def preset_batch(request):
+    """A preset's named policies and 30 random ones, and their batch records."""
+    cfg = load_scenario(request.param).system
+    tables = TransitionTables(cfg)
+    policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
+    policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+    rng = np.random.default_rng(31)
+    policies += [random_policy(cfg, rng) for _ in range(30)]
+    return cfg, tables, policies, burst_stats_many(cfg, policies, tables=tables)
+
+
+class TestBurstStatsMany:
+    def test_rows_match_single_runs_and_oracles(self, preset_batch):
+        cfg, tables, policies, many = preset_batch
+        assert len(many) == len(policies)
+        for pol, stats in zip(policies, many):
+            assert record_bits(stats) == record_bits(burst_stats(cfg, pol, tables=tables))
+            assert_matches_oracles(stats, build_transition_matrix(cfg, pol, tables=tables), tables.outage)
+
+    def test_permuted_batch_permutes_records(self, preset_batch):
+        cfg, tables, policies, many = preset_batch
+        order = np.random.default_rng(7).permutation(len(policies))
+        permuted = burst_stats_many(cfg, [policies[i] for i in order], tables=tables)
+        assert [record_bits(s) for s in permuted] == [record_bits(many[i]) for i in order]
+
+    def test_mixed_batch(self):
+        # an undefined chain (device 1 never succeeds, so the outage set is
+        # closed), the SERIES_CAP chain and short chains in one stack
+        cfg = load_scenario("scenario_a").system
+        tables = TransitionTables(cfg)
+        policies = [naive_policy(cfg), np.zeros(cfg.n_states, dtype=int), cap_policy(),
+                    min_error_policy(cfg, tables=tables), np.zeros(cfg.n_states, dtype=int)]
+        many = burst_stats_many(cfg, policies, tables=tables)
+        assert [s.defined for s in many] == [True, False, True, True, False]
+        assert many[2].truncation_t == SERIES_CAP
+        assert max(many[0].truncation_t, many[3].truncation_t) < WALK_BLOCK
+        for pol, stats in zip(policies, many):
+            assert record_bits(stats) == record_bits(burst_stats(cfg, pol, tables=tables))
+
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]])
+    def test_stops_at_block_edges(self, order):
+        steps = [WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1, 2 * WALK_BLOCK, 2 * WALK_BLOCK + 1]
+        chains = [stop_at(steps[i]) for i in order]
+        out = np.array([False, True])
+        many = chain_burst_stats_many(np.stack(chains), out)
+        for i, p, stats in zip(order, chains, many):
+            assert stats.truncation_t == steps[i]
+            assert record_bits(stats) == record_bits(chain_burst_stats(p, out))
+            assert_matches_oracles(stats, p, out)
+
+    def test_errors_keep_type_and_message(self):
+        good = np.array([[0.7, 0.3], [0.5, 0.5]])
+        out = np.array([False, True])
+        with pytest.raises(SteadyStateError, match="singular"):
+            chain_burst_stats_many(np.stack([good, np.eye(2)]), out)
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            chain_burst_stats_many(np.stack([good, [[0.5, 0.4], [0.1, 0.9]]]), out)
+        with pytest.raises(ValueError, match=r"need a \(B, n, n\) stack"):
+            chain_burst_stats_many(good, out)
+        # a closed outage set fed a flow anyway, after a chain with an exit
+        closed = np.array([[0.5, 0.5], [0.0, 1.0]])
+        u = np.array([[0.0, 0.3], [0.0, 0.25]])
+        with pytest.raises(RuntimeError, match="no exit"):
+            _exact_means(u, np.stack([good, closed]), out, u[:, 1])
+
+
+@settings(deadline=None)
+@given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 140), st.data())
+def test_compress_sum_matches_masked_row_sum(n_chains, n_rows, n, data):
+    # the batch reads each chain's masked mass as compress(...).sum over the
+    # last axis; it must equal the 1-D x[mask].sum() of one row, bit for bit
+    x = data.draw(arrays(np.float64, (n_chains, n_rows, n), elements=st.floats(0.0, 1.0)))
+    mask = data.draw(arrays(np.bool_, n))
+    sums = x.compress(mask, axis=2).sum(axis=2)
+    for c in range(n_chains):
+        for r in range(n_rows):
+            assert sums[c, r].tobytes() == x[c, r][mask].sum().tobytes()
+    flat = x[:, 0].compress(mask, axis=1).sum(axis=1)
+    assert [s.tobytes() for s in flat] == [x[c, 0][mask].sum().tobytes() for c in range(n_chains)]

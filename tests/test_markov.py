@@ -7,6 +7,7 @@ every analytic output of the age chain against it.
 """
 
 import contextlib
+import warnings
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
     TransitionTables,
+    build_transition_matrices,
     build_transition_matrix,
     outage_probability,
     steady_state,
+    steady_states,
     validate_policy,
 )
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
@@ -194,6 +197,61 @@ class TestBuildMatrix:
         # integral floats are accepted
         pol = validate_policy(np.full(16, 3.0), small_cfg)
         assert pol.dtype == np.int64
+
+
+def add_at_scatter(cfg, policy, tables):
+    """The age-chain matrix as a sequential np.add.at scatter of the
+    transition law, in state order, then branch order."""
+    e1, e2 = tables.error_rates(validate_policy(policy, cfg))
+    branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=1)
+    states = np.arange(cfg.n_states)[:, None]
+    q = np.zeros((cfg.a_max**2, cfg.a_max**2))
+    np.add.at(q, (states // 4, tables.succ // 4), branch * tables.bit_weights[states & 3])
+    return q
+
+
+class TestStacks:
+    @pytest.mark.parametrize("a_max, a_out", [(1, 1), (2, 1), (5, 3)])
+    def test_stack_matches_per_policy_builds(self, a_max, a_out):
+        # at a_max = 1 every branch of every state lands in the one column
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            cfg = make_config(a_max=a_max, a_out=a_out)
+        tables = TransitionTables(cfg)
+        rng = np.random.default_rng(a_max)
+        policies = [random_policy(cfg, rng) for _ in range(7)] + [naive_policy(cfg)]
+        stack = build_transition_matrices(cfg, policies, tables=tables)
+        assert stack.shape == (len(policies), a_max**2, a_max**2)
+        for pol, q in zip(policies, stack):
+            assert np.array_equal(q, build_transition_matrix(cfg, pol, tables=tables))
+            assert np.array_equal(q, add_at_scatter(cfg, pol, tables))
+
+    def test_stack_rejects_any_bad_policy(self, small_cfg, small_tables):
+        good = naive_policy(small_cfg)
+        with pytest.raises(ValueError, match="must lie in"):
+            build_transition_matrices(small_cfg, [good, [41] + [0] * 15], tables=small_tables)
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_stacked_solve_matches_one_at_a_time(self, preset):
+        cfg = load_scenario(preset).system
+        tables = TransitionTables(cfg)
+        rng = np.random.default_rng(13)
+        policies = [random_policy(cfg, rng) for _ in range(12)] + [naive_policy(cfg)]
+        stack = build_transition_matrices(cfg, policies, tables=tables)
+        pis = steady_states(stack)
+        for p, pi in zip(stack, pis):
+            assert pi.tobytes() == steady_state(p).tobytes()
+
+    def test_stacked_solve_gates_every_chain(self):
+        good = np.array([[0.7, 0.3], [0.1, 0.9]])
+        with pytest.raises(SteadyStateError, match="singular"):
+            steady_states(np.stack([good, np.eye(2)]))
+        with pytest.raises(ValueError, match="rows must sum to 1"):
+            steady_states(np.stack([good, [[0.5, 0.4], [0.1, 0.9]]]))
+        with pytest.raises(ValueError, match=r"need a \(B, n, n\) stack"):
+            steady_states(good)
+        with pytest.raises(ValueError, match="must be square"):
+            steady_state(np.stack([good, good]))
 
 
 class TestTransitionTables:

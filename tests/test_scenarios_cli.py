@@ -369,6 +369,28 @@ class TestCliGrids:
         for row in rows:
             assert float(row["analytic_p_out"]) > 0.0
 
+    def test_burst_convergence_without_policies_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "cvg.csv"
+        code = run_cli(["burst-convergence", "--config", "scenario_b", "--n-policies", "0",
+                        "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least one policy and seed\n"
+        assert not out.exists()
+
+    def test_burst_convergence_undefined_exits_two(self, tmp_path, capsys):
+        # a_out = a_max leaves the outage set empty: no policy has a burst
+        document = json.loads(json.dumps(PRESETS["scenario_b"]))
+        document["state"]["a_out"] = document["state"]["a_max"]
+        out = tmp_path / "cvg.csv"
+        with pytest.warns(UserWarning, match="outage set is empty"):
+            code = run_cli(["burst-convergence", "--config", write_config(tmp_path, document),
+                            "--n-policies", "3", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: policy 0 has no reachable outage; burst errors undefined\n"
+        )
+        assert not out.exists()
+
 
 class TestCliBasics:
     def test_version(self, capsys):

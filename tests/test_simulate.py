@@ -332,6 +332,38 @@ class TestBurstConvergence:
         medians = median_errors(rows)
         assert medians.tolist() == [[2.0, 4.0, 2.0 * cp + 1.0] for cp in CHECKPOINTS]
 
+    def test_first_undefined_policy_is_named(self, cfg_b, monkeypatch):
+        # policies 2 and 4 starve device 1, so their outage sets are closed;
+        # the batch raises for policy 2 before anything is simulated
+        batch = simulate_module.burst_stats_many
+
+        def starving(cfg, policies, *, tables):
+            policies = list(policies)
+            policies[2] = policies[4] = np.zeros(cfg.n_states, dtype=int)
+            return batch(cfg, policies, tables=tables)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated an undefined batch")
+
+        monkeypatch.setattr(simulate_module, "burst_stats_many", starving)
+        monkeypatch.setattr(simulate_module, "simulate_many", no_simulation)
+        with pytest.raises(RuntimeError, match=r"^policy 2 has no reachable outage"):
+            burst_convergence(cfg_b, 6, 11)
+
+    def test_full_horizon_reuses_the_run_measurement(self, cfg_b, monkeypatch):
+        # simulate_many measures each whole run; the checkpoints below the
+        # horizon measure prefixes, one call each
+        lengths = []
+
+        def recording(seq):
+            lengths.append(len(seq))
+            return measure_bursts(seq)
+
+        monkeypatch.setattr(simulate_module, "measure_bursts", recording)
+        burst_convergence(cfg_b, 3, 11)
+        horizon = max(CHECKPOINTS)
+        assert sorted(lengths) == sorted([horizon] * 3 + list(CHECKPOINTS[:-1]) * 3)
+
 
 class TestRepetitions:
     def test_single_repetition_equals_simulate(self, small_cfg):
