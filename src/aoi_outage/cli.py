@@ -94,13 +94,11 @@ def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | Non
         document = json.loads(Path(policy_file).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in policy file {policy_file}: {exc}") from exc
-    if isinstance(document, dict) and "policy_lambda" in document:
-        lam = document["policy_lambda"]
-    elif isinstance(document, dict) and "best" in document:
-        lam = document["best"]["policy_lambda"]
-    else:
-        raise ConfigError("policy file must carry a 'policy_lambda' array")
-    return validate_policy(np.asarray(lam), cfg), f"file:{policy_file}"
+    best = document.get("best") if isinstance(document, dict) else None
+    for holder in (document, best):
+        if isinstance(holder, dict) and "policy_lambda" in holder:
+            return validate_policy(np.asarray(holder["policy_lambda"]), cfg), f"file:{policy_file}"
+    raise ConfigError("policy file must carry a 'policy_lambda' array")
 
 
 def cmd_optimize(args) -> int:

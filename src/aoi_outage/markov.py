@@ -1,13 +1,13 @@
 """Dense Markov machinery for the two-device age chain.
 
-The transition law as per-config arrays (TransitionTables), dense matrix
-assembly as one scatter of that law, the stationary distribution, and the
-stationary outage rate. Matrices and stationary laws come in stacks, one
-per policy: a stack is built by one scatter and solved by one stacked
-solve, and the one-matrix forms are stacks of one. Burst statistics of
-the solved chain live in burstiness. A policy is an integer vector over
-the enumerated state space giving device 1's share of the shared
-blocklength; device 2 receives the remainder.
+The transition law over the age chain (TransitionTables, with the four
+branch products in branch_probabilities), dense matrix assembly as one
+scatter of that law, the stationary distribution, and the stationary
+outage rate. The matrix builder, the policy sweep and the simulator all
+read this one law. Matrices and stationary laws come in stacks, one per
+policy, and the one-matrix forms are stacks of one. Burst statistics live
+in burstiness. A policy is an integer vector over the states giving
+device 1's share of the shared blocklength; device 2 gets the remainder.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
@@ -38,11 +38,10 @@ def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
     arr = np.asarray(policy)
     if arr.shape != (cfg.n_states,):
         raise ValueError(f"policy must have shape ({cfg.n_states},), got {arr.shape}")
+    if np.issubdtype(arr.dtype, np.floating) and np.array_equal(np.rint(arr), arr):
+        arr = arr.astype(np.int64)
     if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.array_equal(rounded, arr):
-            raise ValueError("policy entries must be integers")
-        arr = rounded.astype(np.int64)
+        raise ValueError("policy entries must be integers")
     n = cfg.link.blocklength_total
     if arr.min() < 0 or arr.max() > n:
         raise ValueError(f"policy entries must lie in [0, {n}]")
@@ -50,20 +49,22 @@ def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
 
 
 class TransitionTables:
-    """The transition law of one config, stored as arrays and read by the
-    matrix builder, the policy sweep and the simulator.
+    """The transition law of one config over the a_max**2-state age chain,
+    read by the matrix builder, the policy sweep and the simulator.
+
+    A state is 4 * g + k: age position g and channel bits k = 2 * x1 + x2
+    (states.encode_states), so a policy read as (a_max**2, 4) is indexed
+    [g, k].
 
     - eps_by_bit[b, lam]: block error rate of lam symbols at channel bit b
       (0 = bad level, 1 = good level).
-    - a1, a2, x1, x2: the fields of every state, over 0-based positions.
-    - succ[i, 2 * fail1 + fail2]: position of the successor of state i with
-      channel bits (0, 0), where a device's age resets to 1 on success and
-      steps to its successor, clamped at a_max, on failure.
-    - bit_weights[k]: probability of fresh channel bits k = 2 * x1 + x2; the
-      full successor is succ[i, b] + k.
-    - outage: the outage set, over the a_max**2 age positions.
-    - cell[i, b]: flat index of the age-chain matrix entry that branch b of
-      state i adds to: row i // 4, column succ[i, b] // 4.
+    - bits[k]: the channel bits (x1, x2) of column k.
+    - ages[:, g]: the ages (a1, a2) at age position g.
+    - succ[g, 2 * fail1 + fail2]: age position of the successor, where a
+      device's age resets to 1 on success and steps to its successor,
+      clamped at a_max, on failure.
+    - bit_weights[k]: probability of fresh channel bits k.
+    - outage[g]: the outage set.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -74,18 +75,15 @@ class TransitionTables:
             block_error_rate(alloc, d, cfg.profile.gamma_bad),
             block_error_rate(alloc, d, cfg.profile.gamma_good),
         ))
-        self.a1, self.a2, self.x1, self.x2 = decode_states(cfg.a_max)
-        fail1, fail2 = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        self.succ = encode_states(
-            np.where(fail1, np.minimum(self.a1 + 1, cfg.a_max)[:, None], 1),
-            np.where(fail2, np.minimum(self.a2 + 1, cfg.a_max)[:, None], 1),
-            0, 0, cfg.a_max,
-        )
+        self.bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
+        a1, a2, _, _ = decode_states(cfg.a_max)
+        self.ages = np.stack((a1, a2))[:, ::4]
+        fail = self.bits.T[:, None]  # branch 2 * fail1 + fail2 is spelled like k
+        after = np.where(fail, np.minimum(self.ages + 1, cfg.a_max)[:, :, None], 1)
+        self.succ = encode_states(*after, 0, 0, cfg.a_max) // 4
         self.outage = outage_mask(cfg.a_max, cfg.a_out)
-        self.cell = (np.arange(cfg.n_states)[:, None] // 4) * cfg.a_max**2 + self.succ // 4
         a1p = cfg.profile.alpha_1
         a2p = cfg.profile.alpha_2
-        # order matches the bit suffix of the state index: (0,0),(0,1),(1,0),(1,1)
         self.bit_weights = np.array(
             [(1 - a1p) * (1 - a2p), (1 - a1p) * a2p, a1p * (1 - a2p), a1p * a2p]
         )
@@ -96,28 +94,37 @@ class TransitionTables:
 
     def error_rates(self, policy) -> tuple[np.ndarray, np.ndarray]:
         """Error rates (e1, e2) of the transition out of each state under
-        `policy`, whose last axis runs over states."""
-        return self.eps_by_bit[self.x1, policy], self.eps_by_bit[self.x2, self.n_total - policy]
+        `policy`, whose last axis runs over states, shaped (..., a_max**2, 4)."""
+        lam = np.asarray(policy)
+        lam = lam.reshape(*lam.shape[:-1], -1, 4)
+        x1, x2 = self.bits.T
+        return self.eps_by_bit[x1, lam], self.eps_by_bit[x2, self.n_total - lam]
+
+
+def branch_probabilities(e1, e2) -> tuple:
+    """Probabilities of the four branches 2 * fail1 + fail2 of a transition
+    whose devices fail with rates e1 and e2, elementwise."""
+    return (1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2
 
 
 def build_transition_matrices(cfg: SystemConfig, policies, *, tables: TransitionTables | None = None) -> np.ndarray:
     """Stack of the dense row-stochastic age-chain matrices the policies
     induce, shape (len(policies), a_max**2, a_max**2).
 
-    One scatter of the transition law: in matrix m, state i, with channel
-    bits i & 3, adds branch[m, i, b] * bit_weights[i & 3] at cell[i, b].
-    Entries accumulate in state order, then branch order, so each matrix
-    is the same whatever the stack.
+    One scatter of the transition law: in matrix m, state [g, k] adds
+    branch b times bit_weights[k] at row g, column succ[g, b]. Entries
+    accumulate in state order, then branch order, so each matrix is the
+    same whatever the stack.
     """
     pols = np.stack([validate_policy(p, cfg) for p in policies])
     t = tables if tables is not None else TransitionTables(cfg)
-    e1, e2 = t.error_rates(pols)
-    branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=-1)
-    size = cfg.a_max**4
-    cell = t.cell + size * np.arange(len(pols))[:, None, None]
-    weights = branch * t.bit_weights[np.arange(cfg.n_states)[:, None] & 3]
-    flat = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=len(pols) * size)
-    return flat.reshape(len(pols), cfg.a_max**2, cfg.a_max**2)
+    # weights[m, g, k, b]: branch b of state [g, k] in matrix m, times bit_weights[k]
+    weights = np.stack(branch_probabilities(*t.error_rates(pols)), axis=-1) * t.bit_weights[:, None]
+    n = cfg.a_max**2
+    # flat index of entry [m, g, succ[g, b]], repeated for the four bits k
+    cell = np.repeat(t.succ + n * np.arange(len(pols) * n).reshape(-1, n, 1), 4, axis=1)
+    flat = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=len(pols) * n * n)
+    return flat.reshape(len(pols), n, n)
 
 
 def build_transition_matrix(cfg: SystemConfig, policy, *, tables: TransitionTables | None = None) -> np.ndarray:
@@ -126,19 +133,24 @@ def build_transition_matrix(cfg: SystemConfig, policy, *, tables: TransitionTabl
     return build_transition_matrices(cfg, [policy], tables=tables)[0]
 
 
-def _check_stochastic(p: np.ndarray, ndim: int) -> None:
-    if p.ndim != ndim or p.shape[-2] != p.shape[-1]:
-        what = "transition matrix must be square" if ndim == 2 else "need a (B, n, n) stack of matrices"
-        raise ValueError(f"{what}, got shape {p.shape}")
-    if p.min() < 0.0 or p.max() > 1.0 + ROW_SUM_TOL:
+def steady_states(ps) -> np.ndarray:
+    """Unique stationary distribution of each matrix in a (B, n, n) stack
+    of row-stochastic matrices, as a (B, n) array.
+
+    Solves (I - P^T) pi = 0 with the natural rank-1 deficiency repaired by
+    replacing the last equation with the normalization sum(pi) = 1, all B
+    systems in one stacked solve, then verifies stationarity. Raises
+    SteadyStateError, with the worst figure of the stack, when a system is
+    singular beyond that deficiency or a solution violates the invariants.
+    """
+    ps = np.asarray(ps, dtype=float)
+    if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
+        raise ValueError(f"need a (B, n, n) stack of matrices, got shape {ps.shape}")
+    if ps.min() < 0.0 or ps.max() > 1.0 + ROW_SUM_TOL:
         raise ValueError("transition probabilities must lie in [0, 1]")
-    row_err = np.abs(p.sum(axis=-1) - 1.0).max()
+    row_err = np.abs(ps.sum(axis=-1) - 1.0).max()
     if row_err > ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {row_err:.3e}")
-
-
-def _steady_states(ps: np.ndarray) -> np.ndarray:
-    """Stationary laws of a checked (B, n, n) stack, one row each."""
     b, n, _ = ps.shape
     m = np.eye(n) - ps.transpose(0, 2, 1)
     m[:, -1, :] = 1.0
@@ -158,27 +170,13 @@ def _steady_states(ps: np.ndarray) -> np.ndarray:
     return pi
 
 
-def steady_states(ps) -> np.ndarray:
-    """Unique stationary distribution of each matrix in a (B, n, n) stack
-    of row-stochastic matrices, as a (B, n) array.
-
-    Solves (I - P^T) pi = 0 with the natural rank-1 deficiency repaired by
-    replacing the last equation with the normalization sum(pi) = 1, all B
-    systems in one stacked solve, then verifies stationarity. Raises
-    SteadyStateError, with the worst figure of the stack, when a system is
-    singular beyond that deficiency or a solution violates the invariants.
-    """
-    ps = np.asarray(ps, dtype=float)
-    _check_stochastic(ps, 3)
-    return _steady_states(ps)
-
-
 def steady_state(p) -> np.ndarray:
     """Unique stationary distribution of one row-stochastic matrix: the
     stack of one of steady_states."""
     p = np.asarray(p, dtype=float)
-    _check_stochastic(p, 2)
-    return _steady_states(p[None])[0]
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ValueError(f"transition matrix must be square, got shape {p.shape}")
+    return steady_states(p[None])[0]
 
 
 def outage_probability(pi, cfg: SystemConfig) -> float:

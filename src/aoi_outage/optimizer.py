@@ -17,10 +17,9 @@ device: the states become a second closed class, the chain is no longer
 ergodic, and the next stationary solve fails or scores the wrong class.
 The unweighted sweep gives every state its own argmin instead.
 
-The sweep is array work over the transition law in TransitionTables: the
-successor weights of every state come from one lookup through its
-successor table, and the allocations are scored in one pass per
-channel-bit pair.
+The sweep is array work over the age-level transition law in
+TransitionTables: one pass per channel-bit pair scores every allocation of
+every age position against the successor weights of its four branches.
 
 Two benchmark generators are included: the equal split and the per-state
 minimizer of the summed transmission error rates.
@@ -33,8 +32,10 @@ from enum import Enum
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrix, outage_probability, steady_state
-from .states import SystemConfig, decode_states, outage_mask
+from .markov import (
+    TransitionTables, branch_probabilities, build_transition_matrix, outage_probability, steady_state,
+)
+from .states import SystemConfig
 
 
 class PenaltyKind(Enum):
@@ -63,19 +64,18 @@ class OptimizeReport:
     best_iteration: int
 
 
-def _age_weight_grid(kind: PenaltyKind, cfg: SystemConfig) -> np.ndarray:
+def _age_weight_grid(kind: PenaltyKind, t: TransitionTables) -> np.ndarray:
     """Successor weight w(a1', a2') of each penalty over the age positions;
     the fresh channel bits never enter it, so their factors sum out to 1."""
     if kind is PenaltyKind.BINARY_OUTAGE:
-        return outage_mask(cfg.a_max, cfg.a_out).astype(float)
-    a1, a2, _, _ = decode_states(cfg.a_max)
-    g1, g2 = a1[::4], a2[::4]  # the ages at each age position
+        return t.outage.astype(float)
+    a1, a2 = t.ages
     if kind is PenaltyKind.MEAN_SUM_AOI:
-        return (g1 + g2).astype(float)
+        return (a1 + a2).astype(float)
     if kind is PenaltyKind.MEAN_PEAK_AOI:
-        return np.maximum(g1, g2).astype(float)
+        return np.maximum(a1, a2).astype(float)
     if kind is PenaltyKind.EXP_MEAN_PEAK_AOI:
-        return np.exp(np.maximum(g1, g2))
+        return np.exp(np.maximum(a1, a2))
     raise ValueError(f"unknown penalty kind: {kind!r}")
 
 
@@ -83,32 +83,26 @@ def improve_policy(
     cfg: SystemConfig, kind: PenaltyKind, *, tables: TransitionTables | None = None
 ) -> np.ndarray:
     """Per-state argmin over every allocation 0..N of the expected successor
-    weight sum_b branch_b(lam) * w(successor b of state i).
+    weight sum_b branch_b(lam) * w(succ[g, b]).
 
-    The four branch products depend on the state only through its channel
-    bits, so there is one pass per bit pair: it forms that pair's branch
-    products over all allocations once and scores every state with those
-    bits against its successor weights, read from the transition table. The
-    sweep is exhaustive by design (the error-rate sum need not be unimodal
-    near the extremes). Ties break to the smallest allocation.
+    The branch probabilities depend on the state only through its channel
+    bits k, so the pass for k forms them over all allocations once and
+    scores every age position g with them, giving column k of the
+    (a_max**2, 4) policy. The sweep is exhaustive by design (the error-rate
+    sum need not be unimodal near the extremes). Ties break to the smallest
+    allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    weights = _age_weight_grid(kind, cfg)[t.succ // 4]
-    bit_pair = 2 * t.x1 + t.x2
-    new = np.empty(cfg.n_states, dtype=np.int64)
-    for bits in range(4):
-        at = bit_pair == bits
-        e1 = t.eps_by_bit[bits >> 1]  # indexed by allocation to device 1
-        e2 = t.eps_by_bit[bits & 1][::-1]  # allocation N - lam
-        w = weights[at, :, None]
-        cost = (
-            (1.0 - e1) * (1.0 - e2) * w[:, 0]
-            + (1.0 - e1) * e2 * w[:, 1]
-            + e1 * (1.0 - e2) * w[:, 2]
-            + e1 * e2 * w[:, 3]
-        )
-        new[at] = np.argmin(cost, axis=1)
-    return new
+    w = _age_weight_grid(kind, t)[t.succ.T, None]  # w[b]: (a_max**2, 1) successor weights
+    new = np.empty((cfg.a_max**2, 4), dtype=np.int64)  # [g, k]
+    for k, (x1, x2) in enumerate(t.bits):
+        branch = branch_probabilities(t.eps_by_bit[x1], t.eps_by_bit[x2][::-1])  # over lam
+        # summed in place, in branch order: a fresh (a_max**2, N + 1) array per sum costs page faults
+        cost = branch[0] * w[0]
+        for b in range(1, 4):
+            cost += branch[b] * w[b]
+        new[:, k] = np.argmin(cost, axis=1)
+    return new.ravel()
 
 
 def optimize(
@@ -158,5 +152,5 @@ def min_error_policy(cfg: SystemConfig, *, tables: TransitionTables | None = Non
     channel bits; ties break to the smallest allocation.
     """
     t = tables if tables is not None else TransitionTables(cfg)
-    by_bits = [np.argmin(t.eps_by_bit[bits >> 1] + t.eps_by_bit[bits & 1][::-1]) for bits in range(4)]
-    return np.array(by_bits, dtype=np.int64)[2 * t.x1 + t.x2]
+    by_bits = [np.argmin(t.eps_by_bit[x1] + t.eps_by_bit[x2][::-1]) for x1, x2 in t.bits]
+    return np.tile(np.array(by_bits, dtype=np.int64), cfg.a_max**2)

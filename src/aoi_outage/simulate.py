@@ -95,12 +95,11 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     per period for the rows that consume them.
     """
     cfg = t.cfg
-    n_states = cfg.n_states
-    offset = 4 * n_states * np.arange(len(policies))
+    offset = 4 * cfg.n_states * np.arange(len(policies))
     # error rates (e1, e2) of the transition out of each (policy, state)
     rates = np.repeat(np.stack([e.ravel() for e in t.error_rates(policies)], axis=1), 4, axis=0)
-    # slot of the successor with channel bits (0, 0)
-    succ = (4 * t.succ + offset[:, None, None]).ravel()
+    # slot of the successor with channel bits (0, 0), repeated for the four bits
+    succ = np.repeat(16 * t.succ + offset[:, None, None], 4, axis=1).ravel()
     out = np.tile(np.repeat(t.outage, 16), len(policies))  # 4 states x 4 slots per age position
     branch = _branch_table()
 

@@ -3,7 +3,8 @@
 A state is (a1, a2, x1, x2): the two ages in periods, clamped to a_max, and
 the two channel bits. The program holds a state as its 0-based position;
 ages vary slowest, the device-2 bit fastest, giving 4 * a_max**2 states in
-total. encode_states and decode_states are the one spelling of that layout.
+total: state 4 * g + k has age position g and channel bits k = 2 * x1 + x2,
+as encode_states and decode_states spell it.
 """
 
 from __future__ import annotations

@@ -11,12 +11,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
     TransitionTables,
+    branch_probabilities,
     build_transition_matrices,
     build_transition_matrix,
     outage_probability,
@@ -26,7 +28,7 @@ from aoi_outage.markov import (
 )
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.states import encode_states, outage_mask
+from aoi_outage.states import outage_mask
 
 from conftest import (
     ReferenceState,
@@ -192,8 +194,9 @@ class TestBuildMatrix:
             build_transition_matrix(small_cfg, [0] * 15)
         with pytest.raises(ValueError):
             build_transition_matrix(small_cfg, [41] + [0] * 15)
-        with pytest.raises(ValueError):
-            validate_policy([0.5] * 16, small_cfg)
+        for entries in ([0.5] * 16, [np.nan] * 16, ["3"] * 16, [None] * 16, [True] * 16):
+            with pytest.raises(ValueError, match="must be integers"):
+                validate_policy(entries, small_cfg)
         # integral floats are accepted
         pol = validate_policy(np.full(16, 3.0), small_cfg)
         assert pol.dtype == np.int64
@@ -203,10 +206,11 @@ def add_at_scatter(cfg, policy, tables):
     """The age-chain matrix as a sequential np.add.at scatter of the
     transition law, in state order, then branch order."""
     e1, e2 = tables.error_rates(validate_policy(policy, cfg))
-    branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=1)
-    states = np.arange(cfg.n_states)[:, None]
+    branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=-1)
+    ages = np.arange(cfg.a_max**2)[:, None, None]
+    cols = np.repeat(tables.succ[:, None, :], 4, axis=1)  # [g, k, b]
     q = np.zeros((cfg.a_max**2, cfg.a_max**2))
-    np.add.at(q, (states // 4, tables.succ // 4), branch * tables.bit_weights[states & 3])
+    np.add.at(q, (ages, cols), branch * tables.bit_weights[:, None])
     return q
 
 
@@ -256,27 +260,23 @@ class TestStacks:
 
 class TestTransitionTables:
     @pytest.mark.parametrize("a_max", [1, 2, 5])
-    def test_decoded_fields_match_states(self, a_max):
+    def test_age_positions_match_the_state_oracles(self, a_max):
         with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
             t = TransitionTables(make_config(a_max=a_max, a_out=1))
-        states = reference_enumerate_states(a_max)
-        assert t.a1.tolist() == [s.a1 for s in states]
-        assert t.a2.tolist() == [s.a2 for s in states]
-        assert t.x1.tolist() == [s.x1 for s in states]
-        assert t.x2.tolist() == [s.x2 for s in states]
-
-    @pytest.mark.parametrize("a_max", [1, 2, 5])
-    def test_succ_rows_encode_the_four_branches(self, a_max):
-        with pytest.warns(UserWarning) if a_max == 1 else contextlib.nullcontext():
-            t = TransitionTables(make_config(a_max=a_max, a_out=1))
+        assert t.ages.shape == (2, a_max**2)
+        assert t.succ.shape == (a_max**2, 4)
         for i, s in enumerate(reference_enumerate_states(a_max)):
+            g, k = divmod(i, 4)  # state 4 * g + k
+            assert t.ages[:, g].tolist() == [s.a1, s.a2]
+            assert t.bits[k].tolist() == [s.x1, s.x2]
             c1, c2 = min(s.a1 + 1, a_max), min(s.a2 + 1, a_max)
-            # branch order 2 * fail1 + fail2, each with channel bits (0, 0)
+            # branch order 2 * fail1 + fail2; fresh bits k' give state 4 * succ + k'
             branches = [(1, 1), (1, c2), (c1, 1), (c1, c2)]
-            assert t.succ[i].tolist() == [encode_states(b1, b2, 0, 0, a_max) for b1, b2 in branches]
-            assert t.succ[i].tolist() == [
-                reference_state_to_index(ReferenceState(b1, b2, 0, 0), a_max) - 1 for b1, b2 in branches
-            ]
+            for succ, (b1, b2) in zip(t.succ[g].tolist(), branches):
+                assert [4 * succ + kn for kn in range(4)] == [
+                    reference_state_to_index(ReferenceState(b1, b2, x1, x2), a_max) - 1
+                    for x1 in (0, 1) for x2 in (0, 1)
+                ]
 
     def test_bit_weights_are_products_of_bit_probabilities(self, small_cfg, small_tables):
         profile = small_cfg.profile
@@ -290,10 +290,30 @@ class TestTransitionTables:
     def test_error_rates_follow_the_channel_bits(self, small_cfg, small_tables):
         pol = random_policy(small_cfg, np.random.default_rng(4))
         e1, e2 = small_tables.error_rates(pol)
+        assert e1.shape == e2.shape == (small_cfg.a_max**2, 4)
         n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
         for i, s in enumerate(reference_enumerate_states(small_cfg.a_max)):
-            assert e1[i] == block_error_rate(int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x1))
-            assert e2[i] == block_error_rate(n - int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x2))
+            g, k = divmod(i, 4)
+            assert e1[g, k] == block_error_rate(int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x1))
+            assert e2[g, k] == block_error_rate(n - int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x2))
+
+    def test_error_rates_per_bit_pair(self, small_cfg, small_tables):
+        # every allocation, with the policy constant over the age positions
+        n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
+        gamma = [reference_gamma_for_bit(small_cfg.profile, bit) for bit in (0, 1)]
+        for lam in range(n + 1):
+            e1, e2 = small_tables.error_rates(np.full(small_cfg.n_states, lam))
+            for k, (x1, x2) in enumerate(small_tables.bits.tolist()):
+                assert (e1[:, k] == block_error_rate(lam, d, gamma[x1])).all()
+                assert (e2[:, k] == block_error_rate(n - lam, d, gamma[x2])).all()
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_branch_probabilities_are_a_law(e1, e2):
+    branch = branch_probabilities(np.array([e1]), np.array([e2]))
+    assert len(branch) == 4
+    assert min(b[0] for b in branch) >= 0.0
+    assert abs(sum(b[0] for b in branch) - 1.0) <= 4 * np.finfo(float).eps
 
 
 def lumpability_policies(cfg, tables, rng):

@@ -241,12 +241,12 @@ class TestAgeWeights:
     def test_weights_are_the_grid_over_age_positions(self, a_max, a_out, kind):
         with pytest.warns(UserWarning) if a_max == a_out else contextlib.nullcontext():
             cfg = make_config(a_max=a_max, a_out=a_out)
-        weights = _age_weight_grid(kind, cfg)
+        weights = _age_weight_grid(kind, TransitionTables(cfg))
         assert weights.shape == (a_max * a_max,)
         assert np.array_equal(weights, reference_weight_grid(kind, cfg)[1:, 1:].ravel())
 
     def test_binary_weight_is_the_outage_set(self, cfg_b, tables_b):
-        weights = _age_weight_grid(PenaltyKind.BINARY_OUTAGE, cfg_b)
+        weights = _age_weight_grid(PenaltyKind.BINARY_OUTAGE, tables_b)
         assert np.array_equal(weights, tables_b.outage.astype(float))
 
 

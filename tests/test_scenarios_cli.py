@@ -187,14 +187,20 @@ class TestCliEvaluate:
         for key in ("mean_outage_duration", "mean_ioi", "duration_pmf", "truncation_residual"):
             assert doc["burst"][key] is None
 
-    def test_policy_file_out_of_range(self, tmp_path, capsys):
+    @pytest.mark.parametrize("document", [
+        {"policy_lambda": [1500] * 100}, {"best": {}}, {"best": 5},
+        {"policy_lambda": ["a"] * 100}, {"policy_lambda": [None] * 100},
+    ], ids=["out-of-range", "best-without-policy", "best-not-an-object", "strings", "nulls"])
+    def test_bad_policy_file_exits_one(self, tmp_path, capsys, document):
         pol_path = tmp_path / "bad.json"
-        pol_path.write_text(json.dumps({"policy_lambda": [1500] * 100}))
+        pol_path.write_text(json.dumps(document))
         out = tmp_path / "eval.json"
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
                         "--policy-file", str(pol_path), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 1
-        assert "error" in capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
