@@ -43,20 +43,35 @@ DURATION_CONVENTION = "outage-periods"
 
 @dataclass
 class BurstStats:
-    """Analytic outage burstiness of one chain.
+    """Analytic outage burstiness of one chain. The mean interval between
+    bursts and the pmf's truncation point and leftover mass are derived
+    when read.
 
-    When the outage set is empty or unreachable the record is tagged
-    undefined and the duration fields are None instead of NaN.
+    When the outage set is empty or unreachable the record is
+    BurstStats(p_out, xi1): it is undefined and the duration fields are
+    None instead of NaN.
     """
 
     p_out: float
     xi_res_out_1: float
-    mean_outage_duration: float | None
-    mean_ioi: float | None
-    duration_pmf: np.ndarray | None
-    truncation_t: int
-    truncation_residual: float | None
-    defined: bool = True
+    mean_outage_duration: float | None = None
+    duration_pmf: np.ndarray | None = None
+
+    @property
+    def defined(self) -> bool:
+        return self.duration_pmf is not None
+
+    @property
+    def mean_ioi(self) -> float | None:
+        return (1.0 - self.p_out) / self.xi_res_out_1 if self.defined else None
+
+    @property
+    def truncation_t(self) -> int:
+        return len(self.duration_pmf) if self.defined else 0
+
+    @property
+    def truncation_residual(self) -> float | None:
+        return max(0.0, 1.0 - float(self.duration_pmf.sum())) if self.defined else None
 
 
 def _exact_means(u, ps, out, xi1) -> np.ndarray:
@@ -113,20 +128,6 @@ def _duration_pmfs(u, ps, out, xi1) -> list[np.ndarray]:
     return pmfs
 
 
-def _undefined(p_out: float, xi1: float) -> BurstStats:
-    """Record of a chain into whose outage set no stationary flow enters."""
-    return BurstStats(
-        p_out=p_out,
-        xi_res_out_1=xi1,
-        mean_outage_duration=None,
-        mean_ioi=None,
-        duration_pmf=None,
-        truncation_t=0,
-        truncation_residual=None,
-        defined=False,
-    )
-
-
 def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     """Full analytic burstiness record of each chain of the (B, n, n)
     stack ps, with the boolean outage mask out shared by all.
@@ -144,7 +145,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     u = ((pi * ~out)[:, None, :] @ ps)[:, 0]
     xi1s = u.compress(out, axis=1).sum(axis=1)
     defined = np.flatnonzero(xi1s > 0.0)
-    records = [_undefined(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
+    records = [BurstStats(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
     if defined.size == 0:
         return records
     means = _exact_means(u[defined], ps[defined], out, xi1s[defined])
@@ -157,15 +158,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
                 f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
                 f"= {identity_gap:.3e}"
             )
-        records[c] = BurstStats(
-            p_out=p_out,
-            xi_res_out_1=xi1,
-            mean_outage_duration=mean_dur,
-            mean_ioi=(1.0 - p_out) / xi1,
-            duration_pmf=pmf,
-            truncation_t=len(pmf),
-            truncation_residual=max(0.0, 1.0 - float(pmf.sum())),
-        )
+        records[c] = BurstStats(p_out, xi1, mean_dur, pmf)
     return records
 
 

@@ -27,13 +27,14 @@ import numpy as np
 from . import __version__
 from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats, burst_stats_many
 from .markov import TransitionTables, validate_policy
-from .optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
+from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, load_scenario
 from .simulate import (
     CHECKPOINTS,
     burst_convergence,
     median_errors,
+    normalized_error,
     run_repetitions,
     run_repetitions_many,
 )
@@ -142,8 +143,11 @@ def cmd_simulate(args) -> int:
     reps = args.reps if args.reps is not None else scenario.simulation.reps
     periods = args.periods if args.periods is not None else scenario.simulation.periods
     stats = burst_stats(cfg, policy)
-    summary = run_repetitions(
-        cfg, policy, reps, periods, scenario.simulation.master_seed, analytic=stats
+    summary = run_repetitions(cfg, policy, reps, periods, scenario.simulation.master_seed)
+    compared = (
+        ("p_out", summary.outage_rate_mean, stats.p_out),
+        ("mean_burst", summary.mean_burst, stats.mean_outage_duration),
+        ("mean_ioi", summary.mean_ioi, stats.mean_ioi),
     )
     document = {
         "metadata": _metadata(scenario),
@@ -160,9 +164,8 @@ def cmd_simulate(args) -> int:
         "mean_ioi": _defined(summary.mean_ioi),
         "analytic": _burst_dict(stats),
         "normalized_errors": {
-            "p_out": _defined(summary.err_p_out),
-            "mean_burst": _defined(summary.err_mean_burst),
-            "mean_ioi": _defined(summary.err_mean_ioi),
+            name: _defined(normalized_error(measured, predicted)) if stats.defined else None
+            for name, measured, predicted in compared
         },
     }
     _write_json(args.out, document)
@@ -186,7 +189,8 @@ _TABLE2_POLICIES = ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi", "naive", "m
 
 def _table2_solve(preset: str) -> tuple:
     """Phase 1 of reproduce-table2 for one preset: its six policies and
-    their analytic burst statistics, which are all of its dense solves."""
+    their analytic burst statistics, which are all of its dense solves. A
+    penalty's policy is its sweep, which is optimize's final policy."""
     scenario = load_scenario(preset)
     cfg = scenario.system
     tables = TransitionTables(cfg)
@@ -197,7 +201,7 @@ def _table2_solve(preset: str) -> tuple:
         elif policy_name == "min-error":
             policies.append(min_error_policy(cfg, tables=tables))
         else:
-            policies.append(optimize(cfg, PenaltyKind(policy_name), 0, tables=tables).final_policy)
+            policies.append(improve_policy(cfg, PenaltyKind(policy_name), tables=tables))
     return scenario, tables, policies, burst_stats_many(cfg, policies, tables=tables)
 
 

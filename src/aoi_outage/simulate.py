@@ -14,10 +14,11 @@ the same as a one-row run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .burstiness import BurstStats, burst_stats_many
+from .burstiness import burst_stats_many
 from .markov import TransitionTables, validate_policy
 from .states import SystemConfig
 
@@ -31,16 +32,46 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 @dataclass
 class SimResult:
-    periods: int
-    outage_count: int
-    outage_rate: float
-    burst_durations: list[int]
-    ioi_durations: list[int]
-    mean_burst: float  # nan when no complete burst was observed
-    mean_ioi: float
+    """One simulated run. Its statistics are derived from the outage
+    sequence when read."""
+
     seed: int
     final_position: int
     outage_sequence: np.ndarray = field(repr=False)
+
+    @property
+    def periods(self) -> int:
+        return len(self.outage_sequence)
+
+    @property
+    def outage_count(self) -> int:
+        return int(np.count_nonzero(self.outage_sequence))
+
+    @property
+    def outage_rate(self) -> float:
+        return self.outage_count / self.periods
+
+    @cached_property
+    def _runs(self) -> tuple[list[int], list[int]]:
+        """The run's split into bursts and intervals, made on first read."""
+        return measure_bursts(self.outage_sequence)
+
+    @property
+    def burst_durations(self) -> list[int]:
+        return self._runs[0]
+
+    @property
+    def ioi_durations(self) -> list[int]:
+        return self._runs[1]
+
+    @property
+    def mean_burst(self) -> float:
+        """nan when no complete burst was observed."""
+        return _mean(self.burst_durations)
+
+    @property
+    def mean_ioi(self) -> float:
+        return _mean(self.ioi_durations)
 
 
 def measure_bursts(outage_sequence):
@@ -167,22 +198,10 @@ def simulate_many(
     stream, first = _distinct(seeds)
     t = tables if tables is not None else TransitionTables(cfg)
     outage, final = _lockstep(t, pols, group, periods, [seeds[i] for i in first], stream)
-    results = []
-    for seq, count, seed, state in zip(outage, outage.sum(axis=1).tolist(), seeds, final):
-        bursts, iois = measure_bursts(seq)
-        results.append(SimResult(
-            periods=periods,
-            outage_count=count,
-            outage_rate=count / periods,
-            burst_durations=bursts,
-            ioi_durations=iois,
-            mean_burst=_mean(bursts),
-            mean_ioi=_mean(iois),
-            seed=seed,
-            final_position=int(state),
-            outage_sequence=seq,
-        ))
-    return results
+    return [
+        SimResult(seed=seed, final_position=int(state), outage_sequence=seq)
+        for seq, seed, state in zip(outage, seeds, final)
+    ]
 
 
 def simulate(
@@ -199,20 +218,48 @@ def simulate(
 
 @dataclass
 class RepetitionSummary:
-    reps: int
-    periods: int
+    """One policy's repetitions. The per-repetition rates and the pooled
+    statistics are derived from the runs when read."""
+
     master_seed: int
-    outage_rates: np.ndarray
-    outage_rate_mean: float
-    outage_rate_std: float  # sample std (ddof=1), 0 for a single repetition
-    burst_durations: list[int]
-    ioi_durations: list[int]
-    mean_burst: float
-    mean_ioi: float
-    results: list[SimResult] = field(repr=False, default_factory=list)
-    err_p_out: float | None = None
-    err_mean_burst: float | None = None
-    err_mean_ioi: float | None = None
+    results: list[SimResult] = field(repr=False)
+
+    @property
+    def reps(self) -> int:
+        return len(self.results)
+
+    @property
+    def periods(self) -> int:
+        return self.results[0].periods
+
+    @property
+    def outage_rates(self) -> np.ndarray:
+        return np.array([r.outage_rate for r in self.results])
+
+    @property
+    def outage_rate_mean(self) -> float:
+        return float(self.outage_rates.mean())
+
+    @property
+    def outage_rate_std(self) -> float:
+        """Sample std (ddof=1), 0 for a single repetition."""
+        return float(self.outage_rates.std(ddof=1)) if self.reps > 1 else 0.0
+
+    @property
+    def burst_durations(self) -> list[int]:
+        return [d for r in self.results for d in r.burst_durations]
+
+    @property
+    def ioi_durations(self) -> list[int]:
+        return [d for r in self.results for d in r.ioi_durations]
+
+    @property
+    def mean_burst(self) -> float:
+        return _mean(self.burst_durations)
+
+    @property
+    def mean_ioi(self) -> float:
+        return _mean(self.ioi_durations)
 
 
 def run_repetitions_many(
@@ -222,29 +269,20 @@ def run_repetitions_many(
     periods: int,
     master_seed: int,
     *,
-    analytics=None,
     tables: TransitionTables | None = None,
 ) -> list[RepetitionSummary]:
     """run_repetitions for each policy, all simulated in one lockstep batch.
 
     Every policy's repetition r uses the seed derive_seed(master_seed, r),
     so the batch draws each seed's stream once; its rows are policy-major.
-    analytics, when given, holds one BurstStats (or None) per policy.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    if analytics is None:
-        analytics = [None] * len(policies)
-    elif len(analytics) != len(policies):
-        raise ValueError(f"got {len(analytics)} analytic results for {len(policies)} policies")
     seeds = [derive_seed(master_seed, r) for r in range(reps)]
     results = simulate_many(
         cfg, [p for p in policies for _ in range(reps)], periods, seeds * len(policies), tables=tables
     )
-    return [
-        _summarize(results[i * reps : (i + 1) * reps], master_seed, analytic)
-        for i, analytic in enumerate(analytics)
-    ]
+    return [RepetitionSummary(master_seed, results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
 
 
 def run_repetitions(
@@ -254,48 +292,13 @@ def run_repetitions(
     periods: int,
     master_seed: int,
     *,
-    analytic: BurstStats | None = None,
     tables: TransitionTables | None = None,
 ) -> RepetitionSummary:
-    """Independent repetitions with index-derived seeds, pooled statistics,
-    and optional normalized errors against analytic predictions."""
-    return run_repetitions_many(
-        cfg, [policy], reps, periods, master_seed, analytics=[analytic], tables=tables
-    )[0]
+    """Independent repetitions with index-derived seeds and pooled statistics."""
+    return run_repetitions_many(cfg, [policy], reps, periods, master_seed, tables=tables)[0]
 
 
-def _summarize(results: list[SimResult], master_seed: int, analytic: BurstStats | None) -> RepetitionSummary:
-    """Pooled statistics of one policy's repetitions."""
-    reps = len(results)
-    rates = np.array([r.outage_rate for r in results])
-    bursts: list[int] = []
-    iois: list[int] = []
-    for r in results:
-        bursts.extend(r.burst_durations)
-        iois.extend(r.ioi_durations)
-    mean_burst = _mean(bursts)
-    mean_ioi_v = _mean(iois)
-    summary = RepetitionSummary(
-        reps=reps,
-        periods=results[0].periods,
-        master_seed=master_seed,
-        outage_rates=rates,
-        outage_rate_mean=float(rates.mean()),
-        outage_rate_std=float(rates.std(ddof=1)) if reps > 1 else 0.0,
-        burst_durations=bursts,
-        ioi_durations=iois,
-        mean_burst=mean_burst,
-        mean_ioi=mean_ioi_v,
-        results=results,
-    )
-    if analytic is not None and analytic.defined:
-        summary.err_p_out = _normalized_error(summary.outage_rate_mean, analytic.p_out)
-        summary.err_mean_burst = _normalized_error(mean_burst, analytic.mean_outage_duration)
-        summary.err_mean_ioi = _normalized_error(mean_ioi_v, analytic.mean_ioi)
-    return summary
-
-
-def _normalized_error(measured: float, predicted: float | None) -> float:
+def normalized_error(measured: float, predicted: float | None) -> float:
     """|measured - predicted| / predicted; nan when either side is unusable."""
     if predicted is None or predicted <= 0.0 or not np.isfinite(measured):
         return float("nan")
@@ -312,8 +315,7 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     Policy pid draws its allocations from default_rng(derive_seed(master_seed,
     pid, 0)) and is simulated once for max(CHECKPOINTS) periods with seed
     derive_seed(master_seed, pid, 1); every checkpoint measures that run's
-    prefix, and the last is the measurement simulate_many made of the whole
-    run. All policies are analysed in one burst_stats_many batch and
+    prefix. All policies are analysed in one burst_stats_many batch and
     simulated together. Returns one row per (policy, checkpoint) with the
     measured and analytic outage rate, mean burst length and mean interval
     between bursts, and their relative errors. Raises RuntimeError for the
@@ -335,21 +337,17 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     rows = []
     for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
         for cp in CHECKPOINTS:
-            if cp == result.periods:  # simulate_many measured the whole run
-                count, bursts, iois = result.outage_count, result.burst_durations, result.ioi_durations
-            else:
-                prefix = result.outage_sequence[:cp]
-                count = int(np.count_nonzero(prefix))
-                bursts, iois = measure_bursts(prefix)
+            prefix = result.outage_sequence[:cp]
+            bursts, iois = measure_bursts(prefix)
             row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
             for name, measured, analytic in (
-                ("p_out", count / cp, stats.p_out),
+                ("p_out", int(np.count_nonzero(prefix)) / cp, stats.p_out),
                 ("mean_burst", _mean(bursts), stats.mean_outage_duration),
                 ("mean_ioi", _mean(iois), stats.mean_ioi),
             ):
                 row[f"measured_{name}"] = measured
                 row[f"analytic_{name}"] = analytic
-                row[f"err_{name}"] = _normalized_error(measured, analytic)
+                row[f"err_{name}"] = normalized_error(measured, analytic)
             rows.append(row)
     return rows
 

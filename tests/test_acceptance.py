@@ -45,8 +45,10 @@ GAMMA_BAD = 10 ** (-15.2 / 10)
 PRESET_NAMES = ("scenario_a", "scenario_b", "scenario_c")
 CHECKPOINTS = (500, 1000, 2500, 5000, 10000)
 
-# protocol instance for AC-5, pinned for reproducibility; the distributional
-# claim it checks holds for a broad share of master seeds
+# protocol instance for AC-5, pinned for reproducibility. The check does not
+# hold for most master seeds: on scenario_b with 20 policies over master
+# seeds 0-39, the final-medians clause holds for 32/40, the non-increasing
+# clause for 10/40, and both for 9/40 (seeds 2, 6, 16, 17, 24, 28, 30, 35, 37)
 AC5_MASTER_SEED = 6
 
 # published reference outage rates for the two benchmark policies

@@ -274,6 +274,7 @@ class TestDurationPmf:
         assert stats.p_out == 0.0 and stats.xi_res_out_1 == 0.0
         assert stats.duration_pmf is None and stats.truncation_residual is None
         assert stats.mean_outage_duration is None and stats.mean_ioi is None
+        assert stats.truncation_t == 0
 
 
 class TestMeanDuration:

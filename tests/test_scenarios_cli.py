@@ -1,6 +1,7 @@
 """Scenario schema validation, presets, and the command-line surface."""
 
 import csv
+import importlib
 import json
 import re
 import subprocess
@@ -16,6 +17,15 @@ from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
 
 DATA = Path(__file__).resolve().parent / "data"
+
+# the package re-exports the function simulate under the module's name
+simulate_module = importlib.import_module("aoi_outage.simulate")
+
+#: The seeded columns of burst-convergence; the analytic and err columns
+#: follow the BLAS kernel in their last digits.
+CONVERGENCE_MEASURED_COLUMNS = (
+    "policy_id", "sim_seed", "checkpoint", "measured_p_out", "measured_mean_burst", "measured_mean_ioi",
+)
 
 # A fresh interpreter in which every scipy import fails: it imports the
 # package this suite tests, runs one CLI command, and reports the exit code
@@ -291,6 +301,31 @@ class TestCliSimulate:
             outs.append(out.read_text())
         assert outs[0] == outs[1]
 
+    def test_normalized_errors_compare_with_the_analytic_block(self, tmp_path):
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--config", "scenario_b", "--policy", "naive",
+                        "--reps", "5", "--periods", "2000", "--out", str(out)]) == 0
+        doc = read_strict_json(out)
+        analytic = doc["analytic"]
+        for name, measured, predicted in (
+            ("p_out", doc["outage_rate_mean"], analytic["p_out"]),
+            ("mean_burst", doc["mean_burst"], analytic["mean_outage_duration"]),
+            ("mean_ioi", doc["mean_ioi"], analytic["mean_ioi"]),
+        ):
+            assert doc["normalized_errors"][name] == abs(measured - predicted) / predicted
+
+    def test_normalized_errors_are_null_for_an_undefined_chain(self, tmp_path):
+        # the starved chain has p_out 1 but no burst start, so nothing compares
+        pol_path = tmp_path / "starve.json"
+        pol_path.write_text(json.dumps({"policy_lambda": [0] * 100}))
+        out = tmp_path / "sim.json"
+        assert run_cli(["simulate", "--config", "scenario_b", "--policy", "file",
+                        "--policy-file", str(pol_path), "--reps", "2", "--periods", "200",
+                        "--out", str(out)]) == 0
+        doc = read_strict_json(out)
+        assert doc["analytic"]["defined"] is False and doc["outage_rate_mean"] > 0.0
+        assert doc["normalized_errors"] == {"p_out": None, "mean_burst": None, "mean_ioi": None}
+
     def test_undefined_statistics_are_null(self, tmp_path):
         # 2 x 200 periods of min-error on scenario_b see no complete burst
         out = tmp_path / "sim.json"
@@ -335,6 +370,31 @@ class TestCliGrids:
         out = tmp_path / "table2.csv"
         assert run_cli(["reproduce-table2", "--reps", "3", "--periods", "300", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "table2_reps3_periods300.csv").read_bytes()
+
+    def test_reproduce_table2_measures_no_bursts(self, tmp_path, monkeypatch):
+        # the table prints outage rates only, so no run is split into bursts
+        argv = ["reproduce-table2", "--reps", "2", "--periods", "50", "--out"]
+        plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+        assert run_cli(argv + [str(plain)]) == 0
+
+        def no_bursts(seq):
+            raise AssertionError("reproduce-table2 measured bursts")
+
+        monkeypatch.setattr(simulate_module, "measure_bursts", no_bursts)
+        assert run_cli(argv + [str(patched)]) == 0
+        assert patched.read_bytes() == plain.read_bytes()
+
+    def test_burst_convergence_matches_golden_measurements(self, tmp_path):
+        # recorded from `burst-convergence --config scenario_b --n-policies 5`
+        # before each run's burst statistics were derived when read, and cut
+        # to the seeded columns
+        out = tmp_path / "cvg.csv"
+        assert run_cli(["burst-convergence", "--config", "scenario_b", "--n-policies", "5",
+                        "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        keep = [rows[0].index(column) for column in CONVERGENCE_MEASURED_COLUMNS]
+        measured = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+        assert measured.encode() == (DATA / "burst_convergence_scenario_b_n5_measured.csv").read_bytes()
 
     def test_simulate_matches_golden_output(self, tmp_path):
         # recorded from `simulate --config scenario_c --policy naive --reps 4

@@ -18,6 +18,7 @@ from aoi_outage.simulate import (
     derive_seed,
     measure_bursts,
     median_errors,
+    normalized_error,
     run_repetitions,
     run_repetitions_many,
     simulate,
@@ -350,9 +351,9 @@ class TestBurstConvergence:
         with pytest.raises(RuntimeError, match=r"^policy 2 has no reachable outage"):
             burst_convergence(cfg_b, 6, 11)
 
-    def test_full_horizon_reuses_the_run_measurement(self, cfg_b, monkeypatch):
-        # simulate_many measures each whole run; the checkpoints below the
-        # horizon measure prefixes, one call each
+    def test_each_checkpoint_measures_its_prefix_once(self, cfg_b, monkeypatch):
+        # the simulated runs are not measured; each checkpoint measures its
+        # prefix, one call each, in row order
         lengths = []
 
         def recording(seq):
@@ -361,8 +362,7 @@ class TestBurstConvergence:
 
         monkeypatch.setattr(simulate_module, "measure_bursts", recording)
         burst_convergence(cfg_b, 3, 11)
-        horizon = max(CHECKPOINTS)
-        assert sorted(lengths) == sorted([horizon] * 3 + list(CHECKPOINTS[:-1]) * 3)
+        assert lengths == list(CHECKPOINTS) * 3
 
 
 class TestRepetitions:
@@ -386,15 +386,11 @@ class TestRepetitions:
         pooled = sorted(d for r in reversed_results for d in r.burst_durations)
         assert pooled == sorted(summary.burst_durations)
 
-    def test_normalized_errors_present_with_analytic(self, cfg_b, tables_b):
-        pol = naive_policy(cfg_b)
-        stats = burst_stats(cfg_b, pol, tables=tables_b)
-        summary = run_repetitions(
-            cfg_b, pol, 5, 2000, master_seed=2, analytic=stats, tables=tables_b
-        )
-        assert summary.err_p_out is not None and summary.err_p_out >= 0.0
-        assert summary.err_mean_burst is not None
-        assert summary.err_mean_ioi is not None
+    @pytest.mark.parametrize("measured, predicted", [
+        (0.1, None), (0.1, 0.0), (0.1, -0.2), (float("nan"), 0.2),
+    ], ids=["no-prediction", "zero", "negative", "nan-measured"])
+    def test_normalized_error_unusable_side_is_nan(self, measured, predicted):
+        assert np.isnan(normalized_error(measured, predicted))
 
     def test_empirical_matches_analytic_within_three_se(self, cfg_b, tables_b):
         # long-horizon consistency of the simulator and the stationary analysis
@@ -406,10 +402,9 @@ class TestRepetitions:
 
     def test_many_equals_one_policy_at_a_time(self, cfg_b, tables_b):
         pols = [naive_policy(cfg_b), random_policy(cfg_b, np.random.default_rng(12), low=300)]
-        stats = [burst_stats(cfg_b, pol, tables=tables_b) for pol in pols]
-        many = run_repetitions_many(cfg_b, pols, 4, 700, master_seed=9, analytics=stats, tables=tables_b)
-        for pol, analytic, summary in zip(pols, stats, many):
-            single = run_repetitions(cfg_b, pol, 4, 700, master_seed=9, analytic=analytic, tables=tables_b)
+        many = run_repetitions_many(cfg_b, pols, 4, 700, master_seed=9, tables=tables_b)
+        for pol, summary in zip(pols, many):
+            single = run_repetitions(cfg_b, pol, 4, 700, master_seed=9, tables=tables_b)
             assert [r.seed for r in summary.results] == [r.seed for r in single.results]
             for a, b in zip(summary.results, single.results):
                 assert np.array_equal(a.outage_sequence, b.outage_sequence)
@@ -419,9 +414,6 @@ class TestRepetitions:
                 single.outage_rate_mean, single.outage_rate_std)
             assert summary.burst_durations == single.burst_durations
             assert summary.ioi_durations == single.ioi_durations
-            assert np.array_equal(
-                [summary.err_p_out, summary.err_mean_burst, summary.err_mean_ioi],
-                [single.err_p_out, single.err_mean_burst, single.err_mean_ioi], equal_nan=True)
 
     def test_rejects_bad_reps(self, small_cfg):
         with pytest.raises(ValueError):
