@@ -10,7 +10,6 @@ import sys
 
 from aoi_outage import (
     PenaltyKind,
-    TransitionTables,
     burst_stats_many,
     load_scenario,
     min_error_policy,
@@ -28,12 +27,11 @@ def main() -> int:
     print(f"{'scenario':<12}{'policy':<16}{'p_out':>14}")
     for preset in args.scenarios:
         cfg = load_scenario(preset).system
-        tables = TransitionTables(cfg)
         for kind in PenaltyKind:
-            report = optimize(cfg, kind, 0, tables=tables)
+            report = optimize(cfg, kind, 0)
             print(f"{preset:<12}{kind.value:<16}{report.best_p_out:>14.6e}")
-        benchmarks = {"naive": naive_policy(cfg), "min-error": min_error_policy(cfg, tables=tables)}
-        for name, stats in zip(benchmarks, burst_stats_many(cfg, list(benchmarks.values()), tables=tables)):
+        benchmarks = {"naive": naive_policy(cfg), "min-error": min_error_policy(cfg)}
+        for name, stats in zip(benchmarks, burst_stats_many(cfg, list(benchmarks.values()))):
             print(f"{preset:<12}{name:<16}{stats.p_out:>14.6e}")
     return 0
 

@@ -33,12 +33,12 @@ from .markov import (
     outage_probability,
     steady_state,
     steady_states,
+    transition_tables,
     validate_policy,
 )
 from .optimizer import (
     OptimizeReport,
     PenaltyKind,
-    TerminationReason,
     improve_policy,
     min_error_policy,
     naive_policy,

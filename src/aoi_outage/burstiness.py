@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionTables, build_transition_matrices, steady_states
+from .markov import build_transition_matrices, steady_states, transition_tables
 from .states import SystemConfig
 
 SERIES_TOLERANCE = 1e-12
@@ -168,20 +168,16 @@ def chain_burst_stats(p, out) -> BurstStats:
     return chain_burst_stats_many(np.asarray(p, dtype=float)[None], out)[0]
 
 
-def burst_stats_many(
-    cfg: SystemConfig, policies, *, tables: TransitionTables | None = None
-) -> list[BurstStats]:
+def burst_stats_many(cfg: SystemConfig, policies) -> list[BurstStats]:
     """Burstiness record of each policy: chain_burst_stats_many of the
     stack of age chains they induce, with the config's outage set. No
     policies give no records."""
     if len(policies) == 0:
         return []
-    t = tables if tables is not None else TransitionTables(cfg)
-    return chain_burst_stats_many(build_transition_matrices(cfg, policies, tables=t), t.outage)
+    return chain_burst_stats_many(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
 
 
-def burst_stats(
-    cfg: SystemConfig, policy, *, tables: TransitionTables | None = None
-) -> BurstStats:
-    """Burstiness record for one policy: burst_stats_many of one."""
-    return burst_stats_many(cfg, [policy], tables=tables)[0]
+def burst_stats(cfg: SystemConfig, policy, *, tables=None) -> BurstStats:
+    """Burstiness record for one policy: burst_stats_many of one. tables is
+    not read: the tables come from transition_tables(cfg)."""
+    return burst_stats_many(cfg, [policy])[0]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats, burst_stats_many
-from .markov import TransitionTables, validate_policy
+from .markov import validate_policy
 from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, load_scenario
@@ -193,19 +193,18 @@ def _table2_solve(preset: str) -> tuple:
     penalty's policy is its sweep, which is optimize's final policy."""
     scenario = load_scenario(preset)
     cfg = scenario.system
-    tables = TransitionTables(cfg)
     policies = []
     for policy_name in _TABLE2_POLICIES:
         if policy_name == "naive":
             policies.append(naive_policy(cfg))
         elif policy_name == "min-error":
-            policies.append(min_error_policy(cfg, tables=tables))
+            policies.append(min_error_policy(cfg))
         else:
-            policies.append(improve_policy(cfg, PenaltyKind(policy_name), tables=tables))
-    return scenario, tables, policies, burst_stats_many(cfg, policies, tables=tables)
+            policies.append(improve_policy(cfg, PenaltyKind(policy_name)))
+    return scenario, policies, burst_stats_many(cfg, policies)
 
 
-def _table2_rows(args, scenario: Scenario, tables: TransitionTables, policies, stats) -> list[dict]:
+def _table2_rows(args, scenario: Scenario, policies, stats) -> list[dict]:
     """Phase 2 of reproduce-table2 for one preset: one simulation batch over
     all six policies' repetitions, reduced to the preset's CSV rows. The
     per-repetition results are freed on return."""
@@ -213,7 +212,7 @@ def _table2_rows(args, scenario: Scenario, tables: TransitionTables, policies, s
     reps = args.reps if args.reps is not None else scenario.simulation.reps
     periods = args.periods if args.periods is not None else scenario.simulation.periods
     summaries = run_repetitions_many(
-        scenario.system, policies, reps, periods, scenario.simulation.master_seed, tables=tables
+        scenario.system, policies, reps, periods, scenario.simulation.master_seed
     )
     rows = []
     for policy_name, policy_stats, summary in zip(_TABLE2_POLICIES, stats, summaries):

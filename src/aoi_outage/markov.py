@@ -4,10 +4,11 @@ The transition law over the age chain (TransitionTables, with the four
 branch products in branch_probabilities), dense matrix assembly as one
 scatter of that law, the stationary distribution, and the stationary
 outage rate. The matrix builder, the policy sweep and the simulator all
-read this one law. Matrices and stationary laws come in stacks, one per
-policy, and the one-matrix forms are stacks of one. Burst statistics live
-in burstiness. A policy is an integer vector over the states giving
-device 1's share of the shared blocklength; device 2 gets the remainder.
+read this one law, built once per config by transition_tables(cfg).
+Matrices and stationary laws come in stacks, one per policy, and the
+one-matrix forms are stacks of one. Burst statistics live in burstiness. A
+policy is an integer vector over the states giving device 1's share of the
+shared blocklength; device 2 gets the remainder.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
@@ -18,6 +19,8 @@ from this a_max**2-state age chain (lumpability; Kemeny & Snell, 6.3).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +68,9 @@ class TransitionTables:
       clamped at a_max, on failure.
     - bit_weights[k]: probability of fresh channel bits k.
     - outage[g]: the outage set.
+
+    The arrays are read-only: transition_tables(cfg) shares one instance
+    per config with every caller in the process.
     """
 
     def __init__(self, cfg: SystemConfig):
@@ -87,6 +93,8 @@ class TransitionTables:
         self.bit_weights = np.array(
             [(1 - a1p) * (1 - a2p), (1 - a1p) * a2p, a1p * (1 - a2p), a1p * a2p]
         )
+        for table in (self.eps_by_bit, self.bits, self.ages, self.succ, self.outage, self.bit_weights):
+            table.flags.writeable = False
 
     @property
     def n_total(self) -> int:
@@ -101,13 +109,20 @@ class TransitionTables:
         return self.eps_by_bit[x1, lam], self.eps_by_bit[x2, self.n_total - lam]
 
 
+@lru_cache(maxsize=32)
+def transition_tables(cfg: SystemConfig) -> TransitionTables:
+    """The config's TransitionTables, built once per distinct config and
+    shared: the law is fixed by the config, so every reader takes it here."""
+    return TransitionTables(cfg)
+
+
 def branch_probabilities(e1, e2) -> tuple:
     """Probabilities of the four branches 2 * fail1 + fail2 of a transition
     whose devices fail with rates e1 and e2, elementwise."""
     return (1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2
 
 
-def build_transition_matrices(cfg: SystemConfig, policies, *, tables: TransitionTables | None = None) -> np.ndarray:
+def build_transition_matrices(cfg: SystemConfig, policies) -> np.ndarray:
     """Stack of the dense row-stochastic age-chain matrices the policies
     induce, shape (len(policies), a_max**2, a_max**2).
 
@@ -117,7 +132,7 @@ def build_transition_matrices(cfg: SystemConfig, policies, *, tables: Transition
     same whatever the stack.
     """
     pols = np.stack([validate_policy(p, cfg) for p in policies])
-    t = tables if tables is not None else TransitionTables(cfg)
+    t = transition_tables(cfg)
     # weights[m, g, k, b]: branch b of state [g, k] in matrix m, times bit_weights[k]
     weights = np.stack(branch_probabilities(*t.error_rates(pols)), axis=-1) * t.bit_weights[:, None]
     n = cfg.a_max**2
@@ -127,10 +142,10 @@ def build_transition_matrices(cfg: SystemConfig, policies, *, tables: Transition
     return flat.reshape(len(pols), n, n)
 
 
-def build_transition_matrix(cfg: SystemConfig, policy, *, tables: TransitionTables | None = None) -> np.ndarray:
+def build_transition_matrix(cfg: SystemConfig, policy) -> np.ndarray:
     """Dense row-stochastic transition matrix of the age chain `policy`
     induces: the stack of one of build_transition_matrices."""
-    return build_transition_matrices(cfg, [policy], tables=tables)[0]
+    return build_transition_matrices(cfg, [policy])[0]
 
 
 def steady_states(ps) -> np.ndarray:
@@ -184,4 +199,4 @@ def outage_probability(pi, cfg: SystemConfig) -> float:
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (cfg.a_max**2,):
         raise ValueError(f"pi must have shape ({cfg.a_max**2},), got {pi.shape}")
-    return float(pi[outage_mask(cfg.a_max, cfg.a_out)].sum())
+    return float(pi[transition_tables(cfg).outage].sum())

@@ -34,6 +34,7 @@ import numpy as np
 
 from .markov import (
     TransitionTables, branch_probabilities, build_transition_matrix, outage_probability, steady_state,
+    transition_tables,
 )
 from .states import SystemConfig
 
@@ -45,10 +46,6 @@ class PenaltyKind(Enum):
     EXP_MEAN_PEAK_AOI = "exp-peak-aoi"
 
 
-class TerminationReason(Enum):
-    CONVERGED = "Converged"
-
-
 @dataclass
 class OptimizeReport:
     """Outcome of one optimizer run. final_policy is the sweep's policy and
@@ -58,10 +55,7 @@ class OptimizeReport:
     final_policy: np.ndarray
     iterations: int
     convergence_trace: list[tuple[int, float, float]]
-    terminated_by: TerminationReason
-    seed: int
     best_p_out: float
-    best_iteration: int
 
 
 def _age_weight_grid(kind: PenaltyKind, t: TransitionTables) -> np.ndarray:
@@ -79,9 +73,7 @@ def _age_weight_grid(kind: PenaltyKind, t: TransitionTables) -> np.ndarray:
     raise ValueError(f"unknown penalty kind: {kind!r}")
 
 
-def improve_policy(
-    cfg: SystemConfig, kind: PenaltyKind, *, tables: TransitionTables | None = None
-) -> np.ndarray:
+def improve_policy(cfg: SystemConfig, kind: PenaltyKind) -> np.ndarray:
     """Per-state argmin over every allocation 0..N of the expected successor
     weight sum_b branch_b(lam) * w(succ[g, b]).
 
@@ -92,7 +84,7 @@ def improve_policy(
     sum need not be unimodal near the extremes). Ties break to the smallest
     allocation.
     """
-    t = tables if tables is not None else TransitionTables(cfg)
+    t = transition_tables(cfg)
     w = _age_weight_grid(kind, t)[t.succ.T, None]  # w[b]: (a_max**2, 1) successor weights
     new = np.empty((cfg.a_max**2, 4), dtype=np.int64)  # [g, k]
     for k, (x1, x2) in enumerate(t.bits):
@@ -111,7 +103,7 @@ def optimize(
     seed: int,
     max_iter: int = 200,
     *,
-    tables: TransitionTables | None = None,
+    tables=None,
 ) -> OptimizeReport:
     """Fixed point of the recursive optimizer: one sweep, one solve.
 
@@ -121,22 +113,16 @@ def optimize(
     (see the module docstring), and it gives zero-mass states their own
     argmin rather than allocation 0.
 
-    seed is only echoed into the report, and max_iter is only checked to be
-    >= 1: neither changes the result.
+    seed and tables are not read, and max_iter is only checked to be >= 1:
+    none of them changes the result. They stay for callers that pass them;
+    the tables come from transition_tables(cfg).
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    t = tables if tables is not None else TransitionTables(cfg)
-    lam = improve_policy(cfg, kind, tables=t)
-    p_out = outage_probability(steady_state(build_transition_matrix(cfg, lam, tables=t)), cfg)
+    lam = improve_policy(cfg, kind)
+    p_out = outage_probability(steady_state(build_transition_matrix(cfg, lam)), cfg)
     return OptimizeReport(
-        final_policy=lam,
-        iterations=1,
-        convergence_trace=[(1, 0.0, p_out)],
-        terminated_by=TerminationReason.CONVERGED,
-        seed=seed,
-        best_p_out=p_out,
-        best_iteration=1,
+        final_policy=lam, iterations=1, convergence_trace=[(1, 0.0, p_out)], best_p_out=p_out
     )
 
 
@@ -145,12 +131,13 @@ def naive_policy(cfg: SystemConfig) -> np.ndarray:
     return np.full(cfg.n_states, cfg.link.blocklength_total // 2, dtype=np.int64)
 
 
-def min_error_policy(cfg: SystemConfig, *, tables: TransitionTables | None = None) -> np.ndarray:
+def min_error_policy(cfg: SystemConfig, *, tables=None) -> np.ndarray:
     """Per-state minimizer of the summed error rates eps1(lam) + eps2(N - lam).
 
     The objective has no age term, so the allocation depends only on the
-    channel bits; ties break to the smallest allocation.
+    channel bits; ties break to the smallest allocation. tables is not
+    read: the tables come from transition_tables(cfg).
     """
-    t = tables if tables is not None else TransitionTables(cfg)
+    t = transition_tables(cfg)
     by_bits = [np.argmin(t.eps_by_bit[x1] + t.eps_by_bit[x2][::-1]) for x1, x2 in t.bits]
     return np.tile(np.array(by_bits, dtype=np.int64), cfg.a_max**2)

@@ -64,7 +64,6 @@ class Scenario:
     system: SystemConfig
     optimizer: OptimizerSettings
     simulation: SimulationSettings
-    raw: dict
     config_hash: str
 
 
@@ -170,7 +169,6 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
         system=system,
         optimizer=opt,
         simulation=sim,
-        raw=copy.deepcopy(document),
         config_hash=config_hash(document),
     )
 

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .burstiness import burst_stats_many
-from .markov import TransitionTables, validate_policy
+from .markov import TransitionTables, transition_tables, validate_policy
 from .states import SystemConfig
 
 
@@ -173,14 +173,7 @@ def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
     return which, np.unique(which, return_index=True)[1]
 
 
-def simulate_many(
-    cfg: SystemConfig,
-    policies,
-    periods: int,
-    seeds,
-    *,
-    tables: TransitionTables | None = None,
-) -> list[SimResult]:
+def simulate_many(cfg: SystemConfig, policies, periods: int, seeds) -> list[SimResult]:
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
     periods from cfg.initial. Row r equals
     simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
@@ -196,24 +189,16 @@ def simulate_many(
     group, first = _distinct((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
     pols = np.stack([validate_policy(arrays[i], cfg) for i in first])
     stream, first = _distinct(seeds)
-    t = tables if tables is not None else TransitionTables(cfg)
-    outage, final = _lockstep(t, pols, group, periods, [seeds[i] for i in first], stream)
+    outage, final = _lockstep(transition_tables(cfg), pols, group, periods, [seeds[i] for i in first], stream)
     return [
         SimResult(seed=seed, final_position=int(state), outage_sequence=seq)
         for seq, seed, state in zip(outage, seeds, final)
     ]
 
 
-def simulate(
-    cfg: SystemConfig,
-    policy,
-    periods: int,
-    seed: int,
-    *,
-    tables: TransitionTables | None = None,
-) -> SimResult:
+def simulate(cfg: SystemConfig, policy, periods: int, seed: int) -> SimResult:
     """Simulate the chain for `periods` periods from cfg.initial."""
-    return simulate_many(cfg, [policy], periods, [seed], tables=tables)[0]
+    return simulate_many(cfg, [policy], periods, [seed])[0]
 
 
 @dataclass
@@ -232,8 +217,9 @@ class RepetitionSummary:
     def periods(self) -> int:
         return self.results[0].periods
 
-    @property
+    @cached_property
     def outage_rates(self) -> np.ndarray:
+        """The per-repetition outage rates, gathered on first read."""
         return np.array([r.outage_rate for r in self.results])
 
     @property
@@ -263,13 +249,7 @@ class RepetitionSummary:
 
 
 def run_repetitions_many(
-    cfg: SystemConfig,
-    policies,
-    reps: int,
-    periods: int,
-    master_seed: int,
-    *,
-    tables: TransitionTables | None = None,
+    cfg: SystemConfig, policies, reps: int, periods: int, master_seed: int
 ) -> list[RepetitionSummary]:
     """run_repetitions for each policy, all simulated in one lockstep batch.
 
@@ -279,23 +259,15 @@ def run_repetitions_many(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     seeds = [derive_seed(master_seed, r) for r in range(reps)]
-    results = simulate_many(
-        cfg, [p for p in policies for _ in range(reps)], periods, seeds * len(policies), tables=tables
-    )
+    results = simulate_many(cfg, [p for p in policies for _ in range(reps)], periods, seeds * len(policies))
     return [RepetitionSummary(master_seed, results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
 
 
 def run_repetitions(
-    cfg: SystemConfig,
-    policy,
-    reps: int,
-    periods: int,
-    master_seed: int,
-    *,
-    tables: TransitionTables | None = None,
+    cfg: SystemConfig, policy, reps: int, periods: int, master_seed: int
 ) -> RepetitionSummary:
     """Independent repetitions with index-derived seeds and pooled statistics."""
-    return run_repetitions_many(cfg, [policy], reps, periods, master_seed, tables=tables)[0]
+    return run_repetitions_many(cfg, [policy], reps, periods, master_seed)[0]
 
 
 def normalized_error(measured: float, predicted: float | None) -> float:
@@ -321,19 +293,18 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     between bursts, and their relative errors. Raises RuntimeError for the
     first policy with no reachable outage.
     """
-    t = TransitionTables(cfg)
     policies = [
         np.random.default_rng(derive_seed(master_seed, pid, 0)).integers(
             0, cfg.link.blocklength_total + 1, size=cfg.n_states
         )
         for pid in range(n_policies)
     ]
-    all_stats = burst_stats_many(cfg, policies, tables=t)
+    all_stats = burst_stats_many(cfg, policies)
     for pid, stats in enumerate(all_stats):
         if not stats.defined:
             raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
     sim_seeds = [derive_seed(master_seed, pid, 1) for pid in range(n_policies)]
-    results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds, tables=t)
+    results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds)
     rows = []
     for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
         for cp in CHECKPOINTS:

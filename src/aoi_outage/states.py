@@ -49,6 +49,8 @@ class SystemConfig:
     initial: tuple[int, int, int, int] = (1, 1, 0, 0)
 
     def __post_init__(self):
+        # a config is hashable, since it keys markov.transition_tables
+        object.__setattr__(self, "initial", tuple(self.initial))
         if self.a_max < 1:
             raise ValueError(f"a_max must be >= 1, got {self.a_max}")
         if not 1 <= self.a_out <= self.a_max:
@@ -61,7 +63,7 @@ class SystemConfig:
         if self.a_out == self.a_max:
             warnings.warn(
                 "a_out equals a_max: the outage set is empty and outage statistics degenerate",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__ to its caller
             )
 
     @property

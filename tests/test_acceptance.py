@@ -110,7 +110,7 @@ class TestAC2:
                 random_policy(cfg, rng) for _ in range(5)
             ]
             for pol in policies:
-                p = build_transition_matrix(cfg, pol, tables=tables)
+                p = build_transition_matrix(cfg, pol)
                 worst_row = max(worst_row, np.abs(p.sum(axis=1) - 1.0).max())
                 pi = steady_state(p)
                 assert np.abs(pi @ p - pi).max() < 1e-10
@@ -122,12 +122,11 @@ class TestAC2:
 
         # long-horizon distribution meets the stationary solution
         cfg3 = make_config(n=1000, d=16, a_max=3, a_out=2)
-        tables3 = TransitionTables(cfg3)
         rng = np.random.default_rng(2024)
         worst_tv = 0.0
         for _ in range(10):
             pol = random_policy(cfg3, rng)
-            p = build_transition_matrix(cfg3, pol, tables=tables3)
+            p = build_transition_matrix(cfg3, pol)
             pi = steady_state(p)
             v = reference_k_step_distribution(p, cfg3.initial_position // 4, 10_000)
             worst_tv = max(worst_tv, 0.5 * np.abs(v - pi).sum())
@@ -141,7 +140,7 @@ class TestAC3:
     def test_analytic_vs_published(self, preset, policy_name, published):
         _, cfg, tables = _scenario(preset)
         pol = _benchmark_policy(cfg, tables, policy_name)
-        p = build_transition_matrix(cfg, pol, tables=tables)
+        p = build_transition_matrix(cfg, pol)
         ours = outage_probability(steady_state(p), cfg)
         rel = abs(ours - published) / published
         # diagnostic: the same chain scored with an inclusive threshold
@@ -163,11 +162,11 @@ class TestAC3:
     def test_empirical_within_three_se_of_analytic(self, preset, policy_name, published):
         sc, cfg, tables = _scenario(preset)
         pol = _benchmark_policy(cfg, tables, policy_name)
-        p = build_transition_matrix(cfg, pol, tables=tables)
+        p = build_transition_matrix(cfg, pol)
         analytic = outage_probability(steady_state(p), cfg)
         summary = run_repetitions(
             cfg, pol, sc.simulation.reps, sc.simulation.periods,
-            sc.simulation.master_seed, tables=tables,
+            sc.simulation.master_seed,
         )
         se = summary.outage_rate_std / np.sqrt(summary.reps)
         gap = abs(summary.outage_rate_mean - analytic)
@@ -192,7 +191,7 @@ class TestPublishedThreshold:
         inclusive = replace(cfg, a_out=2)
         tables = TransitionTables(inclusive)
         pol = _benchmark_policy(inclusive, tables, policy_name)
-        p = build_transition_matrix(inclusive, pol, tables=tables)
+        p = build_transition_matrix(inclusive, pol)
         ratio = outage_probability(steady_state(p), inclusive) / published
         assert abs(ratio - 1.0) <= 0.30, f"{preset}/{policy_name}: {ratio:.3f} x published"
 
@@ -205,7 +204,7 @@ class TestAC4:
             sc, cfg, tables = _scenario(preset)
             me = min_error_policy(cfg, tables=tables)
             me_pout = outage_probability(
-                steady_state(build_transition_matrix(cfg, me, tables=tables)), cfg
+                steady_state(build_transition_matrix(cfg, me)), cfg
             )
             exp_pout = optimize(cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, 0, sc.optimizer.max_iter,
                                 tables=tables).best_p_out
@@ -279,7 +278,7 @@ class TestAC7:
         _, cfg, tables = _scenario("scenario_b")
         pol = naive_policy(cfg)
         start = time.perf_counter()
-        steady_state(build_transition_matrix(cfg, pol, tables=tables))
+        steady_state(build_transition_matrix(cfg, pol))
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         print(f"AC-7: one build+solve of the 25-state age chain took {elapsed * 1e3:.1f} ms; ", end="")

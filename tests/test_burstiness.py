@@ -192,7 +192,7 @@ class TestXiMatrix:
 class TestXiSetToSet:
     def test_one_step_definition_unrolled(self, small_cfg, small_tables):
         stats = burst_stats(small_cfg, naive_policy(small_cfg), tables=small_tables)
-        p = build_transition_matrix(small_cfg, naive_policy(small_cfg), tables=small_tables)
+        p = build_transition_matrix(small_cfg, naive_policy(small_cfg))
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
         expected = sum(
@@ -210,7 +210,7 @@ class TestXiSetToSet:
         # flow; k > 1 back to the complement is a burst of k - 1 periods
         pol = random_policy(small_cfg, np.random.default_rng(2))
         stats = burst_stats(small_cfg, pol, tables=small_tables)
-        p = build_transition_matrix(small_cfg, pol, tables=small_tables)
+        p = build_transition_matrix(small_cfg, pol)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
         xi = reference_xi_matrix(p, mask, k)
@@ -259,7 +259,7 @@ class TestDurationPmf:
     def test_geometric_tail(self, cfg_b, tables_b):
         # the stop rule ends this pmf before t = 30; the reference walk goes on
         stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
-        p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
+        p = build_transition_matrix(cfg_b, naive_policy(cfg_b))
         pmf = reference_duration_pmf(steady_state(p), p, tables_b.outage, 30)
         assert np.array_equal(stats.duration_pmf, pmf[: stats.truncation_t])
         ratios = pmf[20:29] / pmf[19:28]
@@ -345,7 +345,7 @@ class TestMatchesReferenceSeries:
     @staticmethod
     def check(cfg, pol, tables):
         stats = burst_stats(cfg, pol, tables=tables)
-        assert_matches_oracles(stats, build_transition_matrix(cfg, pol, tables=tables), tables.outage)
+        assert_matches_oracles(stats, build_transition_matrix(cfg, pol), tables.outage)
         return stats
 
 
@@ -373,7 +373,7 @@ class TestBurstStats:
 
     def test_full_record(self, cfg_b, tables_b):
         stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
-        p = build_transition_matrix(cfg_b, naive_policy(cfg_b), tables=tables_b)
+        p = build_transition_matrix(cfg_b, naive_policy(cfg_b))
         pi = steady_state(p)
         assert stats.p_out == pytest.approx(float(pi[outage_mask(5, 3)].sum()), rel=1e-12)
         assert stats.mean_outage_duration >= 1.0
@@ -402,7 +402,7 @@ def preset_batch(request):
     policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
     rng = np.random.default_rng(31)
     policies += [random_policy(cfg, rng) for _ in range(30)]
-    return cfg, tables, policies, burst_stats_many(cfg, policies, tables=tables)
+    return cfg, tables, policies, burst_stats_many(cfg, policies)
 
 
 class TestBurstStatsMany:
@@ -411,12 +411,12 @@ class TestBurstStatsMany:
         assert len(many) == len(policies)
         for pol, stats in zip(policies, many):
             assert record_bits(stats) == record_bits(burst_stats(cfg, pol, tables=tables))
-            assert_matches_oracles(stats, build_transition_matrix(cfg, pol, tables=tables), tables.outage)
+            assert_matches_oracles(stats, build_transition_matrix(cfg, pol), tables.outage)
 
     def test_permuted_batch_permutes_records(self, preset_batch):
         cfg, tables, policies, many = preset_batch
         order = np.random.default_rng(7).permutation(len(policies))
-        permuted = burst_stats_many(cfg, [policies[i] for i in order], tables=tables)
+        permuted = burst_stats_many(cfg, [policies[i] for i in order])
         assert [record_bits(s) for s in permuted] == [record_bits(many[i]) for i in order]
 
     def test_mixed_batch(self):
@@ -426,7 +426,7 @@ class TestBurstStatsMany:
         tables = TransitionTables(cfg)
         policies = [naive_policy(cfg), np.zeros(cfg.n_states, dtype=int), cap_policy(),
                     min_error_policy(cfg, tables=tables), np.zeros(cfg.n_states, dtype=int)]
-        many = burst_stats_many(cfg, policies, tables=tables)
+        many = burst_stats_many(cfg, policies)
         assert [s.defined for s in many] == [True, False, True, True, False]
         assert many[2].truncation_t == SERIES_CAP
         assert max(many[0].truncation_t, many[3].truncation_t) < WALK_BLOCK

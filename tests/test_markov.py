@@ -7,6 +7,7 @@ every analytic output of the age chain against it.
 """
 
 import contextlib
+import dataclasses
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from aoi_outage.markov import (
     outage_probability,
     steady_state,
     steady_states,
+    transition_tables,
     validate_policy,
 )
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
@@ -161,7 +163,7 @@ class TestBuildMatrix:
         with pytest.warns(UserWarning):
             cfg = make_config(a_max=1, a_out=1)
         tables = TransitionTables(cfg)
-        assert build_transition_matrix(cfg, [7, 0, 40, 21], tables=tables) == pytest.approx(
+        assert build_transition_matrix(cfg, [7, 0, 40, 21]) == pytest.approx(
             np.ones((1, 1)), abs=1e-15
         )
         full = reference_build_transition_matrix(cfg, [7, 0, 40, 21], tables)
@@ -224,24 +226,23 @@ class TestStacks:
         tables = TransitionTables(cfg)
         rng = np.random.default_rng(a_max)
         policies = [random_policy(cfg, rng) for _ in range(7)] + [naive_policy(cfg)]
-        stack = build_transition_matrices(cfg, policies, tables=tables)
+        stack = build_transition_matrices(cfg, policies)
         assert stack.shape == (len(policies), a_max**2, a_max**2)
         for pol, q in zip(policies, stack):
-            assert np.array_equal(q, build_transition_matrix(cfg, pol, tables=tables))
+            assert np.array_equal(q, build_transition_matrix(cfg, pol))
             assert np.array_equal(q, add_at_scatter(cfg, pol, tables))
 
-    def test_stack_rejects_any_bad_policy(self, small_cfg, small_tables):
+    def test_stack_rejects_any_bad_policy(self, small_cfg):
         good = naive_policy(small_cfg)
         with pytest.raises(ValueError, match="must lie in"):
-            build_transition_matrices(small_cfg, [good, [41] + [0] * 15], tables=small_tables)
+            build_transition_matrices(small_cfg, [good, [41] + [0] * 15])
 
     @pytest.mark.parametrize("preset", PRESET_NAMES)
     def test_stacked_solve_matches_one_at_a_time(self, preset):
         cfg = load_scenario(preset).system
-        tables = TransitionTables(cfg)
         rng = np.random.default_rng(13)
         policies = [random_policy(cfg, rng) for _ in range(12)] + [naive_policy(cfg)]
-        stack = build_transition_matrices(cfg, policies, tables=tables)
+        stack = build_transition_matrices(cfg, policies)
         pis = steady_states(stack)
         for p, pi in zip(stack, pis):
             assert pi.tobytes() == steady_state(p).tobytes()
@@ -308,6 +309,50 @@ class TestTransitionTables:
                 assert (e2[:, k] == block_error_rate(n - lam, d, gamma[x2])).all()
 
 
+class TestSharedTables:
+    """transition_tables(cfg) is the one source of the law: one read-only
+    instance per distinct config, and the tables= keyword that optimize,
+    burst_stats and min_error_policy still accept is never read."""
+
+    def test_equal_configs_share_one_instance(self):
+        assert transition_tables(make_config(a_max=3)) is transition_tables(make_config(a_max=3))
+        preset = transition_tables(load_scenario("scenario_b").system)
+        assert preset is transition_tables(load_scenario("scenario_b").system)
+
+    def test_each_config_gets_its_own_instance(self):
+        cfg = make_config(a_max=3, a_out=1)
+        other_a_out = dataclasses.replace(cfg, a_out=2)
+        other_initial = dataclasses.replace(cfg, initial=(2, 1, 0, 0))
+        shared = transition_tables(cfg)
+        assert transition_tables(other_a_out) is not shared
+        assert transition_tables(other_initial) is not shared
+        assert transition_tables(other_a_out).outage.tolist() != shared.outage.tolist()
+        assert transition_tables(other_initial).cfg == other_initial
+
+    @pytest.mark.parametrize("name", ["eps_by_bit", "bits", "ages", "succ", "outage", "bit_weights"])
+    def test_tables_are_read_only(self, small_cfg, name):
+        for tables in (transition_tables(small_cfg), TransitionTables(small_cfg)):
+            table = getattr(tables, name)
+            with pytest.raises(ValueError, match="read-only"):
+                table[(0,) * table.ndim] = table[(0,) * table.ndim]
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_tables_keyword_is_not_read(self, preset):
+        cfg = load_scenario(preset).system
+        other = TransitionTables(make_config())  # another config's law: it would change every result
+        for tables in (TransitionTables(cfg), other):
+            assert np.array_equal(min_error_policy(cfg, tables=tables), min_error_policy(cfg))
+            for kind in PenaltyKind:
+                got, want = optimize(cfg, kind, 0, tables=tables), optimize(cfg, kind, 0)
+                assert np.array_equal(got.final_policy, want.final_policy)
+                assert (got.iterations, got.convergence_trace, got.best_p_out) == (
+                    want.iterations, want.convergence_trace, want.best_p_out)
+                got, want = burst_stats(cfg, want.final_policy, tables=tables), burst_stats(cfg, want.final_policy)
+                assert (got.p_out, got.xi_res_out_1, got.mean_outage_duration) == (
+                    want.p_out, want.xi_res_out_1, want.mean_outage_duration)
+                assert np.array_equal(got.duration_pmf, want.duration_pmf)
+
+
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 def test_branch_probabilities_are_a_law(e1, e2):
     branch = branch_probabilities(np.array([e1]), np.array([e2]))
@@ -335,7 +380,7 @@ class TestLumpability:
         full_out = np.repeat(tables.outage, 4)
         for pol in lumpability_policies(cfg, tables, np.random.default_rng(17)):
             full = reference_build_transition_matrix(cfg, pol, tables)
-            q = build_transition_matrix(cfg, pol, tables=tables)
+            q = build_transition_matrix(cfg, pol)
             assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
             # the full chain's stationary law is the age chain's times the
             # bit weights; the 100-state LU is only accurate absolutely
@@ -356,7 +401,7 @@ class TestLumpability:
         rng = np.random.default_rng(2)
         for pol in [[7, 0, 40, 21]] + [random_policy(cfg, rng) for _ in range(20)]:
             full = reference_build_transition_matrix(cfg, pol, tables)
-            q = build_transition_matrix(cfg, pol, tables=tables)
+            q = build_transition_matrix(cfg, pol)
             assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
 
 
@@ -396,19 +441,19 @@ class TestSteadyState:
 
 
 class TestKStep:
-    def test_converges_to_steady_state(self, small_cfg, small_tables):
+    def test_converges_to_steady_state(self, small_cfg):
         rng = np.random.default_rng(23)
         for _ in range(5):
             pol = random_policy(small_cfg, rng, low=1)
-            p = build_transition_matrix(small_cfg, pol, tables=small_tables)
+            p = build_transition_matrix(small_cfg, pol)
             pi = steady_state(p)
             v = reference_k_step_distribution(p, small_cfg.initial_position // 4, 10_000)
             assert 0.5 * np.abs(v - pi).sum() < 1e-8
 
-    def test_time_average_matches_stationary_outage(self, small_cfg, small_tables):
+    def test_time_average_matches_stationary_outage(self, small_cfg):
         # the running occupation average of the outage set approaches its mass
         pol = random_policy(small_cfg, np.random.default_rng(3), low=1)
-        p = build_transition_matrix(small_cfg, pol, tables=small_tables)
+        p = build_transition_matrix(small_cfg, pol)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
         v = np.zeros(len(p))

@@ -16,7 +16,6 @@ from aoi_outage.markov import (
 )
 from aoi_outage.optimizer import (
     PenaltyKind,
-    TerminationReason,
     _age_weight_grid,
     improve_policy,
     min_error_policy,
@@ -126,12 +125,12 @@ def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
     analytic outage rate and that rate."""
     t = tables if tables is not None else TransitionTables(cfg)
     lam = np.random.default_rng(seed).integers(0, t.n_total + 1, size=cfg.n_states)
-    pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
+    pi = steady_state(build_transition_matrix(cfg, lam))
     seen = {lam.tobytes()}
     best_policy, best_p_out = lam, math.inf
     for _ in range(max_iter):
         lam = reference_improve_policy(cfg, full_chain_law(pi, t), kind, tables=t)
-        pi = steady_state(build_transition_matrix(cfg, lam, tables=t))
+        pi = steady_state(build_transition_matrix(cfg, lam))
         p_out = outage_probability(pi, cfg)
         if p_out < best_p_out:
             best_policy, best_p_out = lam, p_out
@@ -281,10 +280,10 @@ class TestImprovePolicy:
                 if s.a1 == s.a2 and s.x1 == s.x2:
                     assert lam <= cfg.link.blocklength_total // 2
 
-    def test_shields_endangered_device(self, cfg_b, tables_b):
+    def test_shields_endangered_device(self, cfg_b):
         # device 1 sits at the threshold, device 2 is fresh: the binary
         # penalty is minimized by sending as much as possible to device 1
-        improved = improve_policy(cfg_b, PenaltyKind.BINARY_OUTAGE, tables=tables_b)
+        improved = improve_policy(cfg_b, PenaltyKind.BINARY_OUTAGE)
         states = reference_enumerate_states(cfg_b.a_max)
         for s, lam in zip(states, improved):
             if s.a1 == cfg_b.a_out and s.a2 == 1:
@@ -296,7 +295,7 @@ class TestImprovePolicy:
         assert small_pi.min() > 0.0
         tables = TransitionTables(small_cfg)
         for kind in ALL_KINDS:
-            improved = improve_policy(small_cfg, kind, tables=tables)
+            improved = improve_policy(small_cfg, kind)
             for scale in (1.0, 3.0, 1e-9):
                 weighted = reference_improve_policy(small_cfg, scale * small_pi, kind, tables=tables)
                 assert np.array_equal(improved, weighted)
@@ -311,10 +310,10 @@ class TestSweepMatchesReferenceLoop:
     def test_presets_bit_exact(self, preset, kind):
         cfg = load_scenario(preset).system
         tables = TransitionTables(cfg)
-        nu = steady_state(build_transition_matrix(cfg, naive_policy(cfg), tables=tables))
+        nu = steady_state(build_transition_matrix(cfg, naive_policy(cfg)))
         solved = full_chain_law(nu, tables)
         random_pi = 1.0 - np.random.default_rng(29).random(cfg.n_states)  # in (0, 1]
-        improved = improve_policy(cfg, kind, tables=tables)
+        improved = improve_policy(cfg, kind)
         for pi in (np.ones(cfg.n_states), random_pi, solved):
             assert pi.min() > 0.0
             assert np.array_equal(improved, reference_improve_policy(cfg, pi, kind, tables=tables))
@@ -327,7 +326,7 @@ class TestSweepMatchesReferenceLoop:
         tables = TransitionTables(cfg)
         pi = 1.0 - np.random.default_rng(a_max).random(cfg.n_states)  # in (0, 1]
         assert np.array_equal(
-            improve_policy(cfg, kind, tables=tables),
+            improve_policy(cfg, kind),
             reference_improve_policy(cfg, pi, kind, tables=tables),
         )
 
@@ -338,13 +337,11 @@ class TestOptimize:
         r2 = optimize(small_cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, seed=7, max_iter=50)
         assert np.array_equal(r1.final_policy, r2.final_policy)
         assert r1.convergence_trace == r2.convergence_trace
-        assert r1.terminated_by == r2.terminated_by
 
     def test_degenerate_chain_converges_fast(self):
         with pytest.warns(UserWarning):
             cfg = make_config(a_max=1, a_out=1)
         report = optimize(cfg, PenaltyKind.MEAN_SUM_AOI, seed=3)
-        assert report.terminated_by is TerminationReason.CONVERGED
         assert report.iterations <= 2
 
     def test_report_invariants(self, small_cfg):
@@ -353,7 +350,6 @@ class TestOptimize:
         assert report.iterations >= 1
         traced = [row[2] for row in report.convergence_trace]
         assert report.best_p_out == min(traced)
-        assert report.convergence_trace[report.best_iteration - 1][2] == report.best_p_out
         assert report.final_policy.min() >= 0
         assert report.final_policy.max() <= small_cfg.link.blocklength_total
 

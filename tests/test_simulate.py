@@ -312,7 +312,7 @@ class TestBurstConvergence:
             pol = rng.integers(0, cfg_b.link.blocklength_total + 1, size=cfg_b.n_states)
             stats = burst_stats(cfg_b, pol, tables=tables_b)
             seed = derive_seed(11, pid, 1)
-            seq = simulate(cfg_b, pol, max(CHECKPOINTS), seed, tables=tables_b).outage_sequence
+            seq = simulate(cfg_b, pol, max(CHECKPOINTS), seed).outage_sequence
             for row, cp in zip(rows[pid * len(CHECKPOINTS) :], CHECKPOINTS):
                 bursts, iois = groupby_bursts(seq[:cp].tolist())
                 measured = [seq[:cp].mean(), np.mean(bursts) if bursts else np.nan,
@@ -338,10 +338,10 @@ class TestBurstConvergence:
         # the batch raises for policy 2 before anything is simulated
         batch = simulate_module.burst_stats_many
 
-        def starving(cfg, policies, *, tables):
+        def starving(cfg, policies):
             policies = list(policies)
             policies[2] = policies[4] = np.zeros(cfg.n_states, dtype=int)
-            return batch(cfg, policies, tables=tables)
+            return batch(cfg, policies)
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("simulated an undefined batch")
@@ -396,15 +396,15 @@ class TestRepetitions:
         # long-horizon consistency of the simulator and the stationary analysis
         pol = naive_policy(cfg_b)
         stats = burst_stats(cfg_b, pol, tables=tables_b)
-        summary = run_repetitions(cfg_b, pol, 10, 100_000, master_seed=7, tables=tables_b)
+        summary = run_repetitions(cfg_b, pol, 10, 100_000, master_seed=7)
         se = summary.outage_rate_std / np.sqrt(summary.reps)
         assert abs(summary.outage_rate_mean - stats.p_out) < 3 * se
 
-    def test_many_equals_one_policy_at_a_time(self, cfg_b, tables_b):
+    def test_many_equals_one_policy_at_a_time(self, cfg_b):
         pols = [naive_policy(cfg_b), random_policy(cfg_b, np.random.default_rng(12), low=300)]
-        many = run_repetitions_many(cfg_b, pols, 4, 700, master_seed=9, tables=tables_b)
+        many = run_repetitions_many(cfg_b, pols, 4, 700, master_seed=9)
         for pol, summary in zip(pols, many):
-            single = run_repetitions(cfg_b, pol, 4, 700, master_seed=9, tables=tables_b)
+            single = run_repetitions(cfg_b, pol, 4, 700, master_seed=9)
             assert [r.seed for r in summary.results] == [r.seed for r in single.results]
             for a, b in zip(summary.results, single.results):
                 assert np.array_equal(a.outage_sequence, b.outage_sequence)

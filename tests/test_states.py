@@ -4,6 +4,8 @@ The program's layout (encode_states, decode_states) is checked against the
 scalar 1-based oracles in conftest, and the oracles are pinned by example.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +165,18 @@ class TestSystemConfig:
     def test_empty_outage_set_warns(self):
         with pytest.warns(UserWarning, match="outage set is empty"):
             make_config(a_max=2, a_out=2)
+
+    def test_empty_outage_set_warning_names_the_caller(self):
+        cfg = make_config()
+        with pytest.warns(UserWarning, match="outage set is empty") as record:
+            SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=2)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_initial_state_list_is_held_as_a_tuple(self):
+        cfg = make_config()
+        listed = SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=1, initial=[2, 1, 0, 0])
+        assert listed.initial == (2, 1, 0, 0)
+        assert hash(listed) == hash(dataclasses.replace(cfg, initial=(2, 1, 0, 0)))
 
     def test_initial_state_validated(self):
         cfg = make_config()
