@@ -3,25 +3,26 @@
 One analysis, chain_burst_stats_many, serves every burstiness quantity of a
 stack of chains from each chain's stationary distribution pi and burst-start
 flow u, the one-step flow from the complement into the outage set (its mass
-xi1 is the rate at which bursts start). A masked walk, u <- u @ P with the
-rows of P outside the outage set zeroed, follows the mass of a burst while
-it stays in outage; what leaves the set at step t is the burst-length pmf
-at t. The walk advances every live
-chain WALK_BLOCK steps at a time and tests the stop rule once per block. The
-mean burst length is exact: u times the expected outage visits before
-escape, (I - P_OO)^-1 1, from the absorbing-chain fundamental matrix (Kemeny
-& Snell, Finite Markov Chains), over xi1, with all the chains' systems in one
-stacked solve. Only the pmf is truncated. The mean interval between bursts
-is (1 - p_out) / xi1, and the product identity p_out = xi1 * mean length
-cross-checks the stationary outage rate to solver precision. burst_stats_many
-runs the same analysis on the age chains a batch of policies induces. Every
-record is the same, bit for bit, whatever else is in its batch, and
-chain_burst_stats and burst_stats are the batches of one.
+xi1 is the rate at which bursts start). The mean burst length is exact: u
+times the expected outage visits before escape, (I - P_OO)^-1 1, from the
+absorbing-chain fundamental matrix (Kemeny & Snell, Finite Markov Chains),
+over xi1, with all the chains' systems in one stacked solve. The mean
+interval between bursts is (1 - p_out) / xi1, and the product identity
+p_out = xi1 * mean length cross-checks the stationary outage rate to solver
+precision. The burst-length pmf, the one truncated quantity, is walked when
+a record's duration_pmf is first read, one chain at a time: a masked walk,
+u <- u @ P with the rows of P outside the outage set zeroed, follows the
+mass of a burst while it stays in outage, and what leaves the set at step
+t is the pmf at t. burst_stats_many runs the analysis on the age chains a
+batch of policies induces. Every record is the same, bit for bit, whatever
+else is in its batch, and chain_burst_stats and burst_stats are the batches
+of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ SERIES_CAP = 10_000
 IDENTITY_TOL = 1e-9
 
 #: Steps the pmf walk takes between stop tests. Per block it stores
-#: WALK_BLOCK rows of every live chain, whatever the walk's length.
+#: WALK_BLOCK rows, whatever the walk's length.
 WALK_BLOCK = 32
 
 #: Burst length counts the outage periods of an excursion, not the
@@ -43,9 +44,9 @@ DURATION_CONVENTION = "outage-periods"
 
 @dataclass
 class BurstStats:
-    """Analytic outage burstiness of one chain. The mean interval between
-    bursts and the pmf's truncation point and leftover mass are derived
-    when read.
+    """Analytic outage burstiness of one chain. The pmf is walked on first
+    read from walk (entry flow, chain, outage mask); the mean interval and
+    the pmf's truncation point and leftover mass are derived when read.
 
     When the outage set is empty or unreachable the record is
     BurstStats(p_out, xi1): it is undefined and the duration fields are
@@ -55,15 +56,19 @@ class BurstStats:
     p_out: float
     xi_res_out_1: float
     mean_outage_duration: float | None = None
-    duration_pmf: np.ndarray | None = None
+    walk: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def defined(self) -> bool:
-        return self.duration_pmf is not None
+        return self.mean_outage_duration is not None
 
     @property
     def mean_ioi(self) -> float | None:
         return (1.0 - self.p_out) / self.xi_res_out_1 if self.defined else None
+
+    @cached_property
+    def duration_pmf(self) -> np.ndarray | None:
+        return _duration_pmf(*self.walk, self.xi_res_out_1) if self.defined else None
 
     @property
     def truncation_t(self) -> int:
@@ -87,50 +92,38 @@ def _exact_means(u, ps, out, xi1) -> np.ndarray:
     return (u.compress(out, axis=1)[:, None, :] @ visits)[:, 0, 0] / xi1
 
 
-def _duration_pmfs(u, ps, out, xi1) -> list[np.ndarray]:
-    """Burst-length pmf of each chain of the stack ps from the masked walk
-    u <- u @ (P * out[:, None]) started at its entry flow u: pmf[t - 1] is
-    the mass escaping at step t over xi1. A chain's walk stops one step
-    after the mass still in outage falls below SERIES_TOLERANCE of xi1, or
-    at SERIES_CAP steps.
-
-    The live chains advance WALK_BLOCK steps at a time, one stacked matmul
-    and one row store per step; the stop test and the escaped masses are
-    read off the stored rows after each block, and the chains that stopped
-    leave the stack.
-    """
-    walk = ps * out[:, None]
-    u = u[:, None, :]
-    inside = u[:, 0].compress(out, axis=1).sum(axis=1)  # mass in outage before the next step
-    live = np.arange(len(ps))
-    pieces: list[list[np.ndarray]] = [[] for _ in live]
-    pmfs: list = [None] * len(live)
-    rows = np.empty((len(live), WALK_BLOCK, len(out)))
+def _duration_pmf(u, p, out, xi1) -> np.ndarray:
+    """Burst-length pmf of the chain p from the masked walk
+    u <- u @ (p * out[:, None]) started at its entry flow u: pmf[t - 1] is
+    the mass escaping at step t over xi1. The walk stops one step after the
+    mass still in outage falls below SERIES_TOLERANCE of xi1, or at
+    SERIES_CAP steps. It stores WALK_BLOCK steps' rows, then reads the stop
+    test and the escaped masses off them."""
+    walk = p * out[:, None]
+    inside = u.compress(out, axis=-1).sum(axis=-1)  # mass in outage before the next step
+    rows = np.empty((WALK_BLOCK, len(out)))
+    pieces = []
     done = 0
-    while live.size:
+    while True:
         m = min(WALK_BLOCK, SERIES_CAP - done)
-        block = rows[: len(live), :m]
+        block = rows[:m]
         for j in range(m):
             u = u @ walk
-            block[:, j] = u[:, 0]
-        before = np.concatenate((inside[:, None], block.compress(out, axis=2).sum(axis=2)), axis=1)
-        stop = before[:, :m] / xi1[:, None] < SERIES_TOLERANCE
-        stop[:, -1] |= done + m == SERIES_CAP
-        escaped = block.compress(~out, axis=2).sum(axis=2) / xi1[:, None]
-        ended = stop.any(axis=1)
-        for c, piece, end, last in zip(live, escaped, ended, stop.argmax(axis=1)):
-            pieces[c].append(piece)
-            if end:
-                pmfs[c] = np.concatenate(pieces[c])[: done + last + 1]
+            block[j] = u
+        before = np.concatenate(([inside], block.compress(out, axis=-1).sum(axis=-1)))
+        stop = before[:m] / xi1 < SERIES_TOLERANCE
+        stop[-1] |= done + m == SERIES_CAP
+        pieces.append(block.compress(~out, axis=-1).sum(axis=-1) / xi1)
+        if stop.any():
+            return np.concatenate(pieces)[: done + stop.argmax() + 1]
         done += m
-        keep = ~ended
-        live, u, walk, xi1, inside = live[keep], u[keep], walk[keep], xi1[keep], before[keep, m]
-    return pmfs
+        inside = before[m]
 
 
 def chain_burst_stats_many(ps, out) -> list[BurstStats]:
-    """Full analytic burstiness record of each chain of the (B, n, n)
-    stack ps, with the boolean outage mask out shared by all.
+    """Analytic burstiness record of each chain of the (B, n, n) stack ps,
+    with the boolean outage mask out shared by all. The records keep their
+    own copies of the chains and the mask for the pmf walk.
 
     Recomputes each outage rate two ways (stationary mass, and entry flow
     times mean duration) and raises for the first chain where the two
@@ -138,8 +131,8 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     stationary flow enters (it is empty, or holds all the stationary mass)
     gets an undefined record. Each record is the same whatever the stack.
     """
-    ps = np.asarray(ps, dtype=float)
-    out = np.asarray(out, dtype=bool)
+    ps = np.array(ps, dtype=float)
+    out = np.array(out, dtype=bool)
     pi = steady_states(ps)
     p_outs = pi.compress(out, axis=1).sum(axis=1)
     u = ((pi * ~out)[:, None, :] @ ps)[:, 0]
@@ -149,8 +142,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     if defined.size == 0:
         return records
     means = _exact_means(u[defined], ps[defined], out, xi1s[defined])
-    pmfs = _duration_pmfs(u[defined], ps[defined], out, xi1s[defined])
-    for c, mean_dur, pmf in zip(defined, means.tolist(), pmfs):
+    for c, mean_dur in zip(defined, means.tolist()):
         p_out, xi1 = records[c].p_out, records[c].xi_res_out_1
         identity_gap = abs(p_out - xi1 * mean_dur)
         if identity_gap >= IDENTITY_TOL:
@@ -158,7 +150,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
                 f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
                 f"= {identity_gap:.3e}"
             )
-        records[c] = BurstStats(p_out, xi1, mean_dur, pmf)
+        records[c] = BurstStats(p_out, xi1, mean_dur, (u[c], ps[c], out))
     return records
 
 

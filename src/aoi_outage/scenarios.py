@@ -163,6 +163,8 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     )
     if sim.reps < 1 or sim.periods < 1:
         raise ConfigError("simulation.reps and simulation.periods must be >= 1")
+    if sim.master_seed < 0:
+        raise ConfigError(f"simulation.master_seed must be >= 0, got {sim.master_seed}")
 
     return Scenario(
         name=name,

@@ -287,11 +287,12 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     Policy pid draws its allocations from default_rng(derive_seed(master_seed,
     pid, 0)) and is simulated once for max(CHECKPOINTS) periods with seed
     derive_seed(master_seed, pid, 1); every checkpoint measures that run's
-    prefix. All policies are analysed in one burst_stats_many batch and
-    simulated together. Returns one row per (policy, checkpoint) with the
-    measured and analytic outage rate, mean burst length and mean interval
-    between bursts, and their relative errors. Raises RuntimeError for the
-    first policy with no reachable outage.
+    prefix. All policies are analysed in one burst_stats_many batch, kept as
+    the three numbers the rows report, and simulated together. Returns one
+    row per (policy, checkpoint) with the measured and analytic outage rate,
+    mean burst length and mean interval between bursts, and their relative
+    errors. Raises RuntimeError for the first policy with no reachable
+    outage.
     """
     policies = [
         np.random.default_rng(derive_seed(master_seed, pid, 0)).integers(
@@ -299,22 +300,22 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
         )
         for pid in range(n_policies)
     ]
-    all_stats = burst_stats_many(cfg, policies)
-    for pid, stats in enumerate(all_stats):
-        if not stats.defined:
+    predicted = [(s.p_out, s.mean_outage_duration, s.mean_ioi) for s in burst_stats_many(cfg, policies)]
+    for pid, (_, mean_burst, _) in enumerate(predicted):
+        if mean_burst is None:
             raise RuntimeError(f"policy {pid} has no reachable outage; burst errors undefined")
     sim_seeds = [derive_seed(master_seed, pid, 1) for pid in range(n_policies)]
     results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds)
     rows = []
-    for pid, (stats, sim_seed, result) in enumerate(zip(all_stats, sim_seeds, results)):
+    for pid, (analytics, sim_seed, result) in enumerate(zip(predicted, sim_seeds, results)):
         for cp in CHECKPOINTS:
             prefix = result.outage_sequence[:cp]
             bursts, iois = measure_bursts(prefix)
             row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
-            for name, measured, analytic in (
-                ("p_out", int(np.count_nonzero(prefix)) / cp, stats.p_out),
-                ("mean_burst", _mean(bursts), stats.mean_outage_duration),
-                ("mean_ioi", _mean(iois), stats.mean_ioi),
+            for name, measured, analytic in zip(
+                ("p_out", "mean_burst", "mean_ioi"),
+                (int(np.count_nonzero(prefix)) / cp, _mean(bursts), _mean(iois)),
+                analytics,
             ):
                 row[f"measured_{name}"] = measured
                 row[f"analytic_{name}"] = analytic

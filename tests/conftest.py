@@ -6,7 +6,6 @@ from aoi_outage import (
     ChannelProfile,
     LinkParams,
     SystemConfig,
-    TransitionTables,
     load_scenario,
 )
 
@@ -89,19 +88,9 @@ def cfg_b():
 
 
 @pytest.fixture(scope="session")
-def tables_b(cfg_b):
-    return TransitionTables(cfg_b)
-
-
-@pytest.fixture(scope="session")
 def small_cfg():
     """16-state instance, cheap enough for exhaustive oracles."""
     return make_config()
-
-
-@pytest.fixture(scope="session")
-def small_tables(small_cfg):
-    return TransitionTables(small_cfg)
 
 
 @pytest.fixture(scope="session")

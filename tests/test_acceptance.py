@@ -25,12 +25,7 @@ import pytest
 from aoi_outage import cli
 from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate, q_function
-from aoi_outage.markov import (
-    TransitionTables,
-    build_transition_matrix,
-    outage_probability,
-    steady_state,
-)
+from aoi_outage.markov import build_transition_matrix, outage_probability, steady_state
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import load_scenario
@@ -61,13 +56,13 @@ AC3_BENCHMARKS = [
 
 def _scenario(preset):
     sc = load_scenario(preset)
-    return sc, sc.system, TransitionTables(sc.system)
+    return sc, sc.system
 
 
-def _benchmark_policy(cfg, tables, policy_name):
+def _benchmark_policy(cfg, policy_name):
     if policy_name == "naive":
         return naive_policy(cfg)
-    return min_error_policy(cfg, tables=tables)
+    return min_error_policy(cfg)
 
 
 class TestAC1:
@@ -104,9 +99,9 @@ class TestAC2:
         # rows sum to one on every built matrix
         worst_row = 0.0
         for preset in PRESET_NAMES:
-            _, cfg, tables = _scenario(preset)
+            _, cfg = _scenario(preset)
             rng = np.random.default_rng(12)
-            policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)] + [
+            policies = [naive_policy(cfg), min_error_policy(cfg)] + [
                 random_policy(cfg, rng) for _ in range(5)
             ]
             for pol in policies:
@@ -138,8 +133,8 @@ class TestAC2:
 class TestAC3:
     @pytest.mark.parametrize("preset,policy_name,published", AC3_BENCHMARKS)
     def test_analytic_vs_published(self, preset, policy_name, published):
-        _, cfg, tables = _scenario(preset)
-        pol = _benchmark_policy(cfg, tables, policy_name)
+        _, cfg = _scenario(preset)
+        pol = _benchmark_policy(cfg, policy_name)
         p = build_transition_matrix(cfg, pol)
         ours = outage_probability(steady_state(p), cfg)
         rel = abs(ours - published) / published
@@ -160,8 +155,8 @@ class TestAC3:
 
     @pytest.mark.parametrize("preset,policy_name,published", AC3_BENCHMARKS)
     def test_empirical_within_three_se_of_analytic(self, preset, policy_name, published):
-        sc, cfg, tables = _scenario(preset)
-        pol = _benchmark_policy(cfg, tables, policy_name)
+        sc, cfg = _scenario(preset)
+        pol = _benchmark_policy(cfg, policy_name)
         p = build_transition_matrix(cfg, pol)
         analytic = outage_probability(steady_state(p), cfg)
         summary = run_repetitions(
@@ -186,11 +181,10 @@ class TestPublishedThreshold:
 
     @pytest.mark.parametrize("preset,policy_name,published", AC3_BENCHMARKS)
     def test_inclusive_threshold_matches_published(self, preset, policy_name, published):
-        _, cfg, _ = _scenario(preset)
+        _, cfg = _scenario(preset)
         assert cfg.a_out == 3
         inclusive = replace(cfg, a_out=2)
-        tables = TransitionTables(inclusive)
-        pol = _benchmark_policy(inclusive, tables, policy_name)
+        pol = _benchmark_policy(inclusive, policy_name)
         p = build_transition_matrix(inclusive, pol)
         ratio = outage_probability(steady_state(p), inclusive) / published
         assert abs(ratio - 1.0) <= 0.30, f"{preset}/{policy_name}: {ratio:.3f} x published"
@@ -201,15 +195,13 @@ class TestAC4:
         exp_beats_min_error = {}
         binary_worse_somewhere = False
         for preset in PRESET_NAMES:
-            sc, cfg, tables = _scenario(preset)
-            me = min_error_policy(cfg, tables=tables)
+            sc, cfg = _scenario(preset)
+            me = min_error_policy(cfg)
             me_pout = outage_probability(
                 steady_state(build_transition_matrix(cfg, me)), cfg
             )
-            exp_pout = optimize(cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, 0, sc.optimizer.max_iter,
-                                tables=tables).best_p_out
-            bin_pout = optimize(cfg, PenaltyKind.BINARY_OUTAGE, 0, sc.optimizer.max_iter,
-                                tables=tables).best_p_out
+            exp_pout = optimize(cfg, PenaltyKind.EXP_MEAN_PEAK_AOI, 0, sc.optimizer.max_iter).best_p_out
+            bin_pout = optimize(cfg, PenaltyKind.BINARY_OUTAGE, 0, sc.optimizer.max_iter).best_p_out
             exp_beats_min_error[preset] = exp_pout <= 1.05 * me_pout
             if bin_pout > exp_pout:
                 binary_worse_somewhere = True
@@ -237,11 +229,11 @@ class TestAC6:
     def test_rate_identity(self):
         worst = 0.0
         for preset in PRESET_NAMES:
-            _, cfg, tables = _scenario(preset)
+            _, cfg = _scenario(preset)
             rng = np.random.default_rng(7)
             for _ in range(20):
                 pol = random_policy(cfg, rng)
-                stats = burst_stats(cfg, pol, tables=tables)
+                stats = burst_stats(cfg, pol)
                 assert stats.defined
                 worst = max(
                     worst, abs(stats.p_out - stats.xi_res_out_1 * stats.mean_outage_duration)
@@ -275,7 +267,7 @@ class TestAC6:
 
 class TestAC7:
     def test_single_solve_under_one_second(self):
-        _, cfg, tables = _scenario("scenario_b")
+        _, cfg = _scenario("scenario_b")
         pol = naive_policy(cfg)
         start = time.perf_counter()
         steady_state(build_transition_matrix(cfg, pol))

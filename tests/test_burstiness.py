@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from aoi_outage import burstiness
 from aoi_outage.burstiness import (
     IDENTITY_TOL,
     SERIES_CAP,
@@ -24,7 +25,7 @@ from aoi_outage.burstiness import (
     chain_burst_stats,
     chain_burst_stats_many,
 )
-from aoi_outage.markov import SteadyStateError, TransitionTables, build_transition_matrix, steady_state
+from aoi_outage.markov import SteadyStateError, build_transition_matrix, steady_state, transition_tables
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import outage_mask
@@ -190,8 +191,8 @@ class TestXiMatrix:
 
 
 class TestXiSetToSet:
-    def test_one_step_definition_unrolled(self, small_cfg, small_tables):
-        stats = burst_stats(small_cfg, naive_policy(small_cfg), tables=small_tables)
+    def test_one_step_definition_unrolled(self, small_cfg):
+        stats = burst_stats(small_cfg, naive_policy(small_cfg))
         p = build_transition_matrix(small_cfg, naive_policy(small_cfg))
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
@@ -205,11 +206,11 @@ class TestXiSetToSet:
         assert stats.xi_res_out_1 == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_matches_matrix_aggregation(self, small_cfg, small_tables, k):
+    def test_matches_matrix_aggregation(self, small_cfg, k):
         # k = 1 from the complement into the outage set is the burst-start
         # flow; k > 1 back to the complement is a burst of k - 1 periods
         pol = random_policy(small_cfg, np.random.default_rng(2))
-        stats = burst_stats(small_cfg, pol, tables=small_tables)
+        stats = burst_stats(small_cfg, pol)
         p = build_transition_matrix(small_cfg, pol)
         pi = steady_state(p)
         mask = outage_mask(small_cfg.a_max, small_cfg.a_out)
@@ -251,16 +252,16 @@ class TestDurationPmf:
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(pmf[1:] == pytest.approx(0.0, abs=1e-16))
 
-    def test_normalization_and_sign(self, cfg_b, tables_b):
-        pmf = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b).duration_pmf
+    def test_normalization_and_sign(self, cfg_b):
+        pmf = burst_stats(cfg_b, naive_policy(cfg_b)).duration_pmf
         assert np.all(pmf >= 0.0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_geometric_tail(self, cfg_b, tables_b):
+    def test_geometric_tail(self, cfg_b):
         # the stop rule ends this pmf before t = 30; the reference walk goes on
-        stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
+        stats = burst_stats(cfg_b, naive_policy(cfg_b))
         p = build_transition_matrix(cfg_b, naive_policy(cfg_b))
-        pmf = reference_duration_pmf(steady_state(p), p, tables_b.outage, 30)
+        pmf = reference_duration_pmf(steady_state(p), p, transition_tables(cfg_b).outage, 30)
         assert np.array_equal(stats.duration_pmf, pmf[: stats.truncation_t])
         ratios = pmf[20:29] / pmf[19:28]
         assert np.all(ratios > 0.0)
@@ -296,8 +297,8 @@ class TestMeanDuration:
         assert stats.truncation_t == SERIES_CAP
         assert stats.mean_outage_duration == pytest.approx(1000.0, rel=1e-9)
 
-    def test_mean_matches_pmf_expectation(self, cfg_b, tables_b):
-        stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
+    def test_mean_matches_pmf_expectation(self, cfg_b):
+        stats = burst_stats(cfg_b, naive_policy(cfg_b))
         t = np.arange(1, stats.truncation_t + 1)
         assert stats.mean_outage_duration == pytest.approx(float(t @ stats.duration_pmf), rel=1e-9)
 
@@ -329,23 +330,22 @@ class TestMatchesReferenceSeries:
     @pytest.mark.parametrize("preset", ["scenario_a", "scenario_b", "scenario_c"])
     def test_named_and_random_policies(self, preset):
         cfg = load_scenario(preset).system
-        tables = TransitionTables(cfg)
-        policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
-        policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+        policies = [naive_policy(cfg), min_error_policy(cfg)]
+        policies += [optimize(cfg, kind, 0).final_policy for kind in PenaltyKind]
         rng = np.random.default_rng(23)
         policies += [random_policy(cfg, rng) for _ in range(20)]
         for pol in policies:
-            self.check(cfg, pol, tables)
+            self.check(cfg, pol)
 
     def test_walk_stopped_by_cap(self):
         cfg = load_scenario("scenario_a").system
-        stats = self.check(cfg, cap_policy(), TransitionTables(cfg))
+        stats = self.check(cfg, cap_policy())
         assert stats.truncation_t == SERIES_CAP
 
     @staticmethod
-    def check(cfg, pol, tables):
-        stats = burst_stats(cfg, pol, tables=tables)
-        assert_matches_oracles(stats, build_transition_matrix(cfg, pol), tables.outage)
+    def check(cfg, pol):
+        stats = burst_stats(cfg, pol)
+        assert_matches_oracles(stats, build_transition_matrix(cfg, pol), transition_tables(cfg).outage)
         return stats
 
 
@@ -363,16 +363,16 @@ class TestMeanIoi:
 
 
 class TestBurstStats:
-    def test_rate_identity_random_policies(self, cfg_b, tables_b):
+    def test_rate_identity_random_policies(self, cfg_b):
         rng = np.random.default_rng(99)
         for _ in range(5):
             pol = random_policy(cfg_b, rng)
-            stats = burst_stats(cfg_b, pol, tables=tables_b)
+            stats = burst_stats(cfg_b, pol)
             assert stats.defined
             assert abs(stats.p_out - stats.xi_res_out_1 * stats.mean_outage_duration) < 1e-9
 
-    def test_full_record(self, cfg_b, tables_b):
-        stats = burst_stats(cfg_b, naive_policy(cfg_b), tables=tables_b)
+    def test_full_record(self, cfg_b):
+        stats = burst_stats(cfg_b, naive_policy(cfg_b))
         p = build_transition_matrix(cfg_b, naive_policy(cfg_b))
         pi = steady_state(p)
         assert stats.p_out == pytest.approx(float(pi[outage_mask(5, 3)].sum()), rel=1e-12)
@@ -397,24 +397,23 @@ class TestBurstStats:
 def preset_batch(request):
     """A preset's named policies and 30 random ones, and their batch records."""
     cfg = load_scenario(request.param).system
-    tables = TransitionTables(cfg)
-    policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
-    policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+    policies = [naive_policy(cfg), min_error_policy(cfg)]
+    policies += [optimize(cfg, kind, 0).final_policy for kind in PenaltyKind]
     rng = np.random.default_rng(31)
     policies += [random_policy(cfg, rng) for _ in range(30)]
-    return cfg, tables, policies, burst_stats_many(cfg, policies)
+    return cfg, policies, burst_stats_many(cfg, policies)
 
 
 class TestBurstStatsMany:
     def test_rows_match_single_runs_and_oracles(self, preset_batch):
-        cfg, tables, policies, many = preset_batch
+        cfg, policies, many = preset_batch
         assert len(many) == len(policies)
         for pol, stats in zip(policies, many):
-            assert record_bits(stats) == record_bits(burst_stats(cfg, pol, tables=tables))
-            assert_matches_oracles(stats, build_transition_matrix(cfg, pol), tables.outage)
+            assert record_bits(stats) == record_bits(burst_stats(cfg, pol))
+            assert_matches_oracles(stats, build_transition_matrix(cfg, pol), transition_tables(cfg).outage)
 
     def test_permuted_batch_permutes_records(self, preset_batch):
-        cfg, tables, policies, many = preset_batch
+        cfg, policies, many = preset_batch
         order = np.random.default_rng(7).permutation(len(policies))
         permuted = burst_stats_many(cfg, [policies[i] for i in order])
         assert [record_bits(s) for s in permuted] == [record_bits(many[i]) for i in order]
@@ -423,15 +422,14 @@ class TestBurstStatsMany:
         # an undefined chain (device 1 never succeeds, so the outage set is
         # closed), the SERIES_CAP chain and short chains in one stack
         cfg = load_scenario("scenario_a").system
-        tables = TransitionTables(cfg)
         policies = [naive_policy(cfg), np.zeros(cfg.n_states, dtype=int), cap_policy(),
-                    min_error_policy(cfg, tables=tables), np.zeros(cfg.n_states, dtype=int)]
+                    min_error_policy(cfg), np.zeros(cfg.n_states, dtype=int)]
         many = burst_stats_many(cfg, policies)
         assert [s.defined for s in many] == [True, False, True, True, False]
         assert many[2].truncation_t == SERIES_CAP
         assert max(many[0].truncation_t, many[3].truncation_t) < WALK_BLOCK
         for pol, stats in zip(policies, many):
-            assert record_bits(stats) == record_bits(burst_stats(cfg, pol, tables=tables))
+            assert record_bits(stats) == record_bits(burst_stats(cfg, pol))
 
     @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]])
     def test_stops_at_block_edges(self, order):
@@ -460,11 +458,73 @@ class TestBurstStatsMany:
             _exact_means(u, np.stack([good, closed]), out, u[:, 1])
 
 
+class TestPmfWalkedWhenRead:
+    """The burst-length pmf is walked on a record's first read of it, one
+    chain at a time; the batch computes everything else."""
+
+    @staticmethod
+    def count_walks(monkeypatch):
+        walks = []
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        walk = burstiness._duration_pmf
+        monkeypatch.setattr(burstiness, "_duration_pmf", counted)
+        return walks
+
+    def test_batch_does_not_walk(self, cfg_b, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("the batch walked a pmf")
+
+        rng = np.random.default_rng(3)
+        policies = [naive_policy(cfg_b), min_error_policy(cfg_b)] + [random_policy(cfg_b, rng) for _ in range(10)]
+        want = [(s.p_out, s.xi_res_out_1, s.mean_outage_duration, s.mean_ioi)
+                for s in burst_stats_many(cfg_b, policies)]
+        monkeypatch.setattr(burstiness, "_duration_pmf", no_walk)
+        many = burst_stats_many(cfg_b, policies)
+        assert [(s.p_out, s.xi_res_out_1, s.mean_outage_duration, s.mean_ioi) for s in many] == want
+        assert all(s.defined for s in many)
+        with pytest.raises(AssertionError, match="walked"):
+            many[0].duration_pmf
+
+    def test_each_record_walks_once(self, cfg_b, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        stats = burst_stats(cfg_b, naive_policy(cfg_b))
+        assert walks == []
+        first = stats.duration_pmf
+        for _ in range(3):
+            assert stats.duration_pmf is first
+            assert stats.truncation_t == len(first)
+            assert stats.truncation_residual == max(0.0, 1.0 - float(first.sum()))
+        assert len(walks) == 1
+
+    def test_undefined_record_never_walks(self, two_state, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        p, _, _, _ = two_state
+        stats = chain_burst_stats(p, np.array([False, False]))
+        assert (stats.duration_pmf, stats.truncation_t, stats.truncation_residual) == (None, 0, None)
+        assert walks == []
+
+    def test_record_keeps_its_own_chain(self, two_state):
+        # the walk runs after the call returns, so it must not read the
+        # caller's arrays, which may have changed by then
+        p, mask, _, _ = two_state
+        want = record_bits(chain_burst_stats(p, mask))
+        ps, out = p[None].copy(), mask.copy()
+        stats = chain_burst_stats_many(ps, out)[0]
+        ps[:] = np.eye(2)
+        out[:] = False
+        assert record_bits(stats) == want
+
+
 @settings(deadline=None)
 @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 140), st.data())
 def test_compress_sum_matches_masked_row_sum(n_chains, n_rows, n, data):
-    # the batch reads each chain's masked mass as compress(...).sum over the
-    # last axis; it must equal the 1-D x[mask].sum() of one row, bit for bit
+    # the analysis reads masked masses as compress(...).sum over the last
+    # axis of a stack or a block of walk rows; it must equal the 1-D
+    # x[mask].sum() of one row, bit for bit
     x = data.draw(arrays(np.float64, (n_chains, n_rows, n), elements=st.floats(0.0, 1.0)))
     mask = data.draw(arrays(np.bool_, n))
     sums = x.compress(mask, axis=2).sum(axis=2)

@@ -179,7 +179,7 @@ class TestBuildMatrix:
             assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
             assert p.min() >= 0.0
 
-    def test_matches_pairwise_probabilities(self, small_cfg, small_tables):
+    def test_matches_pairwise_probabilities(self, small_cfg):
         rng = np.random.default_rng(5)
         pol = random_policy(small_cfg, rng)
         p = build_transition_matrix(small_cfg, pol)
@@ -189,7 +189,7 @@ class TestBuildMatrix:
             [reference_transition_prob(small_cfg, int(pol[i]), frm, to) for to in states]
             for i, frm in enumerate(states)
         ])
-        assert p == pytest.approx(reference_lump(full, small_tables.bit_weights), abs=1e-15)
+        assert p == pytest.approx(reference_lump(full, transition_tables(small_cfg).bit_weights), abs=1e-15)
 
     def test_policy_validation(self, small_cfg):
         with pytest.raises(ValueError):
@@ -279,18 +279,18 @@ class TestTransitionTables:
                     for x1 in (0, 1) for x2 in (0, 1)
                 ]
 
-    def test_bit_weights_are_products_of_bit_probabilities(self, small_cfg, small_tables):
+    def test_bit_weights_are_products_of_bit_probabilities(self, small_cfg):
         profile = small_cfg.profile
         expected = [
             reference_bit_probability(profile, 1, x1) * reference_bit_probability(profile, 2, x2)
             for x1 in (0, 1)
             for x2 in (0, 1)
         ]
-        assert small_tables.bit_weights.tolist() == expected
+        assert transition_tables(small_cfg).bit_weights.tolist() == expected
 
-    def test_error_rates_follow_the_channel_bits(self, small_cfg, small_tables):
+    def test_error_rates_follow_the_channel_bits(self, small_cfg):
         pol = random_policy(small_cfg, np.random.default_rng(4))
-        e1, e2 = small_tables.error_rates(pol)
+        e1, e2 = transition_tables(small_cfg).error_rates(pol)
         assert e1.shape == e2.shape == (small_cfg.a_max**2, 4)
         n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
         for i, s in enumerate(reference_enumerate_states(small_cfg.a_max)):
@@ -298,13 +298,14 @@ class TestTransitionTables:
             assert e1[g, k] == block_error_rate(int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x1))
             assert e2[g, k] == block_error_rate(n - int(pol[i]), d, reference_gamma_for_bit(small_cfg.profile, s.x2))
 
-    def test_error_rates_per_bit_pair(self, small_cfg, small_tables):
+    def test_error_rates_per_bit_pair(self, small_cfg):
         # every allocation, with the policy constant over the age positions
+        tables = transition_tables(small_cfg)
         n, d = small_cfg.link.blocklength_total, small_cfg.link.payload_bits
         gamma = [reference_gamma_for_bit(small_cfg.profile, bit) for bit in (0, 1)]
         for lam in range(n + 1):
-            e1, e2 = small_tables.error_rates(np.full(small_cfg.n_states, lam))
-            for k, (x1, x2) in enumerate(small_tables.bits.tolist()):
+            e1, e2 = tables.error_rates(np.full(small_cfg.n_states, lam))
+            for k, (x1, x2) in enumerate(tables.bits.tolist()):
                 assert (e1[:, k] == block_error_rate(lam, d, gamma[x1])).all()
                 assert (e2[:, k] == block_error_rate(n - lam, d, gamma[x2])).all()
 
@@ -361,10 +362,10 @@ def test_branch_probabilities_are_a_law(e1, e2):
     assert abs(sum(b[0] for b in branch) - 1.0) <= 4 * np.finfo(float).eps
 
 
-def lumpability_policies(cfg, tables, rng):
+def lumpability_policies(cfg, rng):
     """The named policies of a preset and 30 random ones."""
-    policies = [naive_policy(cfg), min_error_policy(cfg, tables=tables)]
-    policies += [optimize(cfg, kind, 0, tables=tables).final_policy for kind in PenaltyKind]
+    policies = [naive_policy(cfg), min_error_policy(cfg)]
+    policies += [optimize(cfg, kind, 0).final_policy for kind in PenaltyKind]
     return policies + [random_policy(cfg, rng) for _ in range(30)]
 
 
@@ -378,7 +379,7 @@ class TestLumpability:
         cfg = load_scenario(preset).system
         tables = TransitionTables(cfg)
         full_out = np.repeat(tables.outage, 4)
-        for pol in lumpability_policies(cfg, tables, np.random.default_rng(17)):
+        for pol in lumpability_policies(cfg, np.random.default_rng(17)):
             full = reference_build_transition_matrix(cfg, pol, tables)
             q = build_transition_matrix(cfg, pol)
             assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
@@ -386,7 +387,7 @@ class TestLumpability:
             # bit weights; the 100-state LU is only accurate absolutely
             nu = steady_state(q)
             assert np.abs(steady_state(full) - np.kron(nu, tables.bit_weights)).max() <= 1e-14
-            got, want = burst_stats(cfg, pol, tables=tables), chain_burst_stats(full, full_out)
+            got, want = burst_stats(cfg, pol), chain_burst_stats(full, full_out)
             assert got.p_out == pytest.approx(want.p_out, rel=1e-10)
             for field in ("xi_res_out_1", "mean_outage_duration", "mean_ioi"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13)

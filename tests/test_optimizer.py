@@ -13,6 +13,7 @@ from aoi_outage.markov import (
     build_transition_matrix,
     outage_probability,
     steady_state,
+    transition_tables,
 )
 from aoi_outage.optimizer import (
     PenaltyKind,
@@ -64,10 +65,10 @@ def reference_successor_cost(w, c1, c2, e1, e2):
     )
 
 
-def reference_penalty(cfg, lam, from_index, pi, kind, *, tables=None):
+def reference_penalty(cfg, lam, from_index, pi, kind):
     """Per-state penalty: the state's stationary mass times the expected
     successor weight under allocation lam. from_index is 1-based."""
-    t = tables if tables is not None else TransitionTables(cfg)
+    t = TransitionTables(cfg)
     n = t.n_total
     if not 0 <= lam <= n:
         raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
@@ -118,12 +119,12 @@ def full_chain_law(nu, tables):
     return np.kron(nu, tables.bit_weights)
 
 
-def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
+def reference_optimize(cfg, kind, seed, max_iter=200):
     """The recursive optimizer as the paper states it: from a seeded random
     policy, alternate a stationary solve and a pi-weighted sweep until the
     policy repeats an earlier iterate. Returns the iterate with the lowest
     analytic outage rate and that rate."""
-    t = tables if tables is not None else TransitionTables(cfg)
+    t = TransitionTables(cfg)
     lam = np.random.default_rng(seed).integers(0, t.n_total + 1, size=cfg.n_states)
     pi = steady_state(build_transition_matrix(cfg, lam))
     seen = {lam.tobytes()}
@@ -141,9 +142,9 @@ def reference_optimize(cfg, kind, seed, max_iter=200, *, tables=None):
 
 
 @pytest.fixture(scope="module")
-def small_pi(small_cfg, small_tables):
+def small_pi(small_cfg):
     pol = random_policy(small_cfg, np.random.default_rng(41))
-    return full_chain_law(steady_state(build_transition_matrix(small_cfg, pol)), small_tables)
+    return full_chain_law(steady_state(build_transition_matrix(small_cfg, pol)), transition_tables(small_cfg))
 
 
 class TestBenchmarkPolicies:
@@ -179,14 +180,15 @@ class TestBenchmarkPolicies:
         assert lam[0, 1] > 500
         assert lam[1, 0] + lam[0, 1] == 1000  # mirror symmetry of the summed objective
 
-    def test_min_error_truly_minimizes(self, cfg_b, tables_b):
-        pol = min_error_policy(cfg_b, tables=tables_b)
+    def test_min_error_truly_minimizes(self, cfg_b):
+        pol = min_error_policy(cfg_b)
+        eps_by_bit = transition_tables(cfg_b).eps_by_bit
         n = cfg_b.link.blocklength_total
         states = reference_enumerate_states(cfg_b.a_max)
         lam = {(s.x1, s.x2): int(l) for s, l in zip(states, pol)}
         sweep = np.arange(n + 1)
         for (b1, b2), l in lam.items():
-            total = tables_b.eps_by_bit[b1][sweep] + tables_b.eps_by_bit[b2][n - sweep]
+            total = eps_by_bit[b1][sweep] + eps_by_bit[b2][n - sweep]
             assert total[l] == total.min()
             assert l == int(np.argmin(total))
 
@@ -244,9 +246,10 @@ class TestAgeWeights:
         assert weights.shape == (a_max * a_max,)
         assert np.array_equal(weights, reference_weight_grid(kind, cfg)[1:, 1:].ravel())
 
-    def test_binary_weight_is_the_outage_set(self, cfg_b, tables_b):
-        weights = _age_weight_grid(PenaltyKind.BINARY_OUTAGE, tables_b)
-        assert np.array_equal(weights, tables_b.outage.astype(float))
+    def test_binary_weight_is_the_outage_set(self, cfg_b):
+        tables = transition_tables(cfg_b)
+        weights = _age_weight_grid(PenaltyKind.BINARY_OUTAGE, tables)
+        assert np.array_equal(weights, tables.outage.astype(float))
 
 
 class TestImprovePolicy:
@@ -364,12 +367,9 @@ class TestOptimizeMatchesRecursion:
     def test_matches_reference_loop(self, preset, kind):
         scenario = load_scenario(preset)
         cfg = scenario.system
-        tables = TransitionTables(cfg)
         for seed in (0, 7, 2**32 - 1):
-            policy, p_out = reference_optimize(
-                cfg, kind, seed, scenario.optimizer.max_iter, tables=tables
-            )
-            report = optimize(cfg, kind, seed, scenario.optimizer.max_iter, tables=tables)
+            policy, p_out = reference_optimize(cfg, kind, seed, scenario.optimizer.max_iter)
+            report = optimize(cfg, kind, seed, scenario.optimizer.max_iter)
             assert np.array_equal(report.final_policy, policy)
             assert report.best_p_out == p_out
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import aoi_outage
-from aoi_outage import cli
+from aoi_outage import burstiness, cli
 from aoi_outage.optimizer import PenaltyKind, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
@@ -134,6 +134,7 @@ class TestScenarios:
             (lambda d: d["blocklength"].update(N=10.5), "N"),
             (lambda d: d.update(schema_version=2), "schema_version"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
+            (lambda d: d["simulation"].update(master_seed=-1), "master_seed"),
         ]
         + BAD_LIST_ENTRIES
         + OUT_OF_RANGE_INITIAL,
@@ -232,6 +233,22 @@ class TestCliEvaluate:
         assert code == 1
         assert re.match(f"error: {fragment}", err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--policy", "naive"],
+        ["optimize", "--penalty", "binary"],
+        ["simulate", "--policy", "naive", "--reps", "1", "--periods", "10"],
+        ["burst-convergence", "--n-policies", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_master_seed_exits_one(self, tmp_path, capsys, argv):
+        doc = json.loads(json.dumps(PRESETS["scenario_b"]))
+        doc["simulation"]["master_seed"] = -1
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--config", write_config(tmp_path, doc), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: simulation.master_seed must be >= 0, got -1\n"
+        assert not out.exists()
 
     def test_missing_policy_file_flag(self, tmp_path, capsys):
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
@@ -382,6 +399,22 @@ class TestCliGrids:
 
         monkeypatch.setattr(simulate_module, "measure_bursts", no_bursts)
         assert run_cli(argv + [str(patched)]) == 0
+        assert patched.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["reproduce-table2", "--reps", "2", "--periods", "50"],
+        ["burst-convergence", "--config", "scenario_b", "--n-policies", "5"],
+    ], ids=["reproduce-table2", "burst-convergence"])
+    def test_grid_walks_no_pmf(self, tmp_path, monkeypatch, argv):
+        # the grids print no burst-length pmf, so no record walks one
+        plain, patched = tmp_path / "plain.csv", tmp_path / "patched.csv"
+        assert run_cli(argv + ["--out", str(plain)]) == 0
+
+        def no_walk(*args):
+            raise AssertionError(f"{argv[0]} walked a burst-length pmf")
+
+        monkeypatch.setattr(burstiness, "_duration_pmf", no_walk)
+        assert run_cli(argv + ["--out", str(patched)]) == 0
         assert patched.read_bytes() == plain.read_bytes()
 
     def test_burst_convergence_matches_golden_measurements(self, tmp_path):

@@ -302,7 +302,7 @@ class TestMeans:
 
 
 class TestBurstConvergence:
-    def test_rows_match_single_row_runs(self, cfg_b, tables_b):
+    def test_rows_match_single_row_runs(self, cfg_b):
         rows = burst_convergence(cfg_b, 2, 11)
         assert [(r["policy_id"], r["checkpoint"]) for r in rows] == [
             (pid, cp) for pid in range(2) for cp in CHECKPOINTS
@@ -310,7 +310,7 @@ class TestBurstConvergence:
         for pid in range(2):
             rng = np.random.default_rng(derive_seed(11, pid, 0))
             pol = rng.integers(0, cfg_b.link.blocklength_total + 1, size=cfg_b.n_states)
-            stats = burst_stats(cfg_b, pol, tables=tables_b)
+            stats = burst_stats(cfg_b, pol)
             seed = derive_seed(11, pid, 1)
             seq = simulate(cfg_b, pol, max(CHECKPOINTS), seed).outage_sequence
             for row, cp in zip(rows[pid * len(CHECKPOINTS) :], CHECKPOINTS):
@@ -392,10 +392,10 @@ class TestRepetitions:
     def test_normalized_error_unusable_side_is_nan(self, measured, predicted):
         assert np.isnan(normalized_error(measured, predicted))
 
-    def test_empirical_matches_analytic_within_three_se(self, cfg_b, tables_b):
+    def test_empirical_matches_analytic_within_three_se(self, cfg_b):
         # long-horizon consistency of the simulator and the stationary analysis
         pol = naive_policy(cfg_b)
-        stats = burst_stats(cfg_b, pol, tables=tables_b)
+        stats = burst_stats(cfg_b, pol)
         summary = run_repetitions(cfg_b, pol, 10, 100_000, master_seed=7)
         se = summary.outage_rate_std / np.sqrt(summary.reps)
         assert abs(summary.outage_rate_mean - stats.p_out) < 3 * se
