@@ -10,13 +10,13 @@ over xi1, with all the chains' systems in one stacked solve. The mean
 interval between bursts is (1 - p_out) / xi1, and the product identity
 p_out = xi1 * mean length cross-checks the stationary outage rate to solver
 precision. The burst-length pmf, the one truncated quantity, is walked when
-a record's duration_pmf is first read, one chain at a time: a masked walk,
-u <- u @ P with the rows of P outside the outage set zeroed, follows the
-mass of a burst while it stays in outage, and what leaves the set at step
-t is the pmf at t. burst_stats_many runs the analysis on the age chains a
-batch of policies induces. Every record is the same, bit for bit, whatever
-else is in its batch, and chain_burst_stats and burst_stats are the batches
-of one.
+a record's duration_pmf is first read, one chain and one step at a time: a
+masked walk, u <- u @ P with the rows of P outside the outage set zeroed,
+follows the mass of a burst while it stays in outage, and what leaves the
+set at step t is the pmf at t. burst_stats_many runs the analysis on the
+age chains a batch of policies induces. Every record is the same, bit for
+bit, whatever else is in its batch, and chain_burst_stats and burst_stats
+are the batches of one.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ from .states import SystemConfig
 SERIES_TOLERANCE = 1e-12
 SERIES_CAP = 10_000
 IDENTITY_TOL = 1e-9
-
-#: Steps the pmf walk takes between stop tests. Per block it stores
-#: WALK_BLOCK rows, whatever the walk's length.
-WALK_BLOCK = 32
 
 #: Burst length counts the outage periods of an excursion, not the
 #: recovery period that ends it.
@@ -97,27 +93,15 @@ def _duration_pmf(u, p, out, xi1) -> np.ndarray:
     u <- u @ (p * out[:, None]) started at its entry flow u: pmf[t - 1] is
     the mass escaping at step t over xi1. The walk stops one step after the
     mass still in outage falls below SERIES_TOLERANCE of xi1, or at
-    SERIES_CAP steps. It stores WALK_BLOCK steps' rows, then reads the stop
-    test and the escaped masses off them."""
+    SERIES_CAP steps."""
     walk = p * out[:, None]
-    inside = u.compress(out, axis=-1).sum(axis=-1)  # mass in outage before the next step
-    rows = np.empty((WALK_BLOCK, len(out)))
-    pieces = []
-    done = 0
+    pmf = []
     while True:
-        m = min(WALK_BLOCK, SERIES_CAP - done)
-        block = rows[:m]
-        for j in range(m):
-            u = u @ walk
-            block[j] = u
-        before = np.concatenate(([inside], block.compress(out, axis=-1).sum(axis=-1)))
-        stop = before[:m] / xi1 < SERIES_TOLERANCE
-        stop[-1] |= done + m == SERIES_CAP
-        pieces.append(block.compress(~out, axis=-1).sum(axis=-1) / xi1)
-        if stop.any():
-            return np.concatenate(pieces)[: done + stop.argmax() + 1]
-        done += m
-        inside = before[m]
+        inside = u.compress(out).sum()
+        u = u @ walk
+        pmf.append(u.compress(~out).sum() / xi1)
+        if inside / xi1 < SERIES_TOLERANCE or len(pmf) == SERIES_CAP:
+            return np.array(pmf)
 
 
 def chain_burst_stats_many(ps, out) -> list[BurstStats]:

@@ -187,12 +187,16 @@ def cmd_simulate(args) -> int:
 _TABLE2_POLICIES = ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi", "naive", "min-error")
 
 
-def _table2_solve(preset: str) -> tuple:
-    """Phase 1 of reproduce-table2 for one preset: its six policies and
-    their analytic burst statistics, which are all of its dense solves. A
-    penalty's policy is its sweep, which is optimize's final policy."""
+def _table2_rows(args, preset: str) -> list[dict]:
+    """reproduce-table2's CSV rows of one preset: its six policies (a
+    penalty's policy is its sweep, which is optimize's final policy), their
+    analytic burst statistics in one batch and their repetitions in one
+    simulation batch."""
     scenario = load_scenario(preset)
     cfg = scenario.system
+    seeds = args.seeds if args.seeds is not None else scenario.optimizer.seeds
+    reps = args.reps if args.reps is not None else scenario.simulation.reps
+    periods = args.periods if args.periods is not None else scenario.simulation.periods
     policies = []
     for policy_name in _TABLE2_POLICIES:
         if policy_name == "naive":
@@ -201,19 +205,8 @@ def _table2_solve(preset: str) -> tuple:
             policies.append(min_error_policy(cfg))
         else:
             policies.append(improve_policy(cfg, PenaltyKind(policy_name)))
-    return scenario, policies, burst_stats_many(cfg, policies)
-
-
-def _table2_rows(args, scenario: Scenario, policies, stats) -> list[dict]:
-    """Phase 2 of reproduce-table2 for one preset: one simulation batch over
-    all six policies' repetitions, reduced to the preset's CSV rows. The
-    per-repetition results are freed on return."""
-    seeds = args.seeds if args.seeds is not None else scenario.optimizer.seeds
-    reps = args.reps if args.reps is not None else scenario.simulation.reps
-    periods = args.periods if args.periods is not None else scenario.simulation.periods
-    summaries = run_repetitions_many(
-        scenario.system, policies, reps, periods, scenario.simulation.master_seed
-    )
+    stats = burst_stats_many(cfg, policies)
+    summaries = run_repetitions_many(cfg, policies, reps, periods, scenario.simulation.master_seed)
     rows = []
     for policy_name, policy_stats, summary in zip(_TABLE2_POLICIES, stats, summaries):
         published = PUBLISHED_OUTAGE_RATES[scenario.name, policy_name]
@@ -235,16 +228,18 @@ def _table2_rows(args, scenario: Scenario, policies, stats) -> list[dict]:
 
 
 def cmd_reproduce_table2(args) -> int:
-    if args.seeds is not None and args.seeds < 1:
-        raise ConfigError(f"seeds must be >= 1, got {args.seeds}")
-    started = time.time()
-    solved = [_table2_solve(preset) for preset in ("scenario_a", "scenario_b", "scenario_c")]
-    rows = [row for phase1 in solved for row in _table2_rows(args, *phase1)]
+    for name in ("seeds", "reps", "periods"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+    started = time.perf_counter()
+    rows = [row for preset in ("scenario_a", "scenario_b", "scenario_c")
+            for row in _table2_rows(args, preset)]
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
         writer.writerows(rows)
-    print(f"reproduce-table2: {len(rows)} rows in {time.time() - started:.1f}s -> {args.out}")
+    print(f"reproduce-table2: {len(rows)} rows in {time.perf_counter() - started:.1f}s -> {args.out}")
     return 0
 
 

@@ -41,13 +41,14 @@ def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
     arr = np.asarray(policy)
     if arr.shape != (cfg.n_states,):
         raise ValueError(f"policy must have shape ({cfg.n_states},), got {arr.shape}")
+    n = cfg.link.blocklength_total
+    # range first, so no float entry too large for int64 reaches the cast
+    if arr.dtype.kind in "iuf" and (arr.min() < 0 or arr.max() > n):
+        raise ValueError(f"policy entries must lie in [0, {n}]")
     if np.issubdtype(arr.dtype, np.floating) and np.array_equal(np.rint(arr), arr):
         arr = arr.astype(np.int64)
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError("policy entries must be integers")
-    n = cfg.link.blocklength_total
-    if arr.min() < 0 or arr.max() > n:
-        raise ValueError(f"policy entries must lie in [0, {n}]")
     return arr.astype(np.int64, copy=False)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +88,8 @@ def _require(mapping, where: str, required: tuple[str, ...], optional: tuple[str
 def _value(value, label: str, kind=float):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{label} must be a finite number, got {value!r}")
     if kind is int and int(value) != value:
         raise ConfigError(f"{label} must be an integer, got {value!r}")
     return kind(value)

@@ -18,7 +18,6 @@ from aoi_outage.burstiness import (
     IDENTITY_TOL,
     SERIES_CAP,
     SERIES_TOLERANCE,
-    WALK_BLOCK,
     _exact_means,
     burst_stats,
     burst_stats_many,
@@ -427,13 +426,13 @@ class TestBurstStatsMany:
         many = burst_stats_many(cfg, policies)
         assert [s.defined for s in many] == [True, False, True, True, False]
         assert many[2].truncation_t == SERIES_CAP
-        assert max(many[0].truncation_t, many[3].truncation_t) < WALK_BLOCK
         for pol, stats in zip(policies, many):
             assert record_bits(stats) == record_bits(burst_stats(cfg, pol))
 
-    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4], [4, 2, 0, 3, 1]])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6], [6, 3, 0, 5, 2, 4, 1]])
     def test_stops_at_block_edges(self, order):
-        steps = [WALK_BLOCK - 1, WALK_BLOCK, WALK_BLOCK + 1, 2 * WALK_BLOCK, 2 * WALK_BLOCK + 1]
+        # the mass before step 1 is all of xi1, so the earliest stop is step 2
+        steps = [2, 3, 31, 32, 33, 64, 65]
         chains = [stop_at(steps[i]) for i in order]
         out = np.array([False, True])
         many = chain_burst_stats_many(np.stack(chains), out)

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,24 @@ BAD_LIST_ENTRIES = [
                  r"state\.initial\[1\] must be a number", id="initial-null"),
     pytest.param(lambda d: d["state"].update(initial=[1.7, 1, 0, 0]),
                  r"state\.initial\[0\] must be an integer", id="initial-fraction"),
+]
+
+# non-finite numbers, which json.loads accepts as NaN and Infinity
+NON_FINITE_VALUES = [
+    pytest.param(lambda d: d["simulation"].update(reps=float("inf")),
+                 r"simulation\.reps must be a finite number, got inf\n", id="reps-inf"),
+    pytest.param(lambda d: d["blocklength"].update(N=float("inf")),
+                 r"blocklength\.N must be a finite number, got inf\n", id="N-inf"),
+    pytest.param(lambda d: d["state"].update(a_max=float("nan")),
+                 r"state\.a_max must be a finite number, got nan\n", id="a_max-nan"),
+    pytest.param(lambda d: d["simulation"].update(periods=float("nan")),
+                 r"simulation\.periods must be a finite number, got nan\n", id="periods-nan"),
+    pytest.param(lambda d: d["optimizer"].update(epsilon_cvg=float("nan")),
+                 r"optimizer\.epsilon_cvg must be a finite number, got nan\n", id="epsilon_cvg-nan"),
+    pytest.param(lambda d: d.update(alpha=[float("nan"), 0.4]),
+                 r"alpha\[0\] must be a finite number, got nan\n", id="alpha-nan"),
+    pytest.param(lambda d: d["snr_db"].update(good=float("-inf")),
+                 r"snr_db\.good must be a finite number, got -inf\n", id="snr-good-minus-inf"),
 ]
 
 # initial states outside the preset's state space (a_max = 5)
@@ -198,20 +217,28 @@ class TestCliEvaluate:
         for key in ("mean_outage_duration", "mean_ioi", "duration_pmf", "truncation_residual"):
             assert doc["burst"][key] is None
 
-    @pytest.mark.parametrize("document", [
-        {"policy_lambda": [1500] * 100}, {"best": {}}, {"best": 5},
-        {"policy_lambda": ["a"] * 100}, {"policy_lambda": [None] * 100},
-    ], ids=["out-of-range", "best-without-policy", "best-not-an-object", "strings", "nulls"])
-    def test_bad_policy_file_exits_one(self, tmp_path, capsys, document):
+    @pytest.mark.parametrize("document,message", [
+        ({"policy_lambda": [1500] * 100}, "policy entries must lie in [0, 1000]"),
+        ({"policy_lambda": [float("inf")] * 100}, "policy entries must lie in [0, 1000]"),
+        ({"policy_lambda": [1e300] * 100}, "policy entries must lie in [0, 1000]"),
+        ({"best": {}}, "policy file must carry a 'policy_lambda' array"),
+        ({"best": 5}, "policy file must carry a 'policy_lambda' array"),
+        ({"policy_lambda": ["a"] * 100}, "policy entries must be integers"),
+        ({"policy_lambda": [None] * 100}, "policy entries must be integers"),
+    ], ids=["out-of-range", "infinity", "1e300", "best-without-policy", "best-not-an-object",
+            "strings", "nulls"])
+    def test_bad_policy_file_exits_one(self, tmp_path, capsys, document, message):
+        # warnings are errors here: no entry may reach numpy's cast warning
         pol_path = tmp_path / "bad.json"
         pol_path.write_text(json.dumps(document))
         out = tmp_path / "eval.json"
-        code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
-                        "--policy-file", str(pol_path), "--out", str(out)])
-        err = capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
+                            "--policy-file", str(pol_path), "--out", str(out)])
         assert code == 1
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
@@ -223,7 +250,7 @@ class TestCliEvaluate:
         assert code == 1
         assert "alphaa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL)
+    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL + NON_FINITE_VALUES)
     def test_bad_list_entry_exits_one(self, tmp_path, capsys, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
         mutate(doc)
@@ -447,12 +474,32 @@ class TestCliGrids:
         document = json.loads(report.read_text())
         assert repr({key: document[key] for key in golden}) == repr(golden)
 
-    def test_reproduce_table2_rejects_zero_seeds(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--seeds", "--reps", "--periods"])
+    def test_reproduce_table2_rejects_zero_counts_before_any_preset(self, tmp_path, capsys, monkeypatch, flag):
+        def no_analysis(cfg, policies):
+            raise AssertionError("reproduce-table2 analysed a preset before checking its flags")
+
+        monkeypatch.setattr(cli, "burst_stats_many", no_analysis)
         out = tmp_path / "table2.csv"
-        code = run_cli(["reproduce-table2", "--seeds", "0", "--reps", "1",
-                        "--periods", "10", "--out", str(out)])
+        code = run_cli(["reproduce-table2", flag, "0", "--out", str(out)])
         assert code == 1
-        assert re.match(r"error: seeds must be >= 1", capsys.readouterr().err)
+        assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_reproduce_table2_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):
+        failing = load_scenario("scenario_c").system
+        analyse = cli.burst_stats_many
+
+        def fail_on_scenario_c(cfg, policies):
+            if cfg == failing:
+                raise RuntimeError("injected failure")
+            return analyse(cfg, policies)
+
+        monkeypatch.setattr(cli, "burst_stats_many", fail_on_scenario_c)
+        out = tmp_path / "table2.csv"
+        code = run_cli(["reproduce-table2", "--reps", "2", "--periods", "50", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "numerical failure: injected failure\n"
         assert not out.exists()
 
     def test_burst_convergence_smoke(self, tmp_path):
