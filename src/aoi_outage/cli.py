@@ -244,6 +244,8 @@ def cmd_reproduce_table2(args) -> int:
 
 
 def cmd_burst_convergence(args) -> int:
+    if args.n_policies < 1:
+        raise ConfigError(f"--n-policies must be >= 1, got {args.n_policies}")
     scenario = load_scenario(args.config)
     rows = burst_convergence(scenario.system, args.n_policies, scenario.simulation.master_seed)
     with open(args.out, "w", newline="") as fh:

@@ -42,6 +42,9 @@ def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
     if arr.shape != (cfg.n_states,):
         raise ValueError(f"policy must have shape ({cfg.n_states},), got {arr.shape}")
     n = cfg.link.blocklength_total
+    # ints beyond int64 come as objects: clamp them just outside [0, n]
+    if arr.dtype == object and all(type(v) is int for v in arr):
+        arr = np.array([min(max(v, -1), n + 1) for v in arr])
     # range first, so no float entry too large for int64 reaches the cast
     if arr.dtype.kind in "iuf" and (arr.min() < 0 or arr.max() > n):
         raise ValueError(f"policy entries must lie in [0, {n}]")

@@ -108,7 +108,7 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
         ("schema_version",),
     )
     version = document.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
 
     alpha = document["alpha"]

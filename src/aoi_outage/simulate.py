@@ -91,7 +91,7 @@ def measure_bursts(outage_sequence):
 
 
 #: Periods of uniforms drawn per generator at a time. Per chunk the kernel
-#: holds DRAW_CHUNK x 4 doubles per distinct seed, and per row DRAW_CHUNK x 2
+#: holds DRAW_CHUNK x 4 doubles per seed, and per row DRAW_CHUNK x 2
 #: failure doubles, bit codes and visited slots, whatever the horizon.
 DRAW_CHUNK = 64
 
@@ -114,14 +114,14 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     (R, periods) outage indicators and each row's final 0-based state
     position.
 
-    The error rates and successors are tabled once per distinct policy. A
+    The error rates and successors are tabled once per policy. A
     row's state at position s is held as h = 4 * (group[r] * n_states + s),
     the first of its four branch slots 2 * fail1 + fail2, and every table is
     indexed by h. The two devices' error rates form one (slots, 2) table and
     each period's failure uniforms one contiguous (R, 2) block, so a step is
     one packed compare into an (R, 2) bool buffer, whose uint16 view codes
     the flag pair and picks the branch, then one successor lookup. Each
-    distinct seed's generator is built once and drawn DRAW_CHUNK periods at
+    seed's generator is built once and drawn DRAW_CHUNK periods at
     a time; each chunk's failure uniforms and bit codes are then laid out
     per period for the rows that consume them.
     """
@@ -165,35 +165,31 @@ def _mean(lengths: list[int]) -> float:
     return sum(lengths) / len(lengths) if lengths else float("nan")
 
 
-def _distinct(keys) -> tuple[np.ndarray, np.ndarray]:
-    """Each key's rank among the distinct keys, numbered in order of first
-    occurrence, and the position of each distinct key's first occurrence."""
-    rank: dict = {}
-    which = np.array([rank.setdefault(key, len(rank)) for key in keys], dtype=np.intp)
-    return which, np.unique(which, return_index=True)[1]
+def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int, seeds,
+                   stream: np.ndarray) -> list[SimResult]:
+    """Validate each policy once and run _lockstep's rows: row r follows
+    policies[group[r]] with seed seeds[stream[r]]."""
+    if periods < 1:
+        raise ValueError(f"periods must be >= 1, got {periods}")
+    if len(group) == 0:
+        raise ValueError("need at least one policy and seed")
+    pols = np.stack([validate_policy(p, cfg) for p in policies])
+    outage, final = _lockstep(transition_tables(cfg), pols, group, periods, seeds, stream)
+    return [
+        SimResult(seed=seeds[s], final_position=int(state), outage_sequence=seq)
+        for seq, s, state in zip(outage, stream, final)
+    ]
 
 
 def simulate_many(cfg: SystemConfig, policies, periods: int, seeds) -> list[SimResult]:
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
     periods from cfg.initial. Row r equals
     simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
-    lockstep. Rows may share policies and seeds: each distinct policy is
-    validated once and each distinct seed's stream is drawn once."""
-    if periods < 1:
-        raise ValueError(f"periods must be >= 1, got {periods}")
+    lockstep, each with its own policy and generator."""
     if len(policies) != len(seeds):
         raise ValueError(f"got {len(policies)} policies for {len(seeds)} seeds")
-    if len(seeds) == 0:
-        raise ValueError("need at least one policy and seed")
-    arrays = [np.asarray(p) for p in policies]
-    group, first = _distinct((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
-    pols = np.stack([validate_policy(arrays[i], cfg) for i in first])
-    stream, first = _distinct(seeds)
-    outage, final = _lockstep(transition_tables(cfg), pols, group, periods, [seeds[i] for i in first], stream)
-    return [
-        SimResult(seed=seed, final_position=int(state), outage_sequence=seq)
-        for seq, seed, state in zip(outage, seeds, final)
-    ]
+    rows = np.arange(len(seeds))
+    return _simulate_rows(cfg, policies, rows, periods, seeds, rows)
 
 
 def simulate(cfg: SystemConfig, policy, periods: int, seed: int) -> SimResult:
@@ -206,16 +202,11 @@ class RepetitionSummary:
     """One policy's repetitions. The per-repetition rates and the pooled
     statistics are derived from the runs when read."""
 
-    master_seed: int
     results: list[SimResult] = field(repr=False)
 
     @property
     def reps(self) -> int:
         return len(self.results)
-
-    @property
-    def periods(self) -> int:
-        return self.results[0].periods
 
     @cached_property
     def outage_rates(self) -> np.ndarray:
@@ -253,14 +244,16 @@ def run_repetitions_many(
 ) -> list[RepetitionSummary]:
     """run_repetitions for each policy, all simulated in one lockstep batch.
 
-    Every policy's repetition r uses the seed derive_seed(master_seed, r),
-    so the batch draws each seed's stream once; its rows are policy-major.
+    Every policy's repetition r uses the seed derive_seed(master_seed, r);
+    the batch tables each policy once and draws each seed's stream once. Its
+    rows are policy-major.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     seeds = [derive_seed(master_seed, r) for r in range(reps)]
-    results = simulate_many(cfg, [p for p in policies for _ in range(reps)], periods, seeds * len(policies))
-    return [RepetitionSummary(master_seed, results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
+    group, stream = np.repeat(np.arange(len(policies)), reps), np.tile(np.arange(reps), len(policies))
+    results = _simulate_rows(cfg, policies, group, periods, seeds, stream)
+    return [RepetitionSummary(results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
 
 
 def run_repetitions(

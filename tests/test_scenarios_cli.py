@@ -13,7 +13,8 @@ import pytest
 
 import aoi_outage
 from aoi_outage import burstiness, cli
-from aoi_outage.optimizer import PenaltyKind, optimize
+from aoi_outage.burstiness import burst_stats_many
+from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import ConfigError, PRESETS, config_hash, load_scenario
 
@@ -152,6 +153,7 @@ class TestScenarios:
             (lambda d: d["optimizer"].update(epsilon_cvg=-1e-5), "epsilon_cvg"),
             (lambda d: d["blocklength"].update(N=10.5), "N"),
             (lambda d: d.update(schema_version=2), "schema_version"),
+            (lambda d: d.update(schema_version=True), r"unsupported schema_version True \(expected 1\)"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
             (lambda d: d["simulation"].update(master_seed=-1), "master_seed"),
         ]
@@ -221,12 +223,14 @@ class TestCliEvaluate:
         ({"policy_lambda": [1500] * 100}, "policy entries must lie in [0, 1000]"),
         ({"policy_lambda": [float("inf")] * 100}, "policy entries must lie in [0, 1000]"),
         ({"policy_lambda": [1e300] * 100}, "policy entries must lie in [0, 1000]"),
+        ({"policy_lambda": [10**30] * 100}, "policy entries must lie in [0, 1000]"),
+        ({"policy_lambda": [-10**30] + [0] * 99}, "policy entries must lie in [0, 1000]"),
         ({"best": {}}, "policy file must carry a 'policy_lambda' array"),
         ({"best": 5}, "policy file must carry a 'policy_lambda' array"),
         ({"policy_lambda": ["a"] * 100}, "policy entries must be integers"),
         ({"policy_lambda": [None] * 100}, "policy entries must be integers"),
-    ], ids=["out-of-range", "infinity", "1e300", "best-without-policy", "best-not-an-object",
-            "strings", "nulls"])
+    ], ids=["out-of-range", "infinity", "1e300", "1e30-int", "minus-1e30-int", "best-without-policy",
+            "best-not-an-object", "strings", "nulls"])
     def test_bad_policy_file_exits_one(self, tmp_path, capsys, document, message):
         # warnings are errors here: no entry may reach numpy's cast warning
         pol_path = tmp_path / "bad.json"
@@ -415,6 +419,21 @@ class TestCliGrids:
         assert run_cli(["reproduce-table2", "--reps", "3", "--periods", "300", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "table2_reps3_periods300.csv").read_bytes()
 
+    def test_reproduce_table2_analytic_column_is_each_policys_solve(self, tmp_path):
+        # each penalty row reads its optimized policy's outage rate and each
+        # benchmark row its policy's, whatever the simulation size
+        out = tmp_path / "table2.csv"
+        assert run_cli(["reproduce-table2", "--reps", "1", "--periods", "10", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            table = {(r["scenario"], r["policy"]): r["analytic_p_out"] for r in csv.DictReader(fh)}
+        for preset in ("scenario_a", "scenario_b", "scenario_c"):
+            cfg = load_scenario(preset).system
+            for kind in PenaltyKind:
+                assert table[preset, kind.value] == repr(optimize(cfg, kind, 0).best_p_out)
+            benchmarks = {"naive": naive_policy(cfg), "min-error": min_error_policy(cfg)}
+            for name, stats in zip(benchmarks, burst_stats_many(cfg, list(benchmarks.values()))):
+                assert table[preset, name] == repr(stats.p_out)
+
     def test_reproduce_table2_measures_no_bursts(self, tmp_path, monkeypatch):
         # the table prints outage rates only, so no run is split into bursts
         argv = ["reproduce-table2", "--reps", "2", "--periods", "50", "--out"]
@@ -515,12 +534,13 @@ class TestCliGrids:
         for row in rows:
             assert float(row["analytic_p_out"]) > 0.0
 
-    def test_burst_convergence_without_policies_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_burst_convergence_without_policies_exits_one(self, tmp_path, capsys, count):
         out = tmp_path / "cvg.csv"
-        code = run_cli(["burst-convergence", "--config", "scenario_b", "--n-policies", "0",
+        code = run_cli(["burst-convergence", "--config", "scenario_b", "--n-policies", count,
                         "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: need at least one policy and seed\n"
+        assert capsys.readouterr().err == f"error: --n-policies must be >= 1, got {count}\n"
         assert not out.exists()
 
     def test_burst_convergence_undefined_exits_two(self, tmp_path, capsys):

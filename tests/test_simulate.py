@@ -177,7 +177,8 @@ class TestSimulateMany:
             assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
             assert result.seed == seed and result.periods == periods
 
-    def test_validates_each_distinct_policy_once(self, small_cfg, monkeypatch):
+    @staticmethod
+    def count_validations(monkeypatch) -> list:
         calls = []
 
         def counting(policy, cfg):
@@ -185,12 +186,28 @@ class TestSimulateMany:
             return validate_policy(policy, cfg)
 
         monkeypatch.setattr(simulate_module, "validate_policy", counting)
-        pols = [naive_policy(small_cfg), random_policy(small_cfg, np.random.default_rng(4))]
-        simulate_many(small_cfg, [p.copy() for p in pols for _ in range(5)], 20, list(range(10)))
+        return calls
+
+    def test_validates_one_policy_per_row(self, small_cfg, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        pol = naive_policy(small_cfg)
+        simulate_many(small_cfg, [pol] * 5, 20, list(range(5)))
+        assert len(calls) == 5
+
+    def test_repetitions_table_each_policy_and_draw_each_seed_once(self, small_cfg, monkeypatch):
+        calls = self.count_validations(monkeypatch)
+        generators = []
+        default_rng = np.random.default_rng
+
+        def counting_rng(seed):
+            generators.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        pols = [naive_policy(small_cfg), random_policy(small_cfg, default_rng(4))]
+        run_repetitions_many(small_cfg, pols, 7, 20, 3)
         assert len(calls) == 2
-        calls.clear()
-        run_repetitions_many(small_cfg, pols, 7, 20, master_seed=3)
-        assert len(calls) == 2
+        assert generators == [derive_seed(3, r) for r in range(7)]
 
     def test_rejects_empty_input(self, small_cfg):
         with pytest.raises(ValueError):
