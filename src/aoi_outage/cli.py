@@ -79,6 +79,14 @@ def _defined(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
+def _check_output_dirs(args) -> None:
+    """Refuse an output path in a missing directory before any work, so a
+    failed run writes no file at all."""
+    for path in (args.out, getattr(args, "csv", None)):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"directory of output path {path} does not exist")
+
+
 def _write_json(path: str, document: dict) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=False, allow_nan=False) + "\n")
 
@@ -308,6 +316,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output_dirs(args)
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,20 +32,19 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 @dataclass
 class SimResult:
-    """One simulated run. Its statistics are derived from the outage
-    sequence when read."""
+    """One simulated run. Its outage sequence is held packed, one bit per
+    period; its statistics are derived from it when read."""
 
     seed: int
     final_position: int
-    outage_sequence: np.ndarray = field(repr=False)
+    periods: int
+    outage_count: int
+    outage_bits: np.ndarray = field(repr=False)
 
     @property
-    def periods(self) -> int:
-        return len(self.outage_sequence)
-
-    @property
-    def outage_count(self) -> int:
-        return int(np.count_nonzero(self.outage_sequence))
+    def outage_sequence(self) -> np.ndarray:
+        """The per-period outage indicators, unpacked on each read."""
+        return np.unpackbits(self.outage_bits, count=self.periods).view(bool)
 
     @property
     def outage_rate(self) -> float:
@@ -92,8 +91,12 @@ def measure_bursts(outage_sequence):
 
 #: Periods of uniforms drawn per generator at a time. Per chunk the kernel
 #: holds DRAW_CHUNK x 4 doubles per seed, and per row DRAW_CHUNK x 2
-#: failure doubles, bit codes and visited slots, whatever the horizon.
+#: failure doubles, bit codes and visited slots, whatever the horizon. A
+#: multiple of 8, so every chunk but the last packs into whole bytes.
 DRAW_CHUNK = 64
+
+#: Set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def _branch_table() -> np.ndarray:
@@ -111,8 +114,8 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     """Advance R independent rows of the chain together, one numpy step per
     period. Row r follows policies[group[r]] from the initial state and
     consumes default_rng(seeds[stream[r]]).random((periods, 4)). Returns the
-    (R, periods) outage indicators and each row's final 0-based state
-    position.
+    (R, ceil(periods / 8)) outage indicators packed by np.packbits along
+    each row, and each row's final 0-based state position.
 
     The error rates and successors are tabled once per policy. A
     row's state at position s is held as h = 4 * (group[r] * n_states + s),
@@ -123,7 +126,8 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     the flag pair and picks the branch, then one successor lookup. Each
     seed's generator is built once and drawn DRAW_CHUNK periods at
     a time; each chunk's failure uniforms and bit codes are then laid out
-    per period for the rows that consume them.
+    per period for the rows that consume them, and its outage flags are
+    packed as soon as it is stepped.
     """
     cfg = t.cfg
     offset = 4 * cfg.n_states * np.arange(len(policies))
@@ -137,7 +141,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
     visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.int64)
-    outage = np.empty((len(group), periods), dtype=bool)
+    outage = np.empty((len(group), (periods + 7) // 8), dtype=np.uint8)
     fail = np.empty((len(group), 2), dtype=bool)
     code = fail.view(np.uint16).reshape(-1)
     base = offset[group]
@@ -155,7 +159,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
             np.less(us[j], rates.take(h, axis=0), out=fail)
             h = succ.take(h + branch.take(code)) + bits[j]
             visited[j] = h
-        outage[:, start : start + m] = out[visited[:m]].T
+        outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(out.take(visited[:m].T), axis=1)
     return outage, (h - base) // 4
 
 
@@ -168,16 +172,20 @@ def _mean(lengths: list[int]) -> float:
 def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int, seeds,
                    stream: np.ndarray) -> list[SimResult]:
     """Validate each policy once and run _lockstep's rows: row r follows
-    policies[group[r]] with seed seeds[stream[r]]."""
+    policies[group[r]] with seed seeds[stream[r]]. Every row's outages are
+    counted in one pass over the packed bits; np.packbits pads with zeros,
+    so padding never counts."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
     if len(group) == 0:
         raise ValueError("need at least one policy and seed")
     pols = np.stack([validate_policy(p, cfg) for p in policies])
     outage, final = _lockstep(transition_tables(cfg), pols, group, periods, seeds, stream)
+    counts = _POPCOUNT[outage].sum(axis=1)
     return [
-        SimResult(seed=seeds[s], final_position=int(state), outage_sequence=seq)
-        for seq, s, state in zip(outage, stream, final)
+        SimResult(seed=seeds[s], final_position=int(state), periods=periods, outage_count=int(count),
+                  outage_bits=bits)
+        for bits, s, state, count in zip(outage, stream, final, counts)
     ]
 
 
@@ -301,8 +309,9 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     results = simulate_many(cfg, policies, max(CHECKPOINTS), sim_seeds)
     rows = []
     for pid, (analytics, sim_seed, result) in enumerate(zip(predicted, sim_seeds, results)):
+        seq = result.outage_sequence
         for cp in CHECKPOINTS:
-            prefix = result.outage_sequence[:cp]
+            prefix = seq[:cp]
             bursts, iois = measure_bursts(prefix)
             row = {"policy_id": pid, "sim_seed": sim_seed, "checkpoint": cp}
             for name, measured, analytic in zip(

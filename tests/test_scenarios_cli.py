@@ -281,6 +281,31 @@ class TestCliEvaluate:
         assert err == "error: simulation.master_seed must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["optimize", "--config", "scenario_a", "--penalty", "binary", "--out", "{missing}"],
+        ["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", "{missing}"],
+        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+         "--out", "{missing}"],
+        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+         "--out", "{good}", "--csv", "{missing}"],
+        ["reproduce-table2", "--reps", "1", "--periods", "5", "--out", "{missing}"],
+        ["burst-convergence", "--config", "scenario_b", "--n-policies", "1", "--out", "{missing}"],
+    ], ids=["optimize", "evaluate", "simulate", "simulate-csv", "reproduce-table2", "burst-convergence"])
+    def test_missing_output_directory_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("worked before checking the output paths")
+
+        for module in (cli, burstiness, simulate_module):
+            monkeypatch.setattr(module, "burst_stats_many", no_work)
+        for module in (cli, simulate_module):
+            monkeypatch.setattr(module, "run_repetitions_many", no_work)
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        missing = tmp_path / "missing" / "out"
+        code = run_cli([arg.format(missing=missing, good=tmp_path / "out.json") for arg in argv])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: directory of output path {missing} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_policy_file_flag(self, tmp_path, capsys):
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
                         "--out", str(tmp_path / "x.json")])

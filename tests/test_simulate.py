@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,8 +134,27 @@ class TestPackedBranch:
 
 
 class TestSimulateMany:
+    def test_draw_chunk_packs_into_whole_bytes(self):
+        # the kernel packs each chunk's outage flags on their own, so every
+        # chunk but the last must fill whole bytes
+        assert DRAW_CHUNK % 8 == 0
+
+    def test_memory_grows_one_bit_per_row_period(self, cfg_b):
+        # 50 rows x 40 000 periods: a bool per row-period alone would be
+        # 2 MB; the packed record is 250 kB
+        reps, periods = 50, 40_000
+        policy = naive_policy(cfg_b)
+        run_repetitions_many(cfg_b, [policy], 1, 10, 0)  # tables and imports outside the trace
+        tracemalloc.start()
+        try:
+            run_repetitions_many(cfg_b, [policy], reps, periods, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reps * periods / 2
+
     @pytest.mark.parametrize(
-        "periods", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+        "periods", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
     )
     def test_rows_match_reference_implementation(self, mid_cfg, periods):
         rng = np.random.default_rng(21)
@@ -149,10 +169,12 @@ class TestSimulateMany:
             assert np.array_equal(result.outage_sequence, ref_seq)
             assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
             assert result.seed == seed and result.periods == periods
+            assert result.outage_bits.dtype == np.uint8
+            assert result.outage_bits.nbytes == -(-periods // 8)
 
     @pytest.mark.parametrize("layout", ["policy-major", "shuffled", "one-repeat"])
     @pytest.mark.parametrize(
-        "periods", [1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+        "periods", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
     )
     def test_shared_policies_and_seeds_match_reference(self, mid_cfg, periods, layout):
         # table2's layout: every policy repeats over the same seeds, policy-major;
@@ -176,6 +198,8 @@ class TestSimulateMany:
             assert np.array_equal(result.outage_sequence, ref_seq)
             assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
             assert result.seed == seed and result.periods == periods
+            assert result.outage_bits.dtype == np.uint8
+            assert result.outage_bits.nbytes == -(-periods // 8)
 
     @staticmethod
     def count_validations(monkeypatch) -> list:
@@ -259,7 +283,7 @@ def fixed_lockstep(outage):
     so the post-processing sees arbitrary sequences."""
     def lockstep(t, policies, group, periods, seeds, stream):
         assert outage.shape == (len(group), periods)
-        return outage.copy(), np.zeros(len(group), dtype=np.int64)
+        return np.packbits(outage, axis=1), np.zeros(len(group), dtype=np.int64)
     return lockstep
 
 
