@@ -3,20 +3,22 @@
 One analysis, chain_burst_stats_many, serves every burstiness quantity of a
 stack of chains from each chain's stationary distribution pi and burst-start
 flow u, the one-step flow from the complement into the outage set (its mass
-xi1 is the rate at which bursts start). The mean burst length is exact: u
-times the expected outage visits before escape, (I - P_OO)^-1 1, from the
-absorbing-chain fundamental matrix (Kemeny & Snell, Finite Markov Chains),
-over xi1, with all the chains' systems in one stacked solve. The mean
-interval between bursts is (1 - p_out) / xi1, and the product identity
-p_out = xi1 * mean length cross-checks the stationary outage rate to solver
-precision. The burst-length pmf, the one truncated quantity, is walked when
-a record's duration_pmf is first read, one chain and one step at a time: a
-masked walk, u <- u @ P with the rows of P outside the outage set zeroed,
-follows the mass of a burst while it stays in outage, and what leaves the
-set at step t is the pmf at t. burst_stats_many runs the analysis on the
-age chains a batch of policies induces. Every record is the same, bit for
-bit, whatever else is in its batch, and chain_burst_stats and burst_stats
-are the batches of one.
+xi1 is the rate at which bursts start). The mean burst length is exact: the
+expected outage visits before escape of a burst entering with flow u,
+u_O (I - P_OO)^-1, from the absorbing-chain fundamental matrix (Kemeny &
+Snell, Finite Markov Chains), summed and over xi1, with all the chains'
+systems in one stacked state reduction. The mean interval between bursts is
+(1 - p_out) / xi1, and the product identity p_out = xi1 * mean length
+cross-checks the stationary outage rate to solver precision. The
+burst-length pmf, the one truncated quantity, is walked when a record's
+duration_pmf is first read, one chain and one step at a time: a masked
+walk, u <- u P with the rows of P outside the outage set zeroed, follows the
+mass of a burst while it stays in outage, and what leaves the set at step t
+is the pmf at t. Every step is an elementwise product and a sum, as is the
+rest of the analysis, so no BLAS kernel decides the last bits.
+burst_stats_many runs the analysis on the age chains a batch of policies
+induces. Every record is the same, bit for bit, whatever else is in its
+batch, and chain_burst_stats and burst_stats are the batches of one.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import build_transition_matrices, steady_states, transition_tables
+from .markov import _state_reduction, build_transition_matrices, steady_states, transition_tables
 from .states import SystemConfig
 
 SERIES_TOLERANCE = 1e-12
@@ -76,31 +78,35 @@ class BurstStats:
 
 
 def _exact_means(u, ps, out, xi1) -> np.ndarray:
-    """Mean burst length of each chain of the stack ps: its entry flow u
-    times the expected outage visits before escape, (I - P_OO)^-1 1, over
-    xi1. All the (I - P_OO) systems go in one stacked solve."""
-    p_oo = ps.compress(out, axis=1).compress(out, axis=2)
-    n_out = p_oo.shape[1]
-    try:
-        visits = np.linalg.solve(np.eye(n_out) - p_oo, np.ones((len(ps), n_out, 1)))
-    except np.linalg.LinAlgError:
-        raise RuntimeError("outage set has no exit; mean duration diverges") from None
-    return (u.compress(out, axis=1)[:, None, :] @ visits)[:, 0, 0] / xi1
+    """Mean burst length of each chain of the stack ps: the expected outage
+    visits before escape of a burst entering with flow u, u_O (I - P_OO)^-1,
+    summed and over xi1. All the chains go in one stacked state reduction of
+    P_OO bordered by the complement as state 0: row 0 is the entry flow u_O
+    and column 0 each outage state's escape probability."""
+    p_o = ps.compress(out, axis=1)
+    system = np.zeros((len(ps), p_o.shape[1] + 1, p_o.shape[1] + 1))
+    system[:, 0, 1:] = u.compress(out, axis=1)
+    system[:, 1:, 0] = p_o.compress(~out, axis=2).sum(axis=2)
+    system[:, 1:, 1:] = p_o.compress(out, axis=2)
+    visits, pivots = _state_reduction(system)
+    if (pivots[:, 1:] == 0.0).any():
+        raise RuntimeError("outage set has no exit; mean duration diverges")
+    return visits[:, 1:].sum(axis=1) / xi1
 
 
 def _duration_pmf(u, p, out, xi1) -> np.ndarray:
     """Burst-length pmf of the chain p from the masked walk
-    u <- u @ (p * out[:, None]) started at its entry flow u: pmf[t - 1] is
+    u <- sum_i (u * out)[i] p[i] started at its entry flow u: pmf[t - 1] is
     the mass escaping at step t over xi1. The walk stops one step after the
     mass still in outage falls below SERIES_TOLERANCE of xi1, or at
     SERIES_CAP steps."""
-    walk = p * out[:, None]
+    rows = p.compress(out, axis=0)
     pmf = []
     while True:
-        inside = u.compress(out).sum()
-        u = u @ walk
+        inside = u.compress(out)
+        u = (inside[:, None] * rows).sum(axis=0)
         pmf.append(u.compress(~out).sum() / xi1)
-        if inside / xi1 < SERIES_TOLERANCE or len(pmf) == SERIES_CAP:
+        if inside.sum() / xi1 < SERIES_TOLERANCE or len(pmf) == SERIES_CAP:
             return np.array(pmf)
 
 
@@ -119,7 +125,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     out = np.array(out, dtype=bool)
     pi = steady_states(ps)
     p_outs = pi.compress(out, axis=1).sum(axis=1)
-    u = ((pi * ~out)[:, None, :] @ ps)[:, 0]
+    u = ((pi * ~out)[:, :, None] * ps).sum(axis=1)
     xi1s = u.compress(out, axis=1).sum(axis=1)
     defined = np.flatnonzero(xi1s > 0.0)
     records = [BurstStats(float(p), float(x)) for p, x in zip(p_outs, xi1s)]

@@ -80,11 +80,17 @@ def _defined(value: float | None) -> float | None:
 
 
 def _check_output_dirs(args) -> None:
-    """Refuse an output path in a missing directory before any work, so a
+    """Refuse an output path in a missing directory, an output path that is
+    a directory, and --out and --csv at one path, before any work, so a
     failed run writes no file at all."""
-    for path in (args.out, getattr(args, "csv", None)):
-        if path is not None and not Path(path).parent.is_dir():
+    paths = [path for path in (args.out, getattr(args, "csv", None)) if path is not None]
+    for path in paths:
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"directory of output path {path} does not exist")
+        if Path(path).is_dir():
+            raise ConfigError(f"output path {path} is a directory")
+    if len(paths) == 2 and Path(paths[0]).resolve() == Path(paths[1]).resolve():
+        raise ConfigError(f"--out and --csv are the same path {paths[1]}")
 
 
 def _write_json(path: str, document: dict) -> None:

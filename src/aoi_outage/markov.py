@@ -152,15 +152,61 @@ def build_transition_matrix(cfg: SystemConfig, policy) -> np.ndarray:
     return build_transition_matrices(cfg, [policy])[0]
 
 
+def _state_reduction(q) -> tuple[np.ndarray, np.ndarray]:
+    """GTH state reduction (Grassmann, Taksar & Heyman, Oper. Res. 33(5),
+    1985) of each matrix of a (B, n, n) stack of nonnegative q, read by its
+    off-diagonal entries only. Returns (y, pivots), both (B, n).
+
+    State k is eliminated from the highest down, and its pivot is its
+    row's mass to the states below it, so there is no subtraction and
+    structural zeros stay exact. A zero pivot leaves its state unreduced;
+    the system's anchor is its highest state with a zero pivot, or state 0.
+    y is 1 at the anchor, 0 below it, and above it solves the balance
+    y_k * sum_{j != k} q[k, j] = sum_{i != k} y_i q[i, k]. For a
+    row-stochastic chain that is its stationary vector, unnormalized. For
+    a substochastic system bordered by state 0, with row 0 the flow into it
+    and column 0 the mass leaving it (Alfa, Xue & Ye, Numer. Math. 90,
+    2002), y_k is the expected visits to k per unit of that flow.
+    Elementwise products and sums only, so the bytes do not depend on a
+    BLAS kernel, and each system's are the same whatever the stack.
+    """
+    q = np.array(q, dtype=float)
+    b, n, _ = q.shape
+    pivots = np.zeros((b, n))
+    for k in range(n - 1, 0, -1):
+        row, col, block = q[:, k, :k], q[:, :k, k], q[:, :k, :k]
+        pivot = row.sum(axis=1)
+        pivots[:, k] = pivot
+        np.divide(col, pivot[:, None], out=col, where=pivot[:, None] > 0.0)
+        block += col[:, :, None] * row[:, None, :]
+    anchor = n - 1 - (pivots[:, ::-1] == 0.0).argmax(axis=1)
+    y = (np.arange(n) == anchor[:, None]).astype(float)
+    for k in range(1, n):
+        y[:, k] += (y[:, :k] * q[:, :k, k]).sum(axis=1)
+    return y, pivots
+
+
+def _reaches(ps, support) -> np.ndarray:
+    """Which states of each chain of the stack ps reach the chain's boolean
+    support along entries P > 0, as a (B, n) mask."""
+    step = ps > 0.0
+    reach = support
+    while True:
+        grown = reach | (step & reach[:, None, :]).any(axis=2)
+        if np.array_equal(grown, reach):
+            return reach
+        reach = grown
+
+
 def steady_states(ps) -> np.ndarray:
     """Unique stationary distribution of each matrix in a (B, n, n) stack
     of row-stochastic matrices, as a (B, n) array.
 
-    Solves (I - P^T) pi = 0 with the natural rank-1 deficiency repaired by
-    replacing the last equation with the normalization sum(pi) = 1, all B
-    systems in one stacked solve, then verifies stationarity. Raises
-    SteadyStateError, with the worst figure of the stack, when a system is
-    singular beyond that deficiency or a solution violates the invariants.
+    Stacked GTH (_state_reduction), which reads each chain by its
+    off-diagonal entries. A chain with transient states gets mass 0 on
+    them; a chain where some state cannot reach the support found (several
+    closed classes) raises SteadyStateError, as does a solution that
+    violates the invariants, with the worst figure of the stack.
     """
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
@@ -170,20 +216,15 @@ def steady_states(ps) -> np.ndarray:
     row_err = np.abs(ps.sum(axis=-1) - 1.0).max()
     if row_err > ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {row_err:.3e}")
-    b, n, _ = ps.shape
-    m = np.eye(n) - ps.transpose(0, 2, 1)
-    m[:, -1, :] = 1.0
-    rhs = np.zeros((b, n, 1))
-    rhs[:, -1] = 1.0
-    try:
-        pi = np.linalg.solve(m, rhs)[..., 0]
-    except np.linalg.LinAlgError as exc:
-        raise SteadyStateError("singular stationary system (chain not ergodic)") from exc
+    pi, pivots = _state_reduction(ps)
+    # a zero pivot above state 0: transient states, or more than one closed class
+    anchored = np.flatnonzero((pivots[:, 1:] == 0.0).any(axis=1))
+    if anchored.size and not _reaches(ps[anchored], pi[anchored] > 0.0).all():
+        raise SteadyStateError("singular stationary system (chain not ergodic)")
     if pi.min() < NEGATIVE_MASS_TOL:
         raise SteadyStateError(f"stationary solve produced negative mass {pi.min():.3e}")
-    pi = np.clip(pi, 0.0, None)
     pi /= pi.sum(axis=1, keepdims=True)
-    residual = np.abs((pi[:, None, :] @ ps)[:, 0] - pi).max()
+    residual = np.abs((pi[:, :, None] * ps).sum(axis=1) - pi).max()
     if residual >= RESIDUAL_TOL:
         raise SteadyStateError(f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return pi

@@ -326,11 +326,22 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     return rows
 
 
+def _nanmedian(values: np.ndarray) -> float:
+    """Median of the non-NaN values, nan when there are none, by a sort:
+    np.nanmedian bit for bit below half the largest float, without
+    np.nanmedian or np.median, which import numpy.ma."""
+    kept = np.sort(values[~np.isnan(values)])
+    if kept.size == 0:
+        return float("nan")
+    half = kept.size // 2
+    return float(kept[half] if kept.size % 2 else (kept[half - 1] + kept[half]) / 2)
+
+
 def median_errors(rows: list[dict]) -> np.ndarray:
     """Median relative errors (p_out, mean burst, mean interval) of
     burst_convergence rows, one row per checkpoint; NaNs are ignored."""
     keys = ("err_p_out", "err_mean_burst", "err_mean_ioi")
     return np.array([
-        np.nanmedian(np.array([[r[k] for k in keys] for r in rows if r["checkpoint"] == cp]), axis=0)
+        [_nanmedian(np.array([r[k] for r in rows if r["checkpoint"] == cp], dtype=float)) for k in keys]
         for cp in CHECKPOINTS
     ])

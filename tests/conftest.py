@@ -1,5 +1,6 @@
 from collections import namedtuple
 
+import mpmath
 import pytest
 
 from aoi_outage import (
@@ -75,6 +76,31 @@ def reference_bit_probability(profile, device, bit):
         raise ValueError(f"device must be 1 or 2, got {device}")
     alpha = profile.alpha_1 if device == 1 else profile.alpha_2
     return alpha if bit else 1.0 - alpha
+
+
+def reference_gth(p, dps=50):
+    """Stationary law of the irreducible chain p by GTH elimination (Grassmann,
+    Taksar & Heyman, Oper. Res. 33(5), 1985) in dps-digit arithmetic, as a
+    list of floats. The chain is read by its off-diagonal entries, each float
+    taken exactly: the diagonal is never read, so the exact chain is the one
+    whose diagonal is 1 minus the off-diagonal row sum."""
+    n = len(p)
+    with mpmath.workdps(dps):
+        a = [[mpmath.mpf(float(x)) for x in row] for row in p]
+        for k in range(n - 1, 0, -1):
+            s = mpmath.fsum(a[k][:k])
+            if s == 0:
+                raise ValueError(f"state {k} reaches no lower state: chain not irreducible")
+            for i in range(k):
+                a[i][k] /= s
+                for j in range(k):
+                    if j != i:
+                        a[i][j] += a[i][k] * a[k][j]
+        pi = [mpmath.mpf(1)]
+        for k in range(1, n):
+            pi.append(mpmath.fsum(pi[i] * a[i][k] for i in range(k)))
+        total = mpmath.fsum(pi)
+        return [float(x / total) for x in pi]
 
 
 def random_policy(cfg, rng, low=0):

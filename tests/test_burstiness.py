@@ -61,14 +61,21 @@ def reference_xi_matrix(p, mask, k):
     return xi
 
 
+def vstep(v, p):
+    """One step v P of a row vector in the program's summation order: the
+    rows of p weighted by v and added in row order, with no BLAS, so the
+    oracles below agree with the program bit for bit on any kernel."""
+    return (v[:, None] * p).sum(axis=0)
+
+
 def reference_xi_set_to_set(pi, p, from_outage, to_outage, k, mask):
     """Stationary-weighted mass of masked k-step walks between the outage
     set and its complement, selected by the two boolean flags."""
     src = mask if from_outage else ~mask
     dst = mask if to_outage else ~mask
-    u = (pi * src) @ p
+    u = vstep(pi * src, p)
     for _ in range(k - 1):
-        u = (u * mask) @ p
+        u = vstep(u * mask, p)
     return float(u[dst].sum())
 
 
@@ -78,14 +85,14 @@ def reference_duration_series(pi, p, out):
     SERIES_TOLERANCE of the entry flow (or the step count reaches SERIES_CAP), plus
     a geometric tail from the last two distinct terms. Returns (mean, stop_t);
     the burst-length pmf is truncated at stop_t."""
-    u = (pi * ~out) @ p
+    u = vstep(pi * ~out, p)
     xi1 = float(u[out].sum())
     total = xi1
     prev = xi1
     t = 1
     term = 0.0
     while True:
-        u = (u * out) @ p
+        u = vstep(u * out, p)
         term = float(u[out].sum())
         t += 1
         total += term
@@ -101,11 +108,11 @@ def reference_duration_series(pi, p, out):
 
 def reference_duration_pmf(pi, p, out, t_max):
     """Burst-length pmf by the masked walk, one step per period."""
-    u = (pi * ~out) @ p
+    u = vstep(pi * ~out, p)
     xi1 = float(u[out].sum())
     pmf = np.empty(t_max)
     for t in range(1, t_max + 1):
-        u = (u * out) @ p
+        u = vstep(u * out, p)
         pmf[t - 1] = u[~out].sum() / xi1
     return pmf
 
@@ -120,7 +127,7 @@ def assert_matches_oracles(stats, p, out):
     """The record of the chain p against the reference walk and series."""
     pi = steady_state(p)
     mean, stop_t = reference_duration_series(pi, p, out)
-    xi1 = float(((pi * ~out) @ p)[out].sum())
+    xi1 = float(vstep(pi * ~out, p)[out].sum())
     assert stats.p_out == float(pi[out].sum())
     assert stats.mean_ioi == (1.0 - stats.p_out) / xi1
     assert stats.truncation_t == stop_t
@@ -313,14 +320,20 @@ class TestMeanDuration:
         assert stats.xi_res_out_1 == entry
         assert abs(float(pi[mask].sum()) - entry * stats.mean_outage_duration) < IDENTITY_TOL
 
-    def test_closed_outage_set_raises(self):
+    @pytest.mark.parametrize("p", [
+        [[0.5, 0.5], [0.0, 1.0]],
+        # the closed part is the outage set's lowest state, so the zero
+        # pivot comes after an outage state with an exit is eliminated
+        [[0.5, 0.25, 0.25], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]],
+    ], ids=["whole-set", "lower-state"])
+    def test_closed_outage_set_raises(self, p):
         # a closed outage set holds all the stationary mass and no flow enters
         # it; fed a flow anyway, the mean solve reports that it has no exit
-        p = np.array([[0.5, 0.5], [0.0, 1.0]])
-        mask = np.array([False, True])
+        p = np.array(p)
+        mask = np.arange(len(p)) > 0
         stats = chain_burst_stats(p, mask)
         assert not stats.defined and stats.p_out == 1.0
-        u = (np.array([0.5, 0.5]) * ~mask) @ p
+        u = vstep(np.full(len(p), 1 / len(p)) * ~mask, p)
         with pytest.raises(RuntimeError, match="no exit"):
             _exact_means(u[None], p[None], mask, np.array([u[mask].sum()]))
 

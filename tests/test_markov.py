@@ -37,6 +37,7 @@ from conftest import (
     make_config,
     random_policy,
     reference_bit_probability,
+    reference_gth,
     reference_enumerate_states,
     reference_gamma_for_bit,
     reference_state_to_index,
@@ -384,7 +385,7 @@ class TestLumpability:
             q = build_transition_matrix(cfg, pol)
             assert np.abs(reference_lump(full, tables.bit_weights) - q).max() <= 1e-15
             # the full chain's stationary law is the age chain's times the
-            # bit weights; the 100-state LU is only accurate absolutely
+            # bit weights
             nu = steady_state(q)
             assert np.abs(steady_state(full) - np.kron(nu, tables.bit_weights)).max() <= 1e-14
             got, want = burst_stats(cfg, pol), chain_burst_stats(full, full_out)
@@ -433,6 +434,70 @@ class TestSteadyState:
     def test_rejects_reducible_chain(self):
         with pytest.raises(SteadyStateError):
             steady_state(np.eye(2))
+
+    @pytest.mark.parametrize("p, pi", [
+        # transient state below the closed class, above it, and between two
+        # closed-class states; its mass is exactly 0
+        ([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]], [0.0, 6 / 13, 7 / 13]),
+        ([[0.3, 0.7, 0.0], [0.6, 0.4, 0.0], [0.2, 0.3, 0.5]], [6 / 13, 7 / 13, 0.0]),
+        ([[0.3, 0.0, 0.7], [0.2, 0.5, 0.3], [0.6, 0.0, 0.4]], [6 / 13, 0.0, 7 / 13]),
+        # an absorbing state, reached through two transient ones
+        ([[0.2, 0.8, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.9, 0.1]],
+         [0.0, 0.0, 1.0, 0.0]),
+    ])
+    def test_transient_states_get_no_mass(self, p, pi):
+        got = steady_state(np.array(p))
+        assert got == pytest.approx(pi, rel=1e-15, abs=0.0)
+        assert np.array_equal(got == 0.0, np.array(pi) == 0.0)
+
+    @pytest.mark.parametrize("p", [
+        [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.3, 0.7], [0.0, 0.0, 0.6, 0.4]],
+        # the two closed classes interleaved, and a transient state feeding both
+        [[0.3, 0.0, 0.7, 0.0], [0.0, 0.5, 0.0, 0.5], [0.6, 0.0, 0.4, 0.0], [0.0, 0.5, 0.0, 0.5]],
+        [[1.0, 0.0, 0.0], [0.2, 0.6, 0.2], [0.0, 0.0, 1.0]],
+    ], ids=["blocks", "interleaved", "transient-between"])
+    def test_rejects_two_closed_classes(self, p):
+        with pytest.raises(SteadyStateError, match="singular stationary system"):
+            steady_state(np.array(p))
+
+    def test_transient_chain_in_a_stack(self):
+        # the stack's ergodic chain keeps its bits; one bad chain fails it all
+        good = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+        transient = np.array([[0.5, 0.5, 0.0], [0.0, 0.3, 0.7], [0.0, 0.6, 0.4]])
+        pis = steady_states(np.stack([good, transient]))
+        assert pis[0].tobytes() == steady_state(good).tobytes()
+        assert pis[1].tobytes() == steady_state(transient).tobytes()
+        with pytest.raises(SteadyStateError, match="singular"):
+            steady_states(np.stack([good, transient, np.eye(3)]))
+
+
+class TestGthOracle:
+    """The stationary law against a 50-digit GTH of the same float chain,
+    entry by entry. At the parent's LU solve the worst entry was off by
+    1.2e-5 relative (a state of mass 1.9e-11, a random policy on
+    scenario_a); GTH's worst measured 8.5e-16."""
+
+    REL = 2e-15
+
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_presets(self, preset):
+        cfg = load_scenario(preset).system
+        policies = [naive_policy(cfg), min_error_policy(cfg)]
+        policies += [optimize(cfg, kind, 0).final_policy for kind in PenaltyKind]
+        rng = np.random.default_rng(29)
+        policies += [random_policy(cfg, rng) for _ in range(6)]
+        stack = build_transition_matrices(cfg, policies)
+        for p, pi in zip(stack, steady_states(stack)):
+            ref = np.array(reference_gth(p))
+            assert (np.abs(pi - ref) / ref).max() <= self.REL
+
+    def test_hand_chains(self):
+        rng = np.random.default_rng(8)
+        for n in (2, 3, 7, 16):
+            raw = rng.random((n, n)) ** 6  # entries spread over several decades
+            p = raw / raw.sum(axis=1, keepdims=True)
+            ref = np.array(reference_gth(p))
+            assert (np.abs(steady_state(p) - ref) / ref).max() <= self.REL
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):

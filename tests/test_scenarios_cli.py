@@ -1,5 +1,6 @@
 """Scenario schema validation, presets, and the command-line surface."""
 
+import ast
 import csv
 import importlib
 import json
@@ -23,8 +24,7 @@ DATA = Path(__file__).resolve().parent / "data"
 # the package re-exports the function simulate under the module's name
 simulate_module = importlib.import_module("aoi_outage.simulate")
 
-#: The seeded columns of burst-convergence; the analytic and err columns
-#: follow the BLAS kernel in their last digits.
+#: The seeded columns of burst-convergence, the ones its golden file records.
 CONVERGENCE_MEASURED_COLUMNS = (
     "policy_id", "sim_seed", "checkpoint", "measured_p_out", "measured_mean_burst", "measured_mean_ioi",
 )
@@ -42,6 +42,28 @@ code = cli.main(["evaluate", "--config", "scenario_b", "--policy", "min-error", 
 loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
 print(json.dumps({"code": code, "scipy_modules": loaded}))
 """
+
+
+# A fresh interpreter in which numpy's LAPACK solvers raise: it runs the two
+# grid commands through cli.main and reports their exit codes and whether
+# numpy.ma was imported.
+NO_LAPACK_GRIDS = """
+import json, sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+def refuse(*args, **kwargs):
+    raise AssertionError("called a LAPACK solver")
+np.linalg.solve = np.linalg.lstsq = np.linalg.inv = refuse
+from aoi_outage import cli
+codes = [
+    cli.main(["burst-convergence", "--config", "scenario_b", "--n-policies", "3", "--out", sys.argv[2]]),
+    cli.main(["reproduce-table2", "--reps", "1", "--periods", "10", "--out", sys.argv[3]]),
+]
+print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+#: Names through which numpy reaches BLAS or LAPACK.
+BLAS_NAMES = {"linalg", "dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
 
 
 def run_cli(argv):
@@ -281,17 +303,23 @@ class TestCliEvaluate:
         assert err == "error: simulation.master_seed must be >= 0, got -1\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["optimize", "--config", "scenario_a", "--penalty", "binary", "--out", "{missing}"],
-        ["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", "{missing}"],
-        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
-         "--out", "{missing}"],
-        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
-         "--out", "{good}", "--csv", "{missing}"],
-        ["reproduce-table2", "--reps", "1", "--periods", "5", "--out", "{missing}"],
-        ["burst-convergence", "--config", "scenario_b", "--n-policies", "1", "--out", "{missing}"],
-    ], ids=["optimize", "evaluate", "simulate", "simulate-csv", "reproduce-table2", "burst-convergence"])
-    def test_missing_output_directory_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, argv):
+    @pytest.mark.parametrize("argv, error", [
+        (["optimize", "--config", "scenario_a", "--penalty", "binary", "--out", "{missing}"], "missing"),
+        (["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", "{missing}"], "missing"),
+        (["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+          "--out", "{missing}"], "missing"),
+        (["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+          "--out", "{good}", "--csv", "{missing}"], "missing"),
+        (["reproduce-table2", "--reps", "1", "--periods", "5", "--out", "{missing}"], "missing"),
+        (["burst-convergence", "--config", "scenario_b", "--n-policies", "1", "--out", "{missing}"], "missing"),
+        (["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+          "--out", "{good}", "--csv", "{dir}"], "dir"),
+        (["reproduce-table2", "--reps", "1", "--periods", "5", "--out", "{dir}"], "dir"),
+        (["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", "1", "--periods", "10",
+          "--out", "{good}", "--csv", "{good_alias}"], "same"),
+    ], ids=["optimize", "evaluate", "simulate", "simulate-csv", "reproduce-table2", "burst-convergence",
+            "simulate-csv-is-directory", "reproduce-table2-is-directory", "simulate-out-and-csv-one-path"])
+    def test_missing_output_directory_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch, argv, error):
         def no_work(*args, **kwargs):
             raise AssertionError("worked before checking the output paths")
 
@@ -301,10 +329,19 @@ class TestCliEvaluate:
             monkeypatch.setattr(module, "run_repetitions_many", no_work)
         monkeypatch.setattr(cli, "load_scenario", no_work)
         missing = tmp_path / "missing" / "out"
-        code = run_cli([arg.format(missing=missing, good=tmp_path / "out.json") for arg in argv])
+        adir = tmp_path / "adir"
+        adir.mkdir()
+        good = tmp_path / "out.json"
+        paths = {"missing": missing, "dir": adir, "good": good, "good_alias": adir / ".." / "out.json"}
+        code = run_cli([arg.format(**paths) for arg in argv])
         assert code == 1
-        assert capsys.readouterr().err == f"error: directory of output path {missing} does not exist\n"
-        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == {
+            "missing": f"error: directory of output path {missing} does not exist\n",
+            "dir": f"error: output path {adir} is a directory\n",
+            "same": f"error: --out and --csv are the same path {paths['good_alias']}\n",
+        }[error]
+        assert list(tmp_path.iterdir()) == [adir]
+        assert list(adir.iterdir()) == []
 
     def test_missing_policy_file_flag(self, tmp_path, capsys):
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
@@ -439,7 +476,8 @@ class TestCliGrids:
 
     def test_reproduce_table2_matches_golden_csv(self, tmp_path):
         # recorded from `reproduce-table2 --reps 3 --periods 300` when each
-        # policy's repetitions were still simulated in a batch of their own
+        # policy's repetitions were still simulated in a batch of their own;
+        # analytic_p_out re-recorded alone when the stationary solve became GTH
         out = tmp_path / "table2.csv"
         assert run_cli(["reproduce-table2", "--reps", "3", "--periods", "300", "--out", str(out)]) == 0
         assert out.read_bytes() == (DATA / "table2_reps3_periods300.csv").read_bytes()
@@ -505,8 +543,7 @@ class TestCliGrids:
         # --periods 2000` before the lockstep step packed both failure flags
         # into one compare; every repetition has a complete burst and interval
         # so the golden pins the simulated means. The analytic block and the
-        # normalized errors are left out: their last digits follow the BLAS
-        # kernel.
+        # normalized errors are left out: the golden pins the seeded outputs.
         stem = "simulate_scenario_c_naive_reps4_periods2000"
         report, table = tmp_path / "sim.json", tmp_path / "sim.csv"
         assert run_cli(["simulate", "--config", "scenario_c", "--policy", "naive", "--reps", "4",
@@ -600,3 +637,22 @@ class TestCliBasics:
         result = json.loads(proc.stdout.strip().splitlines()[-1])
         assert result == {"code": 0, "scipy_modules": []}
         assert read_strict_json(out)["analytic_p_out"] > 0.0
+
+    def test_grids_run_without_lapack_or_numpy_ma(self, tmp_path):
+        package_parent = str(Path(aoi_outage.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_LAPACK_GRIDS, package_parent, str(tmp_path / "cvg.csv"),
+             str(tmp_path / "table2.csv")],
+            capture_output=True, text=True, timeout=120, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "numpy_ma": False}
+
+    def test_package_calls_no_blas(self):
+        # the analytic layer is elementwise products and sums, so its bytes
+        # do not depend on the BLAS kernel numpy picks for the host
+        for path in sorted(Path(aoi_outage.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                assert not isinstance(getattr(node, "op", None), ast.MatMult), f"{path.name}:{node.lineno}"
+                assert not (isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES), f"{path.name}:{node.lineno}"
+                assert not (isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")), path.name

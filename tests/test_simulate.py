@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -373,6 +374,29 @@ class TestBurstConvergence:
         ]
         medians = median_errors(rows)
         assert medians.tolist() == [[2.0, 4.0, 2.0 * cp + 1.0] for cp in CHECKPOINTS]
+
+    def test_median_is_nanmedian_bit_for_bit(self, cfg_b):
+        # np.nanmedian imports numpy.ma, so median_errors sorts instead
+        rng = np.random.default_rng(41)
+        columns = [
+            rng.random(7), rng.random(8), rng.random(2), rng.random(1),
+            np.where(rng.random(9) < 0.3, np.nan, rng.random(9)),
+            np.where(rng.random(10) < 0.3, np.nan, rng.random(10)),
+            np.array([np.nan, 0.1 + 0.2, 0.3]), np.full(4, np.nan),
+            np.array([5e-324, np.nan, 5e-324]),  # halving each term first would give 0
+        ]
+        row_sets = [burst_convergence(cfg_b, 100, seed) for seed in range(6)]
+        row_sets += [[{"checkpoint": cp, "err_p_out": v, "err_mean_burst": -v, "err_mean_ioi": 1.0}
+                      for cp in CHECKPOINTS for v in column.tolist()] for column in columns]
+        keys = ("err_p_out", "err_mean_burst", "err_mean_ioi")
+        for rows in row_sets:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
+                want = np.array([
+                    np.nanmedian(np.array([[r[k] for k in keys] for r in rows if r["checkpoint"] == cp]), axis=0)
+                    for cp in CHECKPOINTS
+                ])
+            assert median_errors(rows).tobytes() == want.tobytes()
 
     def test_first_undefined_policy_is_named(self, cfg_b, monkeypatch):
         # policies 2 and 4 starve device 1, so their outage sets are closed;
