@@ -110,6 +110,32 @@ def _duration_pmf(u, p, out, xi1) -> np.ndarray:
             return np.array(pmf)
 
 
+def _burst_stats_of(ps, out) -> list[BurstStats]:
+    """chain_burst_stats_many of a float stack and bool mask that its records
+    may keep without a copy."""
+    pi = steady_states(ps)
+    p_outs = pi.compress(out, axis=1).sum(axis=1)
+    u = ((pi * ~out)[:, :, None] * ps).sum(axis=1)
+    xi1s = u.compress(out, axis=1).sum(axis=1)
+    defined = np.flatnonzero(xi1s > 0.0)
+    records = [BurstStats(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
+    if defined.size == 0:
+        return records
+    # a view of the whole stack when every chain is defined
+    sel = slice(None) if defined.size == len(ps) else defined
+    means = _exact_means(u[sel], ps[sel], out, xi1s[sel])
+    for c, mean_dur in zip(defined, means.tolist()):
+        p_out, xi1 = records[c].p_out, records[c].xi_res_out_1
+        identity_gap = abs(p_out - xi1 * mean_dur)
+        if identity_gap >= IDENTITY_TOL:
+            raise RuntimeError(
+                f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
+                f"= {identity_gap:.3e}"
+            )
+        records[c] = BurstStats(p_out, xi1, mean_dur, (u[c], ps[c], out))
+    return records
+
+
 def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     """Analytic burstiness record of each chain of the (B, n, n) stack ps,
     with the boolean outage mask out shared by all. The records keep their
@@ -121,27 +147,7 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     stationary flow enters (it is empty, or holds all the stationary mass)
     gets an undefined record. Each record is the same whatever the stack.
     """
-    ps = np.array(ps, dtype=float)
-    out = np.array(out, dtype=bool)
-    pi = steady_states(ps)
-    p_outs = pi.compress(out, axis=1).sum(axis=1)
-    u = ((pi * ~out)[:, :, None] * ps).sum(axis=1)
-    xi1s = u.compress(out, axis=1).sum(axis=1)
-    defined = np.flatnonzero(xi1s > 0.0)
-    records = [BurstStats(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
-    if defined.size == 0:
-        return records
-    means = _exact_means(u[defined], ps[defined], out, xi1s[defined])
-    for c, mean_dur in zip(defined, means.tolist()):
-        p_out, xi1 = records[c].p_out, records[c].xi_res_out_1
-        identity_gap = abs(p_out - xi1 * mean_dur)
-        if identity_gap >= IDENTITY_TOL:
-            raise RuntimeError(
-                f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
-                f"= {identity_gap:.3e}"
-            )
-        records[c] = BurstStats(p_out, xi1, mean_dur, (u[c], ps[c], out))
-    return records
+    return _burst_stats_of(np.array(ps, dtype=float), np.array(out, dtype=bool))
 
 
 def chain_burst_stats(p, out) -> BurstStats:
@@ -156,7 +162,8 @@ def burst_stats_many(cfg: SystemConfig, policies) -> list[BurstStats]:
     policies give no records."""
     if len(policies) == 0:
         return []
-    return chain_burst_stats_many(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
+    # the stack is built here and the mask is read-only, so the records keep both uncopied
+    return _burst_stats_of(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
 
 
 def burst_stats(cfg: SystemConfig, policy, *, tables=None) -> BurstStats:

@@ -211,8 +211,9 @@ def steady_states(ps) -> np.ndarray:
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
         raise ValueError(f"need a (B, n, n) stack of matrices, got shape {ps.shape}")
-    if ps.min() < 0.0 or ps.max() > 1.0 + ROW_SUM_TOL:
-        raise ValueError("transition probabilities must lie in [0, 1]")
+    # spelled so that NaN, for which every comparison is False, fails it
+    if not (ps.min() >= 0.0 and ps.max() <= 1.0 + ROW_SUM_TOL):
+        raise ValueError("transition probabilities must be finite and lie in [0, 1]")
     row_err = np.abs(ps.sum(axis=-1) - 1.0).max()
     if row_err > ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {row_err:.3e}")

@@ -89,23 +89,25 @@ def measure_bursts(outage_sequence):
     return lengths[in_outage].tolist(), lengths[~in_outage].tolist()
 
 
-#: Periods of uniforms drawn per generator at a time. Per chunk the kernel
-#: holds DRAW_CHUNK x 4 doubles per seed, and per row DRAW_CHUNK x 2
-#: failure doubles, bit codes and visited slots, whatever the horizon. A
-#: multiple of 8, so every chunk but the last packs into whole bytes.
+#: Periods of uniforms drawn per generator at a time. The kernel holds one
+#: block of DRAW_CHUNK x 4 doubles per seed, and per row one of DRAW_CHUNK x 2
+#: failure doubles, bit codes and visited states, whatever the horizon;
+#: every chunk refills the same blocks. A multiple of 8, so every chunk but
+#: the last packs into whole bytes.
 DRAW_CHUNK = 64
 
 #: Set bits of each byte value.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _branch_table() -> np.ndarray:
-    """Branch 2 * fail1 + fail2 of each (fail1, fail2) flag pair, indexed by
-    the pair's two bool bytes read as one uint16. Built from that view, so
-    the table holds for either byte order."""
+def _branch_table(n: int) -> np.ndarray:
+    """n * (2 * fail1 + fail2) of each (fail1, fail2) flag pair: where the
+    pair's branch starts in a branch-major table of n entries per branch.
+    Indexed by the pair's two bool bytes read as one uint16, and built from
+    that view, so the table holds for either byte order."""
     pairs = np.array([[False, False], [False, True], [True, False], [True, True]])
     branch = np.zeros(258, dtype=np.intp)
-    branch[pairs.view(np.uint16).ravel()] = np.arange(4)
+    branch[pairs.view(np.uint16).ravel()] = n * np.arange(4)
     return branch
 
 
@@ -117,50 +119,59 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     (R, ceil(periods / 8)) outage indicators packed by np.packbits along
     each row, and each row's final 0-based state position.
 
-    The error rates and successors are tabled once per policy. A
-    row's state at position s is held as h = 4 * (group[r] * n_states + s),
-    the first of its four branch slots 2 * fail1 + fail2, and every table is
-    indexed by h. The two devices' error rates form one (slots, 2) table and
-    each period's failure uniforms one contiguous (R, 2) block, so a step is
-    one packed compare into an (R, 2) bool buffer, whose uint16 view codes
-    the flag pair and picks the branch, then one successor lookup. Each
-    seed's generator is built once and drawn DRAW_CHUNK periods at
-    a time; each chunk's failure uniforms and bit codes are then laid out
-    per period for the rows that consume them, and its outage flags are
-    packed as soon as it is stepped.
+    The error rates and successors are tabled once per policy. A row's
+    state at position s is held as h = group[r] * n_states + s, and the
+    tables are indexed by it: the two devices' error rates form one
+    (n, 2) table, for n states over all policies, and the successors one
+    branch-major table, whose branch 2 * fail1 + fail2 starts at n times
+    the branch. Each period's failure uniforms form one contiguous (R, 2)
+    block, so a step is one packed compare into an (R, 2) bool buffer,
+    whose uint16 view codes the flag pair and picks the branch's offset,
+    then one successor lookup. Each seed's generator is built once and
+    drawn DRAW_CHUNK periods at a time; each chunk's failure uniforms, bit
+    codes and visited states fill blocks allocated once, laid out per
+    period for the rows that consume them, and its outage flags are packed
+    as soon as it is stepped.
     """
     cfg = t.cfg
-    offset = 4 * cfg.n_states * np.arange(len(policies))
+    n = len(policies) * cfg.n_states
+    offset = cfg.n_states * np.arange(len(policies))
     # error rates (e1, e2) of the transition out of each (policy, state)
-    rates = np.repeat(np.stack([e.ravel() for e in t.error_rates(policies)], axis=1), 4, axis=0)
-    # slot of the successor with channel bits (0, 0), repeated for the four bits
-    succ = np.repeat(16 * t.succ + offset[:, None, None], 4, axis=1).ravel()
-    out = np.tile(np.repeat(t.outage, 16), len(policies))  # 4 states x 4 slots per age position
-    branch = _branch_table()
+    rates = np.stack([e.ravel() for e in t.error_rates(policies)], axis=1)
+    # [branch, policy, state]: the successor with channel bits (0, 0), the same for the four bits
+    succ = np.repeat(4 * t.succ.T[:, None] + offset[:, None], 4, axis=2).ravel()
+    out = np.tile(np.repeat(t.outage, 4), len(policies))
+    branch = _branch_table(n)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
-    visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.int64)
+    us = np.empty((DRAW_CHUNK, len(group), 2))
+    bits = np.empty((DRAW_CHUNK, len(group)), dtype=np.intp)
+    visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.intp)
     outage = np.empty((len(group), (periods + 7) // 8), dtype=np.uint8)
     fail = np.empty((len(group), 2), dtype=bool)
     code = fail.view(np.uint16).reshape(-1)
     base = offset[group]
-    h = base + 4 * cfg.initial_position
+    h = base + cfg.initial_position
     for start in range(0, periods, DRAW_CHUNK):
         m = min(DRAW_CHUNK, periods - start)
         for rng, buf in zip(rngs, draws):
             rng.random(out=buf[:m])
         u = draws[:, :m].transpose(1, 0, 2)  # (period, seed, column)
-        us = np.take(u[:, :, :2], stream, axis=1)  # (period, row, device)
-        # fresh channel bits k = 2 * x1 + x2 move the successor's slot by 4 * k
-        bits = np.take(8 * (u[:, :, 2] < cfg.profile.alpha_1) + 4 * (u[:, :, 3] < cfg.profile.alpha_2),
-                       stream, axis=1)
+        # mode="clip" fills out in place, where the default "raise" fills a
+        # temporary as large first; every index is in range, so no clip acts
+        np.take(u[:, :, :2], stream, axis=1, out=us[:m], mode="clip")  # (period, row, device)
+        # fresh channel bits k = 2 * x1 + x2 pick the successor's state
+        np.take(2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2),
+                stream, axis=1, out=bits[:m], mode="clip")
         for j in range(m):
             np.less(us[j], rates.take(h, axis=0), out=fail)
             h = succ.take(h + branch.take(code)) + bits[j]
             visited[j] = h
-        outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(out.take(visited[:m].T), axis=1)
-    return outage, (h - base) // 4
+        # np.packbits along a strided axis is slow: pack a row-major copy of the bool flags
+        flags = out.take(visited[:m]).T.copy()
+        outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(flags, axis=1)
+    return outage, h - base
 
 
 def _mean(lengths: list[int]) -> float:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import namedtuple
 
 import mpmath
@@ -101,6 +102,17 @@ def reference_gth(p, dps=50):
             pi.append(mpmath.fsum(pi[i] * a[i][k] for i in range(k)))
         total = mpmath.fsum(pi)
         return [float(x / total) for x in pi]
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes tracemalloc sees while fn() runs. Call fn once untraced
+    first, so imports and cached tables stay out of the figure."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_policy(cfg, rng, low=0):

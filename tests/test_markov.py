@@ -470,6 +470,20 @@ class TestSteadyState:
         with pytest.raises(SteadyStateError, match="singular"):
             steady_states(np.stack([good, transient, np.eye(3)]))
 
+    # GTH never reads the diagonal, so a NaN there would pass unseen, and one
+    # off it would spread to every entry
+    NAN_CHAINS = [[[np.nan, 0.5], [0.5, 0.5]], [[0.5, np.nan], [0.5, 0.5]]]
+
+    @pytest.mark.parametrize("p", NAN_CHAINS, ids=["diagonal", "off-diagonal"])
+    def test_rejects_nan(self, p):
+        with pytest.raises(ValueError, match="must be finite"):
+            steady_state(np.array(p))
+
+    def test_rejects_nan_chain_in_a_stack(self):
+        good = np.array([[0.7, 0.3], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="must be finite"):
+            steady_states(np.stack([good, good, np.array(self.NAN_CHAINS[1]), good]))
+
 
 class TestGthOracle:
     """The stationary law against a 50-digit GTH of the same float chain,

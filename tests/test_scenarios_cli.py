@@ -583,6 +583,21 @@ class TestCliGrids:
         assert capsys.readouterr().err == "numerical failure: injected failure\n"
         assert not out.exists()
 
+    def test_nan_chain_exits_one(self, tmp_path, capsys, monkeypatch):
+        build = burstiness.build_transition_matrices
+
+        def with_nan(cfg, policies):
+            ps = build(cfg, policies)
+            ps[0, 0, 1] = float("nan")
+            return ps
+
+        monkeypatch.setattr(burstiness, "build_transition_matrices", with_nan)
+        out = tmp_path / "eval.json"
+        code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: transition probabilities must be finite and lie in [0, 1]\n"
+        assert not out.exists()
+
     def test_burst_convergence_smoke(self, tmp_path):
         out = tmp_path / "cvg.csv"
         code = run_cli(["burst-convergence", "--config", "scenario_b",

@@ -2,7 +2,6 @@
 
 import importlib
 import itertools
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import TransitionTables, validate_policy
-from aoi_outage.optimizer import naive_policy
+from aoi_outage.optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy
 from aoi_outage.simulate import (
     CHECKPOINTS,
     DRAW_CHUNK,
@@ -33,6 +32,7 @@ from conftest import (
     random_policy,
     reference_gamma_for_bit,
     reference_state_to_index,
+    traced_peak,
 )
 
 # the package re-exports the function simulate under the module's name
@@ -120,12 +120,14 @@ def extreme_policies(cfg):
 
 
 class TestPackedBranch:
+    @pytest.mark.parametrize("n", [1, 144, 600 * 144])
     @pytest.mark.parametrize("fail1, fail2", itertools.product([False, True], repeat=2))
-    def test_flag_pair_maps_to_branch(self, fail1, fail2):
-        # the kernel reads a contiguous (rows, 2) bool buffer through its uint16 view
+    def test_flag_pair_maps_to_branch(self, fail1, fail2, n):
+        # the kernel reads a contiguous (rows, 2) bool buffer through its uint16
+        # view, and the branch starts n entries further per branch
         fail = np.array([[False, False], [fail1, fail2], [True, True]])
         code = fail.view(np.uint16).reshape(-1)
-        assert simulate_module._branch_table()[code].tolist() == [0, 2 * fail1 + fail2, 3]
+        assert simulate_module._branch_table(n)[code].tolist() == [0, n * (2 * fail1 + fail2), 3 * n]
 
     def test_extreme_policies_hit_certain_failure(self, mid_cfg):
         starved, saturated = extreme_policies(mid_cfg)
@@ -146,13 +148,26 @@ class TestSimulateMany:
         reps, periods = 50, 40_000
         policy = naive_policy(cfg_b)
         run_repetitions_many(cfg_b, [policy], 1, 10, 0)  # tables and imports outside the trace
-        tracemalloc.start()
-        try:
-            run_repetitions_many(cfg_b, [policy], reps, periods, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < reps * periods / 2
+        assert traced_peak(lambda: run_repetitions_many(cfg_b, [policy], reps, periods, 0)) < reps * periods / 2
+
+    def test_table2_cell_working_set(self, cfg_b):
+        # one preset of reproduce-table2: six policies x 100 seeds x 2 500
+        # periods. Each chunk refills one block of failure uniforms, bit codes
+        # and visited states: ~1.97 MB traced, where a fresh pair of blocks per
+        # chunk peaked at ~2.52 MB
+        policies = [improve_policy(cfg_b, PenaltyKind(k)) for k in ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi")]
+        policies += [naive_policy(cfg_b), min_error_policy(cfg_b)]
+        run_repetitions_many(cfg_b, policies, 1, 10, 0)
+        assert traced_peak(lambda: run_repetitions_many(cfg_b, policies, 100, 2500, 0)) < 2_250_000
+
+    def test_distinct_policies_working_set(self, cfg_b):
+        # burst-convergence's batch: 100 policies x 10 000 periods. The tables
+        # are indexed by state, one error-rate pair each: ~1.36 MB traced,
+        # where four branch slots per state peaked at ~1.91 MB
+        rng = np.random.default_rng(0)
+        policies = [random_policy(cfg_b, rng) for _ in range(100)]
+        simulate_many(cfg_b, policies[:1], 10, [0])
+        assert traced_peak(lambda: simulate_many(cfg_b, policies, 10_000, list(range(100)))) < 1_650_000
 
     @pytest.mark.parametrize(
         "periods", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
