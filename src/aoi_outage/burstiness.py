@@ -43,8 +43,8 @@ DURATION_CONVENTION = "outage-periods"
 @dataclass
 class BurstStats:
     """Analytic outage burstiness of one chain. The pmf is walked on first
-    read from walk (entry flow, chain, outage mask); the mean interval and
-    the pmf's truncation point and leftover mass are derived when read.
+    read from walk (entry flow into the outage set, outage rows, mask); the
+    mean interval, truncation point and leftover mass are derived on read.
 
     When the outage set is empty or unreachable the record is
     BurstStats(p_out, xi1): it is undefined and the duration fields are
@@ -77,15 +77,15 @@ class BurstStats:
         return max(0.0, 1.0 - float(self.duration_pmf.sum())) if self.defined else None
 
 
-def _exact_means(u, ps, out, xi1) -> np.ndarray:
-    """Mean burst length of each chain of the stack ps: the expected outage
-    visits before escape of a burst entering with flow u, u_O (I - P_OO)^-1,
+def _exact_means(u_o, p_o, out, xi1) -> np.ndarray:
+    """Mean burst length of each chain of a stack, from its outage rows p_o
+    and its entry flow u_o into the outage set: the expected outage visits
+    before escape of a burst entering with flow u_o, u_o (I - P_OO)^-1,
     summed and over xi1. All the chains go in one stacked state reduction of
-    P_OO bordered by the complement as state 0: row 0 is the entry flow u_O
+    P_OO bordered by the complement as state 0: row 0 is the entry flow u_o
     and column 0 each outage state's escape probability."""
-    p_o = ps.compress(out, axis=1)
-    system = np.zeros((len(ps), p_o.shape[1] + 1, p_o.shape[1] + 1))
-    system[:, 0, 1:] = u.compress(out, axis=1)
+    system = np.zeros((len(p_o), p_o.shape[1] + 1, p_o.shape[1] + 1))
+    system[:, 0, 1:] = u_o
     system[:, 1:, 0] = p_o.compress(~out, axis=2).sum(axis=2)
     system[:, 1:, 1:] = p_o.compress(out, axis=2)
     visits, pivots = _state_reduction(system)
@@ -94,36 +94,46 @@ def _exact_means(u, ps, out, xi1) -> np.ndarray:
     return visits[:, 1:].sum(axis=1) / xi1
 
 
-def _duration_pmf(u, p, out, xi1) -> np.ndarray:
-    """Burst-length pmf of the chain p from the masked walk
-    u <- sum_i (u * out)[i] p[i] started at its entry flow u: pmf[t - 1] is
-    the mass escaping at step t over xi1. The walk stops one step after the
-    mass still in outage falls below SERIES_TOLERANCE of xi1, or at
-    SERIES_CAP steps."""
-    rows = p.compress(out, axis=0)
+def _duration_pmf(inside, rows, out, xi1) -> np.ndarray:
+    """Burst-length pmf of a chain from its outage rows and the masked walk
+    u <- sum_i inside[i] rows[i], inside = u_O, started at its entry flow
+    into the outage set: pmf[t - 1] is the mass escaping at step t over xi1.
+    The walk stops one step after the mass still in outage falls below
+    SERIES_TOLERANCE of xi1, or at SERIES_CAP steps."""
     pmf = []
     while True:
-        inside = u.compress(out)
         u = (inside[:, None] * rows).sum(axis=0)
         pmf.append(u.compress(~out).sum() / xi1)
         if inside.sum() / xi1 < SERIES_TOLERANCE or len(pmf) == SERIES_CAP:
             return np.array(pmf)
+        inside = u.compress(out)
 
 
-def _burst_stats_of(ps, out) -> list[BurstStats]:
-    """chain_burst_stats_many of a float stack and bool mask that its records
-    may keep without a copy."""
+def chain_burst_stats_many(ps, out) -> list[BurstStats]:
+    """Analytic burstiness record of each chain of the (B, n, n) stack ps,
+    with the boolean outage mask out shared by all. For the pmf walk a
+    record keeps its chain's outage rows, its entry flow into the outage set
+    and a copy of the mask, all made here, so it holds none of the caller's
+    arrays.
+
+    Recomputes each outage rate two ways (stationary mass, and entry flow
+    times mean duration) and raises for the first chain where the two
+    disagree beyond IDENTITY_TOL. A chain into whose outage set no
+    stationary flow enters (it is empty, or holds all the stationary mass)
+    gets an undefined record. Each record is the same whatever the stack.
+    """
+    ps, out = np.asarray(ps, dtype=float), np.array(out, dtype=bool)
     pi = steady_states(ps)
     p_outs = pi.compress(out, axis=1).sum(axis=1)
-    u = ((pi * ~out)[:, :, None] * ps).sum(axis=1)
-    xi1s = u.compress(out, axis=1).sum(axis=1)
+    u_o = ((pi * ~out)[:, :, None] * ps).sum(axis=1).compress(out, axis=1)
+    xi1s = u_o.sum(axis=1)
     defined = np.flatnonzero(xi1s > 0.0)
     records = [BurstStats(float(p), float(x)) for p, x in zip(p_outs, xi1s)]
     if defined.size == 0:
         return records
-    # a view of the whole stack when every chain is defined
+    p_o = ps.compress(out, axis=1)
     sel = slice(None) if defined.size == len(ps) else defined
-    means = _exact_means(u[sel], ps[sel], out, xi1s[sel])
+    means = _exact_means(u_o[sel], p_o[sel], out, xi1s[sel])
     for c, mean_dur in zip(defined, means.tolist()):
         p_out, xi1 = records[c].p_out, records[c].xi_res_out_1
         identity_gap = abs(p_out - xi1 * mean_dur)
@@ -132,22 +142,8 @@ def _burst_stats_of(ps, out) -> list[BurstStats]:
                 f"outage-rate identity violated: |{p_out:.12e} - {xi1:.3e} * {mean_dur:.6f}| "
                 f"= {identity_gap:.3e}"
             )
-        records[c] = BurstStats(p_out, xi1, mean_dur, (u[c], ps[c], out))
+        records[c] = BurstStats(p_out, xi1, mean_dur, (u_o[c], p_o[c], out))
     return records
-
-
-def chain_burst_stats_many(ps, out) -> list[BurstStats]:
-    """Analytic burstiness record of each chain of the (B, n, n) stack ps,
-    with the boolean outage mask out shared by all. The records keep their
-    own copies of the chains and the mask for the pmf walk.
-
-    Recomputes each outage rate two ways (stationary mass, and entry flow
-    times mean duration) and raises for the first chain where the two
-    disagree beyond IDENTITY_TOL. A chain into whose outage set no
-    stationary flow enters (it is empty, or holds all the stationary mass)
-    gets an undefined record. Each record is the same whatever the stack.
-    """
-    return _burst_stats_of(np.array(ps, dtype=float), np.array(out, dtype=bool))
 
 
 def chain_burst_stats(p, out) -> BurstStats:
@@ -162,8 +158,7 @@ def burst_stats_many(cfg: SystemConfig, policies) -> list[BurstStats]:
     policies give no records."""
     if len(policies) == 0:
         return []
-    # the stack is built here and the mask is read-only, so the records keep both uncopied
-    return _burst_stats_of(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
+    return chain_burst_stats_many(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
 
 
 def burst_stats(cfg: SystemConfig, policy, *, tables=None) -> BurstStats:

@@ -97,12 +97,17 @@ def _write_json(path: str, document: dict) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=False, allow_nan=False) + "\n")
 
 
+def _named_policy(cfg, policy_name: str):
+    """naive, min-error, or a penalty's sweep, which is optimize's final policy."""
+    if policy_name in PENALTY_CHOICES:
+        return improve_policy(cfg, PenaltyKind(policy_name))
+    return naive_policy(cfg) if policy_name == "naive" else min_error_policy(cfg)
+
+
 def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | None):
     cfg = scenario.system
-    if policy_name == "naive":
-        return naive_policy(cfg), "naive"
-    if policy_name == "min-error":
-        return min_error_policy(cfg), "min-error"
+    if policy_name != "file":
+        return _named_policy(cfg, policy_name), policy_name
     if policy_file is None:
         raise ConfigError("--policy file requires --policy-file PATH")
     try:
@@ -202,23 +207,15 @@ _TABLE2_POLICIES = ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi", "naive", "m
 
 
 def _table2_rows(args, preset: str) -> list[dict]:
-    """reproduce-table2's CSV rows of one preset: its six policies (a
-    penalty's policy is its sweep, which is optimize's final policy), their
-    analytic burst statistics in one batch and their repetitions in one
-    simulation batch."""
+    """reproduce-table2's CSV rows of one preset: its six named policies,
+    their analytic burst statistics in one batch and their repetitions in
+    one simulation batch."""
     scenario = load_scenario(preset)
     cfg = scenario.system
     seeds = args.seeds if args.seeds is not None else scenario.optimizer.seeds
     reps = args.reps if args.reps is not None else scenario.simulation.reps
     periods = args.periods if args.periods is not None else scenario.simulation.periods
-    policies = []
-    for policy_name in _TABLE2_POLICIES:
-        if policy_name == "naive":
-            policies.append(naive_policy(cfg))
-        elif policy_name == "min-error":
-            policies.append(min_error_policy(cfg))
-        else:
-            policies.append(improve_policy(cfg, PenaltyKind(policy_name)))
+    policies = [_named_policy(cfg, policy_name) for policy_name in _TABLE2_POLICIES]
     stats = burst_stats_many(cfg, policies)
     summaries = run_repetitions_many(cfg, policies, reps, periods, scenario.simulation.master_seed)
     rows = []

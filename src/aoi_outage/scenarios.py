@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +93,9 @@ def _value(value, label: str, kind=float):
         raise ConfigError(f"{label} must be a finite number, got {value!r}")
     if kind is int and int(value) != value:
         raise ConfigError(f"{label} must be an integer, got {value!r}")
+    # numpy holds every number as a float64 or an int64
+    if abs(value) > (2**63 - 1 if kind is int else sys.float_info.max):
+        raise ConfigError(f"{label} is out of range of a 64-bit {kind.__name__}")
     return kind(value)
 
 
@@ -146,6 +150,9 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
         )
     except ConfigError:
         raise
+    except OverflowError as exc:  # the good level lies above the bad one, so it overflows first
+        raise ConfigError(f"snr_db.good is out of range: {document['snr_db']['good']!r} dB overflows "
+                          "a 64-bit float on the linear scale") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -118,6 +118,22 @@ NON_FINITE_VALUES = [
                  r"snr_db\.good must be a finite number, got -inf\n", id="snr-good-minus-inf"),
 ]
 
+# finite numbers too large for a float64 or an int64, or for the linear SNR scale;
+# each fails before any allocation
+OVERFLOWING_VALUES = [
+    pytest.param(lambda d: d["snr_db"].update(good=3100),
+                 r"snr_db\.good is out of range: 3100 dB overflows a 64-bit float on the linear scale\n",
+                 id="snr-good-linear-overflow"),
+    pytest.param(lambda d: d.update(alpha=[0.6, 10**400]),
+                 r"alpha\[1\] is out of range of a 64-bit float\n", id="alpha-401-digits"),
+    pytest.param(lambda d: d["snr_db"].update(bad=-10**400),
+                 r"snr_db\.bad is out of range of a 64-bit float\n", id="snr-bad-401-digits"),
+    pytest.param(lambda d: d["blocklength"].update(N=2**63),
+                 r"blocklength\.N is out of range of a 64-bit int\n", id="N-2**63"),
+    pytest.param(lambda d: d["blocklength"].update(N=1e300),
+                 r"blocklength\.N is out of range of a 64-bit int\n", id="N-1e300"),
+]
+
 # initial states outside the preset's state space (a_max = 5)
 OUT_OF_RANGE_INITIAL = [
     pytest.param(lambda d: d["state"].update(initial=[6, 1, 0, 0]), r"ages must lie in \[1, 5\]",
@@ -276,7 +292,8 @@ class TestCliEvaluate:
         assert code == 1
         assert "alphaa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("mutate,fragment", BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL + NON_FINITE_VALUES)
+    @pytest.mark.parametrize("mutate,fragment",
+                             BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL + NON_FINITE_VALUES + OVERFLOWING_VALUES)
     def test_bad_list_entry_exits_one(self, tmp_path, capsys, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
         mutate(doc)
@@ -286,6 +303,7 @@ class TestCliEvaluate:
         assert code == 1
         assert re.match(f"error: {fragment}", err)
         assert "Traceback" not in err
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["evaluate", "--policy", "naive"],
