@@ -29,7 +29,7 @@ from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats, burst_stat
 from .markov import validate_policy
 from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
-from .scenarios import ConfigError, Scenario, load_scenario
+from .scenarios import ConfigError, Scenario, _value, load_scenario
 from .simulate import (
     CHECKPOINTS,
     burst_convergence,
@@ -239,10 +239,6 @@ def _table2_rows(args, preset: str) -> list[dict]:
 
 
 def cmd_reproduce_table2(args) -> int:
-    for name in ("seeds", "reps", "periods"):
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
     started = time.perf_counter()
     rows = [row for preset in ("scenario_a", "scenario_b", "scenario_c")
             for row in _table2_rows(args, preset)]
@@ -255,8 +251,6 @@ def cmd_reproduce_table2(args) -> int:
 
 
 def cmd_burst_convergence(args) -> int:
-    if args.n_policies < 1:
-        raise ConfigError(f"--n-policies must be >= 1, got {args.n_policies}")
     scenario = load_scenario(args.config)
     rows = burst_convergence(scenario.system, args.n_policies, scenario.simulation.master_seed)
     with open(args.out, "w", newline="") as fh:
@@ -320,9 +314,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_output_dirs(args)
+        # a count flag follows the scenario's rule for a count: an int64 of at least 1
+        for name in ("seeds", "reps", "periods", "n_policies"):
+            if (value := getattr(args, name, None)) is not None:
+                _value(value, "--" + name.replace("_", "-"), int, 1)
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a batch numpy cannot allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except RuntimeError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

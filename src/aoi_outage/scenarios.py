@@ -17,7 +17,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .fbl import ChannelProfile, LinkParams
+import numpy as np
+
+from .fbl import ChannelProfile, LinkParams, db_to_linear
 from .states import SystemConfig
 
 SCHEMA_VERSION = 1
@@ -86,7 +88,23 @@ def _require(mapping, where: str, required: tuple[str, ...], optional: tuple[str
         raise ConfigError(f"missing key(s) in {where}: {', '.join(missing)}")
 
 
-def _value(value, label: str, kind=float):
+# Each block's keys, in the order they are checked, with the kind of number
+# a key holds and the least value it may take, or None where the library's
+# own guard (ChannelProfile, LinkParams, SystemConfig) bounds it. A list key
+# also gives its length. epsilon_cvg's least value is the least positive
+# float: the one-sweep optimizer has no convergence tolerance, but the key
+# stays in the schema so existing documents, and their hashes, stay valid.
+_KEYS = {
+    "alpha": (float, None, 2),
+    "snr_db": {"good": (float, None), "bad": (float, None)},
+    "blocklength": {"N": (int, None), "d": (int, None)},
+    "state": {"a_max": (int, None), "a_out": (int, None), "initial": (int, None, 4)},
+    "optimizer": {"epsilon_cvg": (float, math.ulp(0.0)), "max_iter": (int, 1), "seeds": (int, 1)},
+    "simulation": {"reps": (int, 1), "periods": (int, 1), "master_seed": (int, 0)},
+}
+
+
+def _value(value, label: str, kind=float, least=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{label} must be a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -96,91 +114,60 @@ def _value(value, label: str, kind=float):
     # numpy holds every number as a float64 or an int64
     if abs(value) > (2**63 - 1 if kind is int else sys.float_info.max):
         raise ConfigError(f"{label} is out of range of a 64-bit {kind.__name__}")
-    return kind(value)
+    number = kind(value)
+    if least is not None and number < least:
+        raise ConfigError(f"{label} must be >= {least}, got {number}")
+    return number
 
 
-def _number(mapping, where: str, key: str, kind=float):
-    return _value(mapping[key], f"{where}.{key}", kind)
+def _values(node, rule, label: str):
+    """node checked against its rule in _KEYS: a block's values by key, a
+    list's values, or one value."""
+    if isinstance(rule, dict):
+        _require(node, label, tuple(rule))
+        return {key: _values(node[key], rule[key], f"{label}.{key}") for key in rule}
+    kind, least, *length = rule
+    if not length:
+        return _value(node, label, kind, least)
+    if not (isinstance(node, list) and len(node) == length[0]):
+        raise ConfigError(f"{label} must be a list of {length[0]} {'integers' if kind is int else 'numbers'}")
+    return [_value(v, f"{label}[{i}]", kind, least) for i, v in enumerate(node)]
 
 
 def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     """Validate a scenario document and build the typed configuration."""
-    _require(
-        document,
-        "scenario",
-        ("alpha", "snr_db", "blocklength", "state", "optimizer", "simulation"),
-        ("schema_version",),
-    )
+    _require(document, "scenario", tuple(_KEYS), ("schema_version",))
     version = document.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    values = {key: _values(document[key], rule, key) for key, rule in _KEYS.items()}
+    # a level's linear value must be a positive float64; numpy's conversion
+    # gives inf or 0.0 where a float's would overflow or underflow
+    for key in _KEYS["snr_db"]:
+        db = document["snr_db"][key]
+        with np.errstate(over="ignore", under="ignore"):
+            linear = db_to_linear(np.float64(db))
+        if not 0.0 < linear < math.inf:
+            raise ConfigError(f"snr_db.{key} is out of range: {db!r} dB {'overflows' if linear else 'underflows'} "
+                              "a 64-bit float on the linear scale")
 
-    alpha = document["alpha"]
-    if not (isinstance(alpha, list) and len(alpha) == 2):
-        raise ConfigError("alpha must be a list of two probabilities")
-    alpha = [_value(v, f"alpha[{i}]") for i, v in enumerate(alpha)]
-    _require(document["snr_db"], "snr_db", ("good", "bad"))
-    _require(document["blocklength"], "blocklength", ("N", "d"))
-    _require(document["state"], "state", ("a_max", "a_out", "initial"))
-    _require(document["optimizer"], "optimizer", ("epsilon_cvg", "max_iter", "seeds"))
-    _require(document["simulation"], "simulation", ("reps", "periods", "master_seed"))
-
-    initial = document["state"]["initial"]
-    if not (isinstance(initial, list) and len(initial) == 4):
-        raise ConfigError("state.initial must be a list of four integers")
-    initial = [_value(v, f"state.initial[{i}]", int) for i, v in enumerate(initial)]
-
+    snr, link, state = values["snr_db"], values["blocklength"], values["state"]
     try:
-        profile = ChannelProfile(
-            alpha_1=alpha[0],
-            alpha_2=alpha[1],
-            gamma_good_db=_number(document["snr_db"], "snr_db", "good"),
-            gamma_bad_db=_number(document["snr_db"], "snr_db", "bad"),
-        )
-        link = LinkParams(
-            blocklength_total=_number(document["blocklength"], "blocklength", "N", int),
-            payload_bits=_number(document["blocklength"], "blocklength", "d", int),
-        )
         system = SystemConfig(
-            profile=profile,
-            link=link,
-            a_max=_number(document["state"], "state", "a_max", int),
-            a_out=_number(document["state"], "state", "a_out", int),
-            initial=tuple(initial),
+            profile=ChannelProfile(*values["alpha"], gamma_good_db=snr["good"], gamma_bad_db=snr["bad"]),
+            link=LinkParams(blocklength_total=link["N"], payload_bits=link["d"]),
+            a_max=state["a_max"],
+            a_out=state["a_out"],
+            initial=tuple(state["initial"]),
         )
-    except ConfigError:
-        raise
-    except OverflowError as exc:  # the good level lies above the bad one, so it overflows first
-        raise ConfigError(f"snr_db.good is out of range: {document['snr_db']['good']!r} dB overflows "
-                          "a 64-bit float on the linear scale") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    opt = OptimizerSettings(
-        max_iter=_number(document["optimizer"], "optimizer", "max_iter", int),
-        seeds=_number(document["optimizer"], "optimizer", "seeds", int),
-    )
-    if opt.max_iter < 1 or opt.seeds < 1:
-        raise ConfigError("optimizer.max_iter and optimizer.seeds must be >= 1")
-    # The one-sweep optimizer has no convergence tolerance; the key stays in
-    # the schema so existing documents, and their hashes, stay valid.
-    if _number(document["optimizer"], "optimizer", "epsilon_cvg") <= 0.0:
-        raise ConfigError("optimizer.epsilon_cvg must be > 0")
-    sim = SimulationSettings(
-        reps=_number(document["simulation"], "simulation", "reps", int),
-        periods=_number(document["simulation"], "simulation", "periods", int),
-        master_seed=_number(document["simulation"], "simulation", "master_seed", int),
-    )
-    if sim.reps < 1 or sim.periods < 1:
-        raise ConfigError("simulation.reps and simulation.periods must be >= 1")
-    if sim.master_seed < 0:
-        raise ConfigError(f"simulation.master_seed must be >= 0, got {sim.master_seed}")
 
     return Scenario(
         name=name,
         system=system,
-        optimizer=opt,
-        simulation=sim,
+        optimizer=OptimizerSettings(values["optimizer"]["max_iter"], values["optimizer"]["seeds"]),
+        simulation=SimulationSettings(**values["simulation"]),
         config_hash=config_hash(document),
     )
 

@@ -269,8 +269,9 @@ def run_repetitions_many(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    seeds = [derive_seed(master_seed, r) for r in range(reps)]
+    # the index arrays first, so numpy refuses a batch too large for memory before any seed is derived
     group, stream = np.repeat(np.arange(len(policies)), reps), np.tile(np.arange(reps), len(policies))
+    seeds = [derive_seed(master_seed, r) for r in range(reps)]
     results = _simulate_rows(cfg, policies, group, periods, seeds, stream)
     return [RepetitionSummary(results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
 

@@ -118,7 +118,7 @@ NON_FINITE_VALUES = [
                  r"snr_db\.good must be a finite number, got -inf\n", id="snr-good-minus-inf"),
 ]
 
-# finite numbers too large for a float64 or an int64, or for the linear SNR scale;
+# finite numbers too large for a float64 or an int64, or out of range on the linear SNR scale;
 # each fails before any allocation
 OVERFLOWING_VALUES = [
     pytest.param(lambda d: d["snr_db"].update(good=3100),
@@ -132,6 +132,15 @@ OVERFLOWING_VALUES = [
                  r"blocklength\.N is out of range of a 64-bit int\n", id="N-2**63"),
     pytest.param(lambda d: d["blocklength"].update(N=1e300),
                  r"blocklength\.N is out of range of a 64-bit int\n", id="N-1e300"),
+    pytest.param(lambda d: d["snr_db"].update(bad=-4000),
+                 r"snr_db\.bad is out of range: -4000 dB underflows a 64-bit float on the linear scale\n",
+                 id="snr-bad-linear-underflow"),
+    pytest.param(lambda d: d["snr_db"].update(bad=-3300),
+                 r"snr_db\.bad is out of range: -3300 dB underflows a 64-bit float on the linear scale\n",
+                 id="snr-bad-linear-underflow-3300"),
+    pytest.param(lambda d: d["snr_db"].update(good=-3400, bad=-4000),
+                 r"snr_db\.good is out of range: -3400 dB underflows a 64-bit float on the linear scale\n",
+                 id="snr-both-linear-underflow"),
 ]
 
 # initial states outside the preset's state space (a_max = 5)
@@ -194,6 +203,10 @@ class TestScenarios:
             (lambda d: d.update(schema_version=True), r"unsupported schema_version True \(expected 1\)"),
             (lambda d: d["state"].update(initial=[1, 1]), "initial"),
             (lambda d: d["simulation"].update(master_seed=-1), "master_seed"),
+            (lambda d: d["simulation"].update(reps=0), "simulation.reps must be >= 1, got 0"),
+            (lambda d: d["simulation"].update(periods=0), "simulation.periods must be >= 1, got 0"),
+            (lambda d: d["optimizer"].update(max_iter=0), "optimizer.max_iter must be >= 1, got 0"),
+            (lambda d: d["optimizer"].update(seeds=0), "optimizer.seeds must be >= 1, got 0"),
         ]
         + BAD_LIST_ENTRIES
         + OUT_OF_RANGE_INITIAL,
@@ -573,16 +586,59 @@ class TestCliGrids:
         document = json.loads(report.read_text())
         assert repr({key: document[key] for key in golden}) == repr(golden)
 
-    @pytest.mark.parametrize("flag", ["--seeds", "--reps", "--periods"])
-    def test_reproduce_table2_rejects_zero_counts_before_any_preset(self, tmp_path, capsys, monkeypatch, flag):
-        def no_analysis(cfg, policies):
-            raise AssertionError("reproduce-table2 analysed a preset before checking its flags")
+    @pytest.mark.parametrize("command, flag, value", [
+        *(pytest.param("reproduce-table2", flag, "0", id=flag) for flag in ("--seeds", "--reps", "--periods")),
+        *(pytest.param("reproduce-table2", flag, "100000000000000000000", id=f"{flag}-1e20")
+          for flag in ("--seeds", "--reps", "--periods")),
+        *(pytest.param("simulate", flag, value, id=f"simulate{flag}-{value if value == '0' else '1e20'}")
+          for flag in ("--reps", "--periods") for value in ("0", "100000000000000000000")),
+    ])
+    def test_reproduce_table2_rejects_zero_counts_before_any_preset(self, tmp_path, capsys, monkeypatch,
+                                                                   command, flag, value):
+        def no_work(*args):
+            raise AssertionError(f"{command} did work before checking its flags")
 
-        monkeypatch.setattr(cli, "burst_stats_many", no_analysis)
-        out = tmp_path / "table2.csv"
-        code = run_cli(["reproduce-table2", flag, "0", "--out", str(out)])
+        for name in ("load_scenario", "burst_stats", "burst_stats_many"):
+            monkeypatch.setattr(cli, name, no_work)
+        out = tmp_path / "out"
+        argv = {"simulate": ["--config", "scenario_b", "--policy", "naive"], "reproduce-table2": []}[command]
+        code = run_cli([command, *argv, flag, value, "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {flag[2:]} must be >= 1, got 0\n"
+        assert capsys.readouterr().err == (f"error: {flag} must be >= 1, got 0\n" if value == "0" else
+                                           f"error: {flag} is out of range of a 64-bit int\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", str(2**62)],
+        ["reproduce-table2", "--reps", str(2**60)],
+    ], ids=lambda argv: argv[0])
+    def test_impossible_repetition_batch_exits_one(self, tmp_path, capsys, monkeypatch, argv):
+        # every repetition index array would take 2**65 bytes or more, which numpy refuses before any allocation
+        def no_seed(*key):
+            raise AssertionError("a seed was derived for a batch numpy cannot hold")
+
+        monkeypatch.setattr(simulate_module, "derive_seed", no_seed)
+        out = tmp_path / "out"
+        code = run_cli(argv + ["--periods", "10", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: array is too big") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type int64",
+         "Unable to allocate 8.00 TiB for an array with shape (1099511627776,) and data type int64"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_batch_too_large_for_memory_exits_one(self, tmp_path, capsys, monkeypatch, message, printed):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_repetitions_many", out_of_memory)
+        out = tmp_path / "table2.csv"
+        code = run_cli(["reproduce-table2", "--reps", "1099511627776", "--periods", "10", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {printed}\n"
         assert not out.exists()
 
     def test_reproduce_table2_numerical_failure_exits_two(self, tmp_path, capsys, monkeypatch):

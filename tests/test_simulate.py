@@ -499,6 +499,17 @@ class TestRepetitions:
         with pytest.raises(ValueError):
             run_repetitions(small_cfg, naive_policy(small_cfg), 0, 10, master_seed=1)
 
+    @pytest.mark.parametrize("n_policies, reps", [(1, 2**63 - 1), (1, 2**62), (2, 2**61)],
+                             ids=["1x(2**63-1)", "1x2**62", "2x2**61"])
+    def test_impossible_batch_fails_before_any_seed(self, small_cfg, monkeypatch, n_policies, reps):
+        # each index array would take 2**65 bytes or more, which numpy refuses before any allocation
+        def no_seed(*key):
+            raise AssertionError("a seed was derived for a batch numpy cannot hold")
+
+        monkeypatch.setattr(simulate_module, "derive_seed", no_seed)
+        with pytest.raises(ValueError, match="array is too big"):
+            run_repetitions_many(small_cfg, [naive_policy(small_cfg)] * n_policies, reps, 10, master_seed=1)
+
 
 class TestSeeds:
     def test_derive_seed_deterministic(self):
