@@ -30,14 +30,7 @@ from .markov import validate_policy
 from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy, optimize
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, _value, load_scenario
-from .simulate import (
-    CHECKPOINTS,
-    burst_convergence,
-    median_errors,
-    normalized_error,
-    run_repetitions,
-    run_repetitions_many,
-)
+from .simulate import CHECKPOINTS, burst_convergence, median_errors, normalized_error, run_repetitions_many
 
 PENALTY_CHOICES = tuple(k.value for k in PenaltyKind)
 POLICY_CHOICES = ("naive", "min-error", "file")
@@ -95,6 +88,14 @@ def _check_output_dirs(args) -> None:
 
 def _write_json(path: str, document: dict) -> None:
     Path(path).write_text(json.dumps(document, indent=2, sort_keys=False, allow_nan=False) + "\n")
+
+
+def _write_csv(path: str, rows: list[dict]) -> None:
+    """A table of rows that share their keys, the first row's keys as header."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 def _named_policy(cfg, policy_name: str):
@@ -155,14 +156,23 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
+def _analyse_and_simulate(args, scenario: Scenario, policies) -> tuple[list, list, int, int]:
+    """The policies' analytic burst statistics in one batch, then their
+    repetitions in one simulation batch at --reps and --periods, or the
+    scenario's own; returns (stats, summaries, reps, periods). Analysis
+    comes first, so a numerical failure exits 2 before any simulation."""
+    sim = scenario.simulation
+    reps = args.reps if args.reps is not None else sim.reps
+    periods = args.periods if args.periods is not None else sim.periods
+    stats = burst_stats_many(scenario.system, policies)
+    summaries = run_repetitions_many(scenario.system, policies, reps, periods, sim.master_seed)
+    return stats, summaries, reps, periods
+
+
 def cmd_simulate(args) -> int:
     scenario = load_scenario(args.config)
-    cfg = scenario.system
     policy, source = _resolve_policy(scenario, args.policy, args.policy_file)
-    reps = args.reps if args.reps is not None else scenario.simulation.reps
-    periods = args.periods if args.periods is not None else scenario.simulation.periods
-    stats = burst_stats(cfg, policy)
-    summary = run_repetitions(cfg, policy, reps, periods, scenario.simulation.master_seed)
+    [stats], [summary], reps, periods = _analyse_and_simulate(args, scenario, [policy])
     compared = (
         ("p_out", summary.outage_rate_mean, stats.p_out),
         ("mean_burst", summary.mean_burst, stats.mean_outage_duration),
@@ -189,15 +199,12 @@ def cmd_simulate(args) -> int:
     }
     _write_json(args.out, document)
     if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["rep", "seed", "outage_rate", "n_bursts", "mean_burst", "n_iois", "mean_ioi"])
-            for rep, result in enumerate(summary.results):
-                writer.writerow([
-                    rep, result.seed, result.outage_rate,
-                    len(result.burst_durations), _defined(result.mean_burst),
-                    len(result.ioi_durations), _defined(result.mean_ioi),
-                ])
+        _write_csv(args.csv, [
+            {"rep": rep, "seed": result.seed, "outage_rate": result.outage_rate,
+             "n_bursts": len(result.burst_durations), "mean_burst": _defined(result.mean_burst),
+             "n_iois": len(result.ioi_durations), "mean_ioi": _defined(result.mean_ioi)}
+            for rep, result in enumerate(summary.results)
+        ])
     print(f"simulate[{scenario.name}/{source}]: mean outage rate "
           f"{summary.outage_rate_mean:.6e} over {reps} x {periods} periods -> {args.out}")
     return 0
@@ -211,13 +218,9 @@ def _table2_rows(args, preset: str) -> list[dict]:
     their analytic burst statistics in one batch and their repetitions in
     one simulation batch."""
     scenario = load_scenario(preset)
-    cfg = scenario.system
     seeds = args.seeds if args.seeds is not None else scenario.optimizer.seeds
-    reps = args.reps if args.reps is not None else scenario.simulation.reps
-    periods = args.periods if args.periods is not None else scenario.simulation.periods
-    policies = [_named_policy(cfg, policy_name) for policy_name in _TABLE2_POLICIES]
-    stats = burst_stats_many(cfg, policies)
-    summaries = run_repetitions_many(cfg, policies, reps, periods, scenario.simulation.master_seed)
+    policies = [_named_policy(scenario.system, policy_name) for policy_name in _TABLE2_POLICIES]
+    stats, summaries, reps, periods = _analyse_and_simulate(args, scenario, policies)
     rows = []
     for policy_name, policy_stats, summary in zip(_TABLE2_POLICIES, stats, summaries):
         published = PUBLISHED_OUTAGE_RATES[scenario.name, policy_name]
@@ -242,10 +245,7 @@ def cmd_reproduce_table2(args) -> int:
     started = time.perf_counter()
     rows = [row for preset in ("scenario_a", "scenario_b", "scenario_c")
             for row in _table2_rows(args, preset)]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(args.out, rows)
     print(f"reproduce-table2: {len(rows)} rows in {time.perf_counter() - started:.1f}s -> {args.out}")
     return 0
 
@@ -253,10 +253,7 @@ def cmd_reproduce_table2(args) -> int:
 def cmd_burst_convergence(args) -> int:
     scenario = load_scenario(args.config)
     rows = burst_convergence(scenario.system, args.n_policies, scenario.simulation.master_seed)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(args.out, rows)
     for cp, med in zip(CHECKPOINTS, median_errors(rows)):
         print(f"  checkpoint {cp:6d}: median errors p_out {med[0]:.4f} "
               f"burst {med[1]:.4f} ioi {med[2]:.4f}")
@@ -319,10 +316,8 @@ def main(argv=None) -> int:
             if (value := getattr(args, name, None)) is not None:
                 _value(value, "--" + name.replace("_", "-"), int, 1)
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # a batch numpy cannot allocate
+    # a ConfigError is a ValueError, and a MemoryError is a batch numpy cannot allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

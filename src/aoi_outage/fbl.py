@@ -62,13 +62,15 @@ def block_error_rate(n, d: int, gamma: float):
     """
     if gamma <= 0.0:
         raise ValueError(f"SNR must be positive (dispersion vanishes at zero), got {gamma}")
+    v = channel_dispersion(gamma)
+    if v == 0.0:
+        raise ValueError(f"SNR {gamma} is too low: 1 + SNR rounds to 1, so the dispersion vanishes")
     if d < 1:
         raise ValueError(f"payload must be at least one bit, got {d}")
     n_in = np.asarray(n)
     if np.any(n_in < 0):
         raise ValueError("blocklength must be nonnegative")
     nf = np.atleast_1d(n_in).astype(float)
-    v = channel_dispersion(gamma)
     c = shannon_capacity(gamma)
     eps = np.ones_like(nf)
     pos = nf >= 1.0

@@ -65,12 +65,14 @@ class TransitionTables:
 
     - eps_by_bit[b, lam]: block error rate of lam symbols at channel bit b
       (0 = bad level, 1 = good level).
+    - eps2_by_bit[b, lam]: device 2's rate at channel bit b when device 1
+      gets lam, so device 2 gets N - lam: eps_by_bit read backwards, a view.
     - bits[k]: the channel bits (x1, x2) of column k.
     - ages[:, g]: the ages (a1, a2) at age position g.
     - succ[g, 2 * fail1 + fail2]: age position of the successor, where a
       device's age resets to 1 on success and steps to its successor,
       clamped at a_max, on failure.
-    - bit_weights[k]: probability of fresh channel bits k.
+    - bit_weights[k]: probability of fresh channel bits k, by branch_probabilities.
     - outage[g]: the outage set.
 
     The arrays are read-only: transition_tables(cfg) shares one instance
@@ -85,6 +87,7 @@ class TransitionTables:
             block_error_rate(alloc, d, cfg.profile.gamma_bad),
             block_error_rate(alloc, d, cfg.profile.gamma_good),
         ))
+        self.eps2_by_bit = self.eps_by_bit[:, ::-1]
         self.bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]])
         a1, a2, _, _ = decode_states(cfg.a_max)
         self.ages = np.stack((a1, a2))[:, ::4]
@@ -92,17 +95,11 @@ class TransitionTables:
         after = np.where(fail, np.minimum(self.ages + 1, cfg.a_max)[:, :, None], 1)
         self.succ = encode_states(*after, 0, 0, cfg.a_max) // 4
         self.outage = outage_mask(cfg.a_max, cfg.a_out)
-        a1p = cfg.profile.alpha_1
-        a2p = cfg.profile.alpha_2
-        self.bit_weights = np.array(
-            [(1 - a1p) * (1 - a2p), (1 - a1p) * a2p, a1p * (1 - a2p), a1p * a2p]
-        )
-        for table in (self.eps_by_bit, self.bits, self.ages, self.succ, self.outage, self.bit_weights):
+        self.bit_weights = np.array(branch_probabilities(cfg.profile.alpha_1, cfg.profile.alpha_2))
+        # a view stays writeable when its base stops being, so it gets its own flag
+        for table in (self.eps_by_bit, self.eps2_by_bit, self.bits, self.ages, self.succ, self.outage,
+                      self.bit_weights):
             table.flags.writeable = False
-
-    @property
-    def n_total(self) -> int:
-        return self.cfg.link.blocklength_total
 
     def error_rates(self, policy) -> tuple[np.ndarray, np.ndarray]:
         """Error rates (e1, e2) of the transition out of each state under
@@ -110,7 +107,7 @@ class TransitionTables:
         lam = np.asarray(policy)
         lam = lam.reshape(*lam.shape[:-1], -1, 4)
         x1, x2 = self.bits.T
-        return self.eps_by_bit[x1, lam], self.eps_by_bit[x2, self.n_total - lam]
+        return self.eps_by_bit[x1, lam], self.eps2_by_bit[x2, lam]
 
 
 @lru_cache(maxsize=32)
@@ -121,8 +118,9 @@ def transition_tables(cfg: SystemConfig) -> TransitionTables:
 
 
 def branch_probabilities(e1, e2) -> tuple:
-    """Probabilities of the four branches 2 * fail1 + fail2 of a transition
-    whose devices fail with rates e1 and e2, elementwise."""
+    """The four outcomes 2 * b1 + b2 of two independent coins that land 1
+    with probabilities e1 and e2, elementwise: a transition's branches
+    2 * fail1 + fail2, or the fresh channel bits k = 2 * x1 + x2."""
     return (1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2
 
 

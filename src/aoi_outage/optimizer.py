@@ -88,7 +88,7 @@ def improve_policy(cfg: SystemConfig, kind: PenaltyKind) -> np.ndarray:
     w = _age_weight_grid(kind, t)[t.succ.T, None]  # w[b]: (a_max**2, 1) successor weights
     new = np.empty((cfg.a_max**2, 4), dtype=np.int64)  # [g, k]
     for k, (x1, x2) in enumerate(t.bits):
-        branch = branch_probabilities(t.eps_by_bit[x1], t.eps_by_bit[x2][::-1])  # over lam
+        branch = branch_probabilities(t.eps_by_bit[x1], t.eps2_by_bit[x2])  # over lam
         # summed in place, in branch order: a fresh (a_max**2, N + 1) array per sum costs page faults
         cost = branch[0] * w[0]
         for b in range(1, 4):
@@ -139,5 +139,5 @@ def min_error_policy(cfg: SystemConfig, *, tables=None) -> np.ndarray:
     read: the tables come from transition_tables(cfg).
     """
     t = transition_tables(cfg)
-    by_bits = [np.argmin(t.eps_by_bit[x1] + t.eps_by_bit[x2][::-1]) for x1, x2 in t.bits]
+    by_bits = [np.argmin(t.eps_by_bit[x1] + t.eps2_by_bit[x2]) for x1, x2 in t.bits]
     return np.tile(np.array(by_bits, dtype=np.int64), cfg.a_max**2)

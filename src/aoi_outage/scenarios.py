@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fbl import ChannelProfile, LinkParams, db_to_linear
+from .fbl import ChannelProfile, LinkParams, channel_dispersion, db_to_linear
 from .states import SystemConfig
 
 SCHEMA_VERSION = 1
@@ -141,8 +141,9 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     values = {key: _values(document[key], rule, key) for key, rule in _KEYS.items()}
-    # a level's linear value must be a positive float64; numpy's conversion
-    # gives inf or 0.0 where a float's would overflow or underflow
+    # a level's linear value must be a positive float64, and one whose
+    # dispersion does not vanish; numpy's conversion gives inf or 0.0 where a
+    # float's would overflow or underflow
     for key in _KEYS["snr_db"]:
         db = document["snr_db"][key]
         with np.errstate(over="ignore", under="ignore"):
@@ -150,6 +151,9 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
         if not 0.0 < linear < math.inf:
             raise ConfigError(f"snr_db.{key} is out of range: {db!r} dB {'overflows' if linear else 'underflows'} "
                               "a 64-bit float on the linear scale")
+        if channel_dispersion(linear) == 0.0:
+            raise ConfigError(f"snr_db.{key} is out of range: {db!r} dB is so low that 1 + SNR rounds to 1 "
+                              "and the channel dispersion vanishes")
 
     snr, link, state = values["snr_db"], values["blocklength"], values["state"]
     try:

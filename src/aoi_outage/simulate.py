@@ -100,14 +100,14 @@ DRAW_CHUNK = 64
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
-def _branch_table(n: int) -> np.ndarray:
+def _branch_table(bits: np.ndarray, n: int) -> np.ndarray:
     """n * (2 * fail1 + fail2) of each (fail1, fail2) flag pair: where the
     pair's branch starts in a branch-major table of n entries per branch.
     Indexed by the pair's two bool bytes read as one uint16, and built from
-    that view, so the table holds for either byte order."""
-    pairs = np.array([[False, False], [False, True], [True, False], [True, True]])
+    that view of the pairs `bits` (row b spells branch b), so the table
+    holds for either byte order."""
     branch = np.zeros(258, dtype=np.intp)
-    branch[pairs.view(np.uint16).ravel()] = n * np.arange(4)
+    branch[bits.astype(bool).view(np.uint16).ravel()] = n * np.arange(4)
     return branch
 
 
@@ -141,7 +141,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     # [branch, policy, state]: the successor with channel bits (0, 0), the same for the four bits
     succ = np.repeat(4 * t.succ.T[:, None] + offset[:, None], 4, axis=2).ravel()
     out = np.tile(np.repeat(t.outage, 4), len(policies))
-    branch = _branch_table(n)
+    branch = _branch_table(t.bits, n)
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
@@ -269,8 +269,7 @@ def run_repetitions_many(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    # the index arrays first, so numpy refuses a batch too large for memory before any seed is derived
-    group, stream = np.repeat(np.arange(len(policies)), reps), np.tile(np.arange(reps), len(policies))
+    group, stream = np.indices((len(policies), reps)).reshape(2, -1)
     seeds = [derive_seed(master_seed, r) for r in range(reps)]
     results = _simulate_rows(cfg, policies, group, periods, seeds, stream)
     return [RepetitionSummary(results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
@@ -298,7 +297,8 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     """Measured-vs-analytic burst statistics over random policies.
 
     Policy pid draws its allocations from default_rng(derive_seed(master_seed,
-    pid, 0)) and is simulated once for max(CHECKPOINTS) periods with seed
+    pid, 0)) into row pid of one array, sized before the first draw, and is
+    simulated once for max(CHECKPOINTS) periods with seed
     derive_seed(master_seed, pid, 1); every checkpoint measures that run's
     prefix. All policies are analysed in one burst_stats_many batch, kept as
     the three numbers the rows report, and simulated together. Returns one
@@ -307,12 +307,11 @@ def burst_convergence(cfg: SystemConfig, n_policies: int, master_seed: int) -> l
     errors. Raises RuntimeError for the first policy with no reachable
     outage.
     """
-    policies = [
-        np.random.default_rng(derive_seed(master_seed, pid, 0)).integers(
+    policies = np.empty((n_policies, cfg.n_states), dtype=np.int64)
+    for pid, policy in enumerate(policies):
+        policy[:] = np.random.default_rng(derive_seed(master_seed, pid, 0)).integers(
             0, cfg.link.blocklength_total + 1, size=cfg.n_states
         )
-        for pid in range(n_policies)
-    ]
     predicted = [(s.p_out, s.mean_outage_duration, s.mean_ioi) for s in burst_stats_many(cfg, policies)]
     for pid, (_, mean_burst, _) in enumerate(predicted):
         if mean_burst is None:

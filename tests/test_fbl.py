@@ -196,6 +196,8 @@ class TestBlockErrorRate:
         with pytest.raises(ValueError):
             block_error_rate(10, 16, -1.0)
         with pytest.raises(ValueError):
+            block_error_rate(10, 16, 1e-20)  # 1 + gamma rounds to 1: the dispersion is 0
+        with pytest.raises(ValueError):
             block_error_rate(10, 0, 1.0)
         with pytest.raises(ValueError):
             block_error_rate(-1, 16, 1.0)

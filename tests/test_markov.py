@@ -78,7 +78,7 @@ def reference_build_transition_matrix(cfg, policy, tables):
     """The per-state loop the scatter replaced: each state's four age
     branches, each spread over the fresh channel bits, added in branch order."""
     pol = validate_policy(policy, cfg)
-    n = tables.n_total
+    n = cfg.link.blocklength_total
     p = np.zeros((cfg.n_states, cfg.n_states))
     for i, s in enumerate(reference_enumerate_states(cfg.a_max)):
         e1 = tables.eps_by_bit[s.x1][pol[i]]
@@ -331,7 +331,7 @@ class TestSharedTables:
         assert transition_tables(other_a_out).outage.tolist() != shared.outage.tolist()
         assert transition_tables(other_initial).cfg == other_initial
 
-    @pytest.mark.parametrize("name", ["eps_by_bit", "bits", "ages", "succ", "outage", "bit_weights"])
+    @pytest.mark.parametrize("name", ["eps_by_bit", "eps2_by_bit", "bits", "ages", "succ", "outage", "bit_weights"])
     def test_tables_are_read_only(self, small_cfg, name):
         for tables in (transition_tables(small_cfg), TransitionTables(small_cfg)):
             table = getattr(tables, name)

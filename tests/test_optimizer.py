@@ -69,7 +69,7 @@ def reference_penalty(cfg, lam, from_index, pi, kind):
     """Per-state penalty: the state's stationary mass times the expected
     successor weight under allocation lam. from_index is 1-based."""
     t = TransitionTables(cfg)
-    n = t.n_total
+    n = cfg.link.blocklength_total
     if not 0 <= lam <= n:
         raise ValueError(f"allocation must lie in [0, {n}], got {lam}")
     if not 1 <= from_index <= cfg.n_states:
@@ -125,7 +125,7 @@ def reference_optimize(cfg, kind, seed, max_iter=200):
     policy repeats an earlier iterate. Returns the iterate with the lowest
     analytic outage rate and that rate."""
     t = TransitionTables(cfg)
-    lam = np.random.default_rng(seed).integers(0, t.n_total + 1, size=cfg.n_states)
+    lam = np.random.default_rng(seed).integers(0, cfg.link.blocklength_total + 1, size=cfg.n_states)
     pi = steady_state(build_transition_matrix(cfg, lam))
     seen = {lam.tobytes()}
     best_policy, best_p_out = lam, math.inf

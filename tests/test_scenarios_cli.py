@@ -141,6 +141,9 @@ OVERFLOWING_VALUES = [
     pytest.param(lambda d: d["snr_db"].update(good=-3400, bad=-4000),
                  r"snr_db\.good is out of range: -3400 dB underflows a 64-bit float on the linear scale\n",
                  id="snr-both-linear-underflow"),
+    pytest.param(lambda d: d["snr_db"].update(bad=-200),
+                 r"snr_db\.bad is out of range: -200 dB is so low that 1 \+ SNR rounds to 1 "
+                 r"and the channel dispersion vanishes\n", id="snr-bad-dispersion-vanishes"),
 ]
 
 # initial states outside the preset's state space (a_max = 5)
@@ -609,17 +612,20 @@ class TestCliGrids:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", str(2**62)],
-        ["reproduce-table2", "--reps", str(2**60)],
-    ], ids=lambda argv: argv[0])
+        ["simulate", "--config", "scenario_b", "--policy", "naive", "--reps", str(2**62), "--periods", "10"],
+        ["reproduce-table2", "--reps", str(2**60), "--periods", "10"],
+        ["reproduce-table2", "--reps", str(2**62), "--periods", "10"],
+        ["burst-convergence", "--config", "scenario_b", "--n-policies", str(2**60)],
+    ], ids=["simulate", "reproduce-table2", "reproduce-table2-2**62", "burst-convergence"])
     def test_impossible_repetition_batch_exits_one(self, tmp_path, capsys, monkeypatch, argv):
-        # every repetition index array would take 2**65 bytes or more, which numpy refuses before any allocation
+        # every repetition index array or policy array would take 2**65 bytes or more, which numpy
+        # refuses before any allocation
         def no_seed(*key):
             raise AssertionError("a seed was derived for a batch numpy cannot hold")
 
         monkeypatch.setattr(simulate_module, "derive_seed", no_seed)
         out = tmp_path / "out"
-        code = run_cli(argv + ["--periods", "10", "--out", str(out)])
+        code = run_cli(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: array is too big") and err.count("\n") == 1

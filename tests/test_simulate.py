@@ -122,12 +122,13 @@ def extreme_policies(cfg):
 class TestPackedBranch:
     @pytest.mark.parametrize("n", [1, 144, 600 * 144])
     @pytest.mark.parametrize("fail1, fail2", itertools.product([False, True], repeat=2))
-    def test_flag_pair_maps_to_branch(self, fail1, fail2, n):
+    def test_flag_pair_maps_to_branch(self, fail1, fail2, n, cfg_b):
         # the kernel reads a contiguous (rows, 2) bool buffer through its uint16
         # view, and the branch starts n entries further per branch
         fail = np.array([[False, False], [fail1, fail2], [True, True]])
         code = fail.view(np.uint16).reshape(-1)
-        assert simulate_module._branch_table(n)[code].tolist() == [0, n * (2 * fail1 + fail2), 3 * n]
+        assert simulate_module._branch_table(TransitionTables(cfg_b).bits, n)[code].tolist() == [
+            0, n * (2 * fail1 + fail2), 3 * n]
 
     def test_extreme_policies_hit_certain_failure(self, mid_cfg):
         starved, saturated = extreme_policies(mid_cfg)
@@ -443,6 +444,16 @@ class TestBurstConvergence:
         monkeypatch.setattr(simulate_module, "measure_bursts", recording)
         burst_convergence(cfg_b, 3, 11)
         assert lengths == list(CHECKPOINTS) * 3
+
+    def test_impossible_policy_batch_fails_before_any_draw(self, cfg_b, monkeypatch):
+        # 2**60 policies of 25 int64 allocations would take more bytes than an int64
+        # counts, which numpy refuses before any allocation
+        def no_seed(*key):
+            raise AssertionError("a policy was drawn for a batch numpy cannot hold")
+
+        monkeypatch.setattr(simulate_module, "derive_seed", no_seed)
+        with pytest.raises(ValueError, match="array is too big"):
+            burst_convergence(cfg_b, 2**60, 11)
 
 
 class TestRepetitions:
