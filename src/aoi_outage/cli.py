@@ -109,8 +109,6 @@ def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | Non
     cfg = scenario.system
     if policy_name != "file":
         return _named_policy(cfg, policy_name), policy_name
-    if policy_file is None:
-        raise ConfigError("--policy file requires --policy-file PATH")
     try:
         document = json.loads(Path(policy_file).read_text())
     except json.JSONDecodeError as exc:
@@ -315,6 +313,12 @@ def main(argv=None) -> int:
         for name in ("seeds", "reps", "periods", "n_policies"):
             if (value := getattr(args, name, None)) is not None:
                 _value(value, "--" + name.replace("_", "-"), int, 1)
+        # --policy-file is read exactly when --policy is file
+        policy = getattr(args, "policy", None)
+        if policy == "file" and args.policy_file is None:
+            raise ConfigError("--policy file requires --policy-file PATH")
+        if policy not in (None, "file") and args.policy_file is not None:
+            raise ConfigError(f"--policy-file is read only with --policy file, got --policy {policy}")
         return args.func(args)
     # a ConfigError is a ValueError, and a MemoryError is a batch numpy cannot allocate
     except (ValueError, OSError, MemoryError) as exc:

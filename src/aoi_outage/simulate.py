@@ -89,12 +89,18 @@ def measure_bursts(outage_sequence):
     return lengths[in_outage].tolist(), lengths[~in_outage].tolist()
 
 
-#: Periods of uniforms drawn per generator at a time. The kernel holds one
-#: block of DRAW_CHUNK x 4 doubles per seed, and per row one of DRAW_CHUNK x 2
-#: failure doubles, bit codes and visited states, whatever the horizon;
-#: every chunk refills the same blocks. A multiple of 8, so every chunk but
-#: the last packs into whole bytes.
+#: Periods of uniforms drawn per generator at a time. The kernel holds, per
+#: seed, one chunk of DRAW_CHUNK x 4 doubles and DRAW_CHUNK bit codes, and
+#: per row one chunk of DRAW_CHUNK visited states, whatever the horizon;
+#: every chunk refills the same blocks and is packed once. A multiple of 8,
+#: so every chunk but the last packs into whole bytes.
 DRAW_CHUNK = 64
+
+#: Periods gathered per row at a time from the drawn chunk. The kernel holds
+#: per row one block of STEP_BLOCK x 2 failure doubles and STEP_BLOCK bit
+#: codes, refilled for every step block of the chunk. A smaller block holds
+#: less but gathers more often per chunk, which costs time per step.
+STEP_BLOCK = 16
 
 #: Set bits of each byte value.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -128,10 +134,13 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     block, so a step is one packed compare into an (R, 2) bool buffer,
     whose uint16 view codes the flag pair and picks the branch's offset,
     then one successor lookup. Each seed's generator is built once and
-    drawn DRAW_CHUNK periods at a time; each chunk's failure uniforms, bit
-    codes and visited states fill blocks allocated once, laid out per
-    period for the rows that consume them, and its outage flags are packed
-    as soon as it is stepped.
+    drawn DRAW_CHUNK periods at a time, and the chunk's fresh-bit codes are
+    computed once per seed. The rows' failure uniforms and bit codes are
+    gathered from the chunk STEP_BLOCK periods at a time, laid out per
+    period for the rows that consume them, and that block is stepped; the
+    chunk's visited states fill one block per row, and its outage flags are
+    packed as soon as the whole chunk is stepped. Every block is allocated
+    once.
     """
     cfg = t.cfg
     n = len(policies) * cfg.n_states
@@ -145,8 +154,9 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
 
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
-    us = np.empty((DRAW_CHUNK, len(group), 2))
-    bits = np.empty((DRAW_CHUNK, len(group)), dtype=np.intp)
+    seed_bits = np.empty((DRAW_CHUNK, len(rngs)), dtype=np.intp)
+    us = np.empty((STEP_BLOCK, len(group), 2))
+    bits = np.empty((STEP_BLOCK, len(group)), dtype=np.intp)
     visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.intp)
     outage = np.empty((len(group), (periods + 7) // 8), dtype=np.uint8)
     fail = np.empty((len(group), 2), dtype=bool)
@@ -158,16 +168,18 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
         for rng, buf in zip(rngs, draws):
             rng.random(out=buf[:m])
         u = draws[:, :m].transpose(1, 0, 2)  # (period, seed, column)
-        # mode="clip" fills out in place, where the default "raise" fills a
-        # temporary as large first; every index is in range, so no clip acts
-        np.take(u[:, :, :2], stream, axis=1, out=us[:m], mode="clip")  # (period, row, device)
         # fresh channel bits k = 2 * x1 + x2 pick the successor's state
-        np.take(2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2),
-                stream, axis=1, out=bits[:m], mode="clip")
-        for j in range(m):
-            np.less(us[j], rates.take(h, axis=0), out=fail)
-            h = succ.take(h + branch.take(code)) + bits[j]
-            visited[j] = h
+        seed_bits[:m] = 2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2)
+        for b in range(0, m, STEP_BLOCK):
+            k = min(STEP_BLOCK, m - b)
+            # mode="clip" fills out in place, where the default "raise" fills a
+            # temporary as large first; every index is in range, so no clip acts
+            np.take(u[b : b + k, :, :2], stream, axis=1, out=us[:k], mode="clip")  # (period, row, device)
+            np.take(seed_bits[b : b + k], stream, axis=1, out=bits[:k], mode="clip")
+            for j in range(k):
+                np.less(us[j], rates.take(h, axis=0), out=fail)
+                h = succ.take(h + branch.take(code)) + bits[j]
+                visited[b + j] = h
         # np.packbits along a strided axis is slow: pack a row-major copy of the bool flags
         flags = out.take(visited[:m]).T.copy()
         outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(flags, axis=1)

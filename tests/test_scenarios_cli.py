@@ -382,6 +382,21 @@ class TestCliEvaluate:
                         "--out", str(tmp_path / "x.json")])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_policy_file_without_policy_file_choice(self, tmp_path, capsys, monkeypatch, command):
+        # a --policy-file that --policy would not read is refused before any work
+        def no_work(*args):
+            raise AssertionError(f"{command} did work before checking its flags")
+
+        monkeypatch.setattr(cli, "load_scenario", no_work)
+        out = tmp_path / "x.json"
+        code = run_cli([command, "--config", "scenario_b", "--policy", "naive",
+                        "--policy-file", str(tmp_path / "missing.json"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: --policy-file is read only with --policy file, got --policy naive\n"
+        assert not out.exists()
+
 
 class TestCliOptimize:
     def test_deterministic_output(self, tmp_path):

@@ -153,13 +153,14 @@ class TestSimulateMany:
 
     def test_table2_cell_working_set(self, cfg_b):
         # one preset of reproduce-table2: six policies x 100 seeds x 2 500
-        # periods. Each chunk refills one block of failure uniforms, bit codes
-        # and visited states: ~1.97 MB traced, where a fresh pair of blocks per
-        # chunk peaked at ~2.52 MB
+        # periods. Each chunk refills one block of visited states per row, and
+        # the rows' failure uniforms and bit codes are gathered 16 periods at a
+        # time: ~1.33 MB traced, where 64-period blocks of both peaked at
+        # ~1.97 MB
         policies = [improve_policy(cfg_b, PenaltyKind(k)) for k in ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi")]
         policies += [naive_policy(cfg_b), min_error_policy(cfg_b)]
         run_repetitions_many(cfg_b, policies, 1, 10, 0)
-        assert traced_peak(lambda: run_repetitions_many(cfg_b, policies, 100, 2500, 0)) < 2_250_000
+        assert traced_peak(lambda: run_repetitions_many(cfg_b, policies, 100, 2500, 0)) < 1_600_000
 
     def test_distinct_policies_working_set(self, cfg_b):
         # burst-convergence's batch: 100 policies x 10 000 periods. The tables
@@ -171,7 +172,7 @@ class TestSimulateMany:
         assert traced_peak(lambda: simulate_many(cfg_b, policies, 10_000, list(range(100)))) < 1_650_000
 
     @pytest.mark.parametrize(
-        "periods", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+        "periods", [1, 7, 8, 9, 15, 16, 17, 47, 49, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
     )
     def test_rows_match_reference_implementation(self, mid_cfg, periods):
         rng = np.random.default_rng(21)
@@ -191,7 +192,7 @@ class TestSimulateMany:
 
     @pytest.mark.parametrize("layout", ["policy-major", "shuffled", "one-repeat"])
     @pytest.mark.parametrize(
-        "periods", [1, 7, 8, 9, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+        "periods", [1, 7, 8, 9, 15, 16, 17, 47, 49, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
     )
     def test_shared_policies_and_seeds_match_reference(self, mid_cfg, periods, layout):
         # table2's layout: every policy repeats over the same seeds, policy-major;
