@@ -25,9 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats, burst_stats_many
-from .markov import validate_policy
-from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy, optimize
+from .burstiness import BurstStats, DURATION_CONVENTION, burst_stats_many
+from .optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy
 from .reference import PUBLISHED_OUTAGE_RATES
 from .scenarios import ConfigError, Scenario, _value, load_scenario
 from .simulate import CHECKPOINTS, burst_convergence, median_errors, normalized_error, run_repetitions_many
@@ -106,9 +105,9 @@ def _named_policy(cfg, policy_name: str):
 
 
 def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | None):
-    cfg = scenario.system
+    """A named policy, or a policy file's array unchecked: scoring it validates it."""
     if policy_name != "file":
-        return _named_policy(cfg, policy_name), policy_name
+        return _named_policy(scenario.system, policy_name), policy_name
     try:
         document = json.loads(Path(policy_file).read_text())
     except json.JSONDecodeError as exc:
@@ -116,33 +115,32 @@ def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | Non
     best = document.get("best") if isinstance(document, dict) else None
     for holder in (document, best):
         if isinstance(holder, dict) and "policy_lambda" in holder:
-            return validate_policy(np.asarray(holder["policy_lambda"]), cfg), f"file:{policy_file}"
+            return np.asarray(holder["policy_lambda"]), f"file:{policy_file}"
     raise ConfigError("policy file must carry a 'policy_lambda' array")
 
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.config)
-    kind = PenaltyKind(args.penalty)
-    report = optimize(scenario.system, kind, 0)
+    policy = _named_policy(scenario.system, args.penalty)
+    [stats] = burst_stats_many(scenario.system, [policy])
     document = {
         "metadata": _metadata(scenario),
-        "penalty": kind.value,
+        "penalty": args.penalty,
         "best": {
-            "analytic_p_out": report.best_p_out,
-            "policy_lambda": report.final_policy.tolist(),
+            "analytic_p_out": stats.p_out,
+            "policy_lambda": policy.tolist(),
             "index_base": 1,
         },
     }
     _write_json(args.out, document)
-    print(f"optimize[{scenario.name}/{kind.value}]: analytic p_out "
-          f"{report.best_p_out:.6e} -> {args.out}")
+    print(f"optimize[{scenario.name}/{args.penalty}]: analytic p_out {stats.p_out:.6e} -> {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     scenario = load_scenario(args.config)
     policy, source = _resolve_policy(scenario, args.policy, args.policy_file)
-    stats = burst_stats(scenario.system, policy)
+    [stats] = burst_stats_many(scenario.system, [policy])
     document = {
         "metadata": _metadata(scenario),
         "policy_source": source,
@@ -208,7 +206,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-_TABLE2_POLICIES = ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi", "naive", "min-error")
+_TABLE2_POLICIES = (*PENALTY_CHOICES, "naive", "min-error")
 
 
 def _table2_rows(args, preset: str) -> list[dict]:

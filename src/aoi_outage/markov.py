@@ -203,8 +203,9 @@ def steady_states(ps) -> np.ndarray:
     Stacked GTH (_state_reduction), which reads each chain by its
     off-diagonal entries. A chain with transient states gets mass 0 on
     them; a chain where some state cannot reach the support found (several
-    closed classes) raises SteadyStateError, as does a solution that
-    violates the invariants, with the worst figure of the stack.
+    closed classes) raises SteadyStateError, as does a solve that overflows
+    or a solution that violates the invariants, with the worst figure of
+    the stack.
     """
     ps = np.asarray(ps, dtype=float)
     if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
@@ -215,16 +216,21 @@ def steady_states(ps) -> np.ndarray:
     row_err = np.abs(ps.sum(axis=-1) - 1.0).max()
     if row_err > ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {row_err:.3e}")
-    pi, pivots = _state_reduction(ps)
-    # a zero pivot above state 0: transient states, or more than one closed class
-    anchored = np.flatnonzero((pivots[:, 1:] == 0.0).any(axis=1))
-    if anchored.size and not _reaches(ps[anchored], pi[anchored] > 0.0).all():
+    # an entry that overflows to inf or NaN leaves its chain's sum non-finite, which raises below
+    with np.errstate(over="ignore", invalid="ignore"):
+        pi, _ = _state_reduction(ps)
+    total = pi.sum(axis=1, keepdims=True)
+    if not np.isfinite(total).all():
+        raise SteadyStateError("stationary solve overflowed: the chain's mass ratios exceed a 64-bit float")
+    # a state that cannot reach the solved support: more than one closed class
+    if not _reaches(ps, pi > 0.0).all():
         raise SteadyStateError("singular stationary system (chain not ergodic)")
     if pi.min() < NEGATIVE_MASS_TOL:
         raise SteadyStateError(f"stationary solve produced negative mass {pi.min():.3e}")
-    pi /= pi.sum(axis=1, keepdims=True)
+    pi /= total
     residual = np.abs((pi[:, :, None] * ps).sum(axis=1) - pi).max()
-    if residual >= RESIDUAL_TOL:
+    # spelled so that NaN fails it
+    if not residual < RESIDUAL_TOL:
         raise SteadyStateError(f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return pi
 

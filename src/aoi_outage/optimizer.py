@@ -8,7 +8,9 @@ expected successor weight and does not depend on pi. A positive factor does
 not move an argmin, so the sweep minimizes f alone and has no pi: every
 state with stationary mass gets the allocation the recursion would give it,
 the first sweep is already the fixed point, and the recursion reduces to
-one sweep plus one stationary solve to score it.
+one sweep plus one score of its policy. The score is the stationary outage
+rate of burstiness.burst_stats_many, the one path every command scores a
+policy by.
 
 There is deliberately no second solve-and-sweep to "settle" states with
 zero stationary mass. Weighted by a solved pi, such states tie at every
@@ -32,10 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .markov import (
-    TransitionTables, branch_probabilities, build_transition_matrix, outage_probability, steady_state,
-    transition_tables,
-)
+from .burstiness import burst_stats_many
+from .markov import TransitionTables, branch_probabilities, transition_tables
 from .states import SystemConfig
 
 
@@ -105,7 +105,8 @@ def optimize(
     *,
     tables=None,
 ) -> OptimizeReport:
-    """Fixed point of the recursive optimizer: one sweep, one solve.
+    """Fixed point of the recursive optimizer: one sweep, scored through the
+    burst analysis (burst_stats_many of one).
 
     The sweep has no stationary weights. Since the per-state penalty is the
     state's stationary mass times a term free of it, its policy is the one
@@ -120,7 +121,7 @@ def optimize(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     lam = improve_policy(cfg, kind)
-    p_out = outage_probability(steady_state(build_transition_matrix(cfg, lam)), cfg)
+    p_out = burst_stats_many(cfg, [lam])[0].p_out
     return OptimizeReport(
         final_policy=lam, iterations=1, convergence_trace=[(1, 0.0, p_out)], best_p_out=p_out
     )

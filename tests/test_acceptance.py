@@ -15,6 +15,7 @@ criterion's second clause (simulator agrees with our own analytic values
 within three standard errors) passes and is tested separately.
 """
 
+import functools
 import time
 from dataclasses import replace
 
@@ -25,11 +26,13 @@ import pytest
 from aoi_outage import cli
 from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate, q_function
-from aoi_outage.markov import build_transition_matrix, outage_probability, steady_state
+from aoi_outage.markov import (
+    build_transition_matrices, build_transition_matrix, outage_probability, steady_state, transition_tables,
+)
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import load_scenario
-from aoi_outage.simulate import burst_convergence, median_errors, run_repetitions
+from aoi_outage.simulate import burst_convergence, median_errors, run_repetitions, run_repetitions_many
 
 from conftest import make_config, random_policy
 from test_burstiness import res_to_res_mass, xi_path_oracle
@@ -171,6 +174,52 @@ class TestAC3:
         )
         print(f"AC-3 PASS: {preset}/{policy_name} empirical mean within "
               f"{gap / se if se else 0.0:.2f} SE of analytic")
+
+
+def _asymptotic_variance(p, out):
+    """p_out and the asymptotic variance of the outage indicator's time
+    average on the chain p, by np.linalg: sigma2 = 2 pi(f h) - pi(f**2),
+    f = out - p_out, where h = (I - P + 1 pi)^-1 f solves the Poisson
+    equation (Kemeny & Snell, Finite Markov Chains)."""
+    n = len(p)
+    balance = np.vstack([(np.eye(n) - p).T, np.ones(n)])
+    pi = np.linalg.lstsq(balance, np.r_[np.zeros(n), 1.0], rcond=None)[0]
+    p_out = pi @ out
+    f = out - p_out
+    h = np.linalg.solve(np.eye(n) - p + pi, f)
+    return p_out, 2 * pi @ (f * h) - pi @ (f * f)
+
+
+@functools.lru_cache(maxsize=None)
+def _table2_cells(preset):
+    """Each Table 2 policy's exact (p_out, sigma2) and the per-repetition
+    outage rates of its cell, simulated as reproduce-table2 does: one batch
+    of the six policies at the preset's reps, periods and master seed."""
+    sc, cfg = _scenario(preset)
+    policies = [cli._named_policy(cfg, name) for name in cli._TABLE2_POLICIES]
+    out = transition_tables(cfg).outage.astype(float)
+    exact = [_asymptotic_variance(p, out) for p in build_transition_matrices(cfg, policies)]
+    sim = sc.simulation
+    summaries = run_repetitions_many(cfg, policies, sim.reps, sim.periods, sim.master_seed)
+    return {name: (*moments, summary.outage_rates)
+            for name, moments, summary in zip(cli._TABLE2_POLICIES, exact, summaries)}
+
+
+class TestExactSpread:
+    """Every simulated Table 2 cell against the exact spread of its age
+    chain, not a sample SE. A preset's six policies share seeds, so each
+    cell is gated on its own and the grid is never pooled. Measured: the
+    sample SD over the exact one 0.852-1.255, z from -1.01 to +2.37."""
+
+    @pytest.mark.parametrize("policy_name", cli._TABLE2_POLICIES)
+    @pytest.mark.parametrize("preset", PRESET_NAMES)
+    def test_cell_within_exact_spread(self, preset, policy_name):
+        p_out, sigma2, rates = _table2_cells(preset)[policy_name]
+        periods, reps = load_scenario(preset).simulation.periods, len(rates)
+        sd_ratio = rates.std(ddof=1) / np.sqrt(sigma2 / periods)
+        z = (rates.mean() - p_out) / np.sqrt(sigma2 / (periods * reps))
+        assert 0.7 <= sd_ratio <= 1.4, f"{preset}/{policy_name}: sample SD {sd_ratio:.3f} x exact"
+        assert abs(z) < 4, f"{preset}/{policy_name}: mean {z:+.2f} exact SE from p_out {p_out:.6e}"
 
 
 class TestPublishedThreshold:

@@ -504,6 +504,40 @@ class TestBurstStatsMany:
         with pytest.raises(RuntimeError, match="no exit"):
             _exact_means(u[:, out], np.stack([good, closed])[:, out], out, u[:, 1])
 
+    def test_overflowing_solve_raises(self):
+        # a valid chain whose stationary solve overflows: its p_out read NaN
+        p = np.array([[0.0, 1.0, 0.0], [1e-300, 0.5, 0.5], [0.0, 1e-300, 1.0]])
+        with pytest.raises(SteadyStateError, match="overflowed"):
+            chain_burst_stats_many(p[None], np.array([False, False, True]))
+
+
+class TestIdentityGate:
+    """The rate identity's level, pinned at today's absolute 1e-9. On the
+    two-state chain with every entry 0.5, p_out = 0.5, the entry flow is
+    0.25 and the mean burst 2, all exact, so scaling the mean by 1 + d puts
+    the gap at 0.5 d."""
+
+    LEVEL = 1e-9
+    CHAIN = np.array([[[0.5, 0.5], [0.5, 0.5]]])
+    OUT = np.array([False, True])
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["longer", "shorter"])
+    @pytest.mark.parametrize("factor, raises", [(0.9, False), (1.1, True)], ids=["below", "above"])
+    def test_gap_at_the_level(self, monkeypatch, sign, factor, raises):
+        d = sign * factor * self.LEVEL / 0.5
+        monkeypatch.setattr(burstiness, "_exact_means", lambda *args: _exact_means(*args) * (1 + d))
+        if raises:
+            with pytest.raises(RuntimeError, match="identity violated"):
+                chain_burst_stats_many(self.CHAIN, self.OUT)
+        else:
+            [record] = chain_burst_stats_many(self.CHAIN, self.OUT)
+            assert record.mean_outage_duration == 2.0 * (1 + d)
+
+    def test_nan_mean_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(burstiness, "_exact_means", lambda *args: _exact_means(*args) * np.nan)
+        with pytest.raises(RuntimeError, match="identity violated"):
+            chain_burst_stats_many(self.CHAIN, self.OUT)
+
 
 class TestPmfWalkedWhenRead:
     """The burst-length pmf is walked on a record's first read of it, one

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from aoi_outage import markov
 from aoi_outage.burstiness import burst_stats, chain_burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
@@ -483,6 +484,49 @@ class TestSteadyState:
         good = np.array([[0.7, 0.3], [0.5, 0.5]])
         with pytest.raises(ValueError, match="must be finite"):
             steady_states(np.stack([good, good, np.array(self.NAN_CHAINS[1]), good]))
+
+    # a valid chain whose stationary mass ratios pass 1e600: the solve's
+    # back-substitution overflows (1e300 * 5e299), and normalizing gave NaN
+    # that the negative-mass and residual gates let through
+    OVERFLOWING = [[0.0, 1.0, 0.0], [1e-300, 0.5, 0.5], [0.0, 1e-300, 1.0]]
+
+    def test_overflowing_solve_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SteadyStateError, match="overflowed"):
+                steady_state(np.array(self.OVERFLOWING))
+
+    def test_overflowing_chain_in_a_stack(self):
+        good = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
+        with pytest.raises(SteadyStateError, match="overflowed"):
+            steady_states(np.stack([good, np.array(self.OVERFLOWING), good]))
+
+
+class TestResidualGate:
+    """The stationary residual's level, pinned at today's absolute 1e-10.
+    On a chain with equal rows pi P is that row for every law pi, so a
+    solve pushed off (0.5, 0.5) by r has residual exactly r, up to rounding."""
+
+    LEVEL = 1e-10
+
+    @pytest.mark.parametrize("factor, raises", [(0.9, False), (1.1, True)], ids=["below", "above"])
+    def test_residual_at_the_level(self, monkeypatch, factor, raises):
+        r = factor * self.LEVEL
+        d = 4 * r / (1 - 2 * r)  # y = (1 + d, 1) normalizes to (0.5 + r, 0.5 - r)
+        reduce = markov._state_reduction
+
+        def skewed(q):
+            y, pivots = reduce(q)
+            y[:, 0] *= 1 + d
+            return y, pivots
+
+        monkeypatch.setattr(markov, "_state_reduction", skewed)
+        p = np.array([[0.5, 0.5], [0.5, 0.5]])
+        if raises:
+            with pytest.raises(SteadyStateError, match="stationarity residual"):
+                steady_state(p)
+        else:
+            assert steady_state(p)[0] - 0.5 == pytest.approx(r, rel=1e-6)
 
 
 class TestGthOracle:

@@ -616,7 +616,7 @@ class TestCliGrids:
         def no_work(*args):
             raise AssertionError(f"{command} did work before checking its flags")
 
-        for name in ("load_scenario", "burst_stats", "burst_stats_many"):
+        for name in ("load_scenario", "burst_stats_many"):
             monkeypatch.setattr(cli, name, no_work)
         out = tmp_path / "out"
         argv = {"simulate": ["--config", "scenario_b", "--policy", "naive"], "reproduce-table2": []}[command]
