@@ -13,7 +13,6 @@ from .burstiness import (
     BurstStats,
     burst_stats,
     burst_stats_many,
-    chain_burst_stats,
     chain_burst_stats_many,
 )
 from .fbl import (

@@ -18,7 +18,7 @@ is the pmf at t. Every step is an elementwise product and a sum, as is the
 rest of the analysis, so no BLAS kernel decides the last bits.
 burst_stats_many runs the analysis on the age chains a batch of policies
 induces. Every record is the same, bit for bit, whatever else is in its
-batch, and chain_burst_stats and burst_stats are the batches of one.
+batch, and burst_stats is the batch of one.
 """
 
 from __future__ import annotations
@@ -123,6 +123,9 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     gets an undefined record. Each record is the same whatever the stack.
     """
     ps, out = np.asarray(ps, dtype=float), np.array(out, dtype=bool)
+    if out.shape != ps.shape[-1:]:
+        raise ValueError(f"outage mask must have one entry per state: mask shape {out.shape}, "
+                         f"stack shape {ps.shape}")
     pi = steady_states(ps)
     p_outs = pi.compress(out, axis=1).sum(axis=1)
     u_o = ((pi * ~out)[:, :, None] * ps).sum(axis=1).compress(out, axis=1)
@@ -148,18 +151,9 @@ def chain_burst_stats_many(ps, out) -> list[BurstStats]:
     return records
 
 
-def chain_burst_stats(p, out) -> BurstStats:
-    """Full analytic burstiness record of the chain p with the boolean
-    outage mask out: the stack of one of chain_burst_stats_many."""
-    return chain_burst_stats_many(np.asarray(p, dtype=float)[None], out)[0]
-
-
 def burst_stats_many(cfg: SystemConfig, policies) -> list[BurstStats]:
     """Burstiness record of each policy: chain_burst_stats_many of the
-    stack of age chains they induce, with the config's outage set. No
-    policies give no records."""
-    if len(policies) == 0:
-        return []
+    stack of age chains they induce, with the config's outage set."""
     return chain_burst_stats_many(build_transition_matrices(cfg, policies), transition_tables(cfg).outage)
 
 

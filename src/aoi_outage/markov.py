@@ -29,7 +29,6 @@ from .states import SystemConfig, decode_states, encode_states, outage_mask
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
-NEGATIVE_MASS_TOL = -1e-14
 
 
 class SteadyStateError(RuntimeError):
@@ -105,7 +104,7 @@ class TransitionTables:
         """Error rates (e1, e2) of the transition out of each state under
         `policy`, whose last axis runs over states, shaped (..., a_max**2, 4)."""
         lam = np.asarray(policy)
-        lam = lam.reshape(*lam.shape[:-1], -1, 4)
+        lam = lam.reshape(*lam.shape[:-1], lam.shape[-1] // 4, 4)
         x1, x2 = self.bits.T
         return self.eps_by_bit[x1, lam], self.eps2_by_bit[x2, lam]
 
@@ -133,7 +132,7 @@ def build_transition_matrices(cfg: SystemConfig, policies) -> np.ndarray:
     accumulate in state order, then branch order, so each matrix is the
     same whatever the stack.
     """
-    pols = np.stack([validate_policy(p, cfg) for p in policies])
+    pols = np.array([validate_policy(p, cfg) for p in policies], dtype=np.int64).reshape(-1, cfg.n_states)
     t = transition_tables(cfg)
     # weights[m, g, k, b]: branch b of state [g, k] in matrix m, times bit_weights[k]
     weights = np.stack(branch_probabilities(*t.error_rates(pols)), axis=-1) * t.bit_weights[:, None]
@@ -141,7 +140,8 @@ def build_transition_matrices(cfg: SystemConfig, policies) -> np.ndarray:
     # flat index of entry [m, g, succ[g, b]], repeated for the four bits k
     cell = np.repeat(t.succ + n * np.arange(len(pols) * n).reshape(-1, n, 1), 4, axis=1)
     flat = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=len(pols) * n * n)
-    return flat.reshape(len(pols), n, n)
+    # bincount gives ints for no cells, so an empty stack is cast; any other is float already
+    return flat.reshape(len(pols), n, n).astype(float, copy=False)
 
 
 def build_transition_matrix(cfg: SystemConfig, policy) -> np.ndarray:
@@ -211,9 +211,9 @@ def steady_states(ps) -> np.ndarray:
     if ps.ndim != 3 or ps.shape[1] != ps.shape[2]:
         raise ValueError(f"need a (B, n, n) stack of matrices, got shape {ps.shape}")
     # spelled so that NaN, for which every comparison is False, fails it
-    if not (ps.min() >= 0.0 and ps.max() <= 1.0 + ROW_SUM_TOL):
+    if not (ps.min(initial=0.0) >= 0.0 and ps.max(initial=0.0) <= 1.0 + ROW_SUM_TOL):
         raise ValueError("transition probabilities must be finite and lie in [0, 1]")
-    row_err = np.abs(ps.sum(axis=-1) - 1.0).max()
+    row_err = np.abs(ps.sum(axis=-1) - 1.0).max(initial=0.0)
     if row_err > ROW_SUM_TOL:
         raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}, worst error {row_err:.3e}")
     # an entry that overflows to inf or NaN leaves its chain's sum non-finite, which raises below
@@ -225,10 +225,8 @@ def steady_states(ps) -> np.ndarray:
     # a state that cannot reach the solved support: more than one closed class
     if not _reaches(ps, pi > 0.0).all():
         raise SteadyStateError("singular stationary system (chain not ergodic)")
-    if pi.min() < NEGATIVE_MASS_TOL:
-        raise SteadyStateError(f"stationary solve produced negative mass {pi.min():.3e}")
     pi /= total
-    residual = np.abs((pi[:, :, None] * ps).sum(axis=1) - pi).max()
+    residual = np.abs((pi[:, :, None] * ps).sum(axis=1) - pi).max(initial=0.0)
     # spelled so that NaN fails it
     if not residual < RESIDUAL_TOL:
         raise SteadyStateError(f"stationarity residual {residual:.3e} exceeds {RESIDUAL_TOL}")

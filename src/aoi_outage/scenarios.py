@@ -14,6 +14,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,7 @@ _PRESET_COMMON = {
     "snr_db": {"good": -12.2, "bad": -15.2},
     "blocklength": {"N": 1000, "d": 16},
     "state": {"a_max": 5, "a_out": 3, "initial": [1, 1, 0, 0]},
-    "optimizer": {"epsilon_cvg": 1e-5, "max_iter": 200, "seeds": 10},
+    "optimizer": {"max_iter": 200, "seeds": 10},
     "simulation": {"reps": 100, "periods": 2500, "master_seed": 1},
 }
 
@@ -91,15 +92,13 @@ def _require(mapping, where: str, required: tuple[str, ...], optional: tuple[str
 # Each block's keys, in the order they are checked, with the kind of number
 # a key holds and the least value it may take, or None where the library's
 # own guard (ChannelProfile, LinkParams, SystemConfig) bounds it. A list key
-# also gives its length. epsilon_cvg's least value is the least positive
-# float: the one-sweep optimizer has no convergence tolerance, but the key
-# stays in the schema so existing documents, and their hashes, stay valid.
+# also gives its length.
 _KEYS = {
     "alpha": (float, None, 2),
     "snr_db": {"good": (float, None), "bad": (float, None)},
     "blocklength": {"N": (int, None), "d": (int, None)},
     "state": {"a_max": (int, None), "a_out": (int, None), "initial": (int, None, 4)},
-    "optimizer": {"epsilon_cvg": (float, math.ulp(0.0)), "max_iter": (int, 1), "seeds": (int, 1)},
+    "optimizer": {"max_iter": (int, 1), "seeds": (int, 1)},
     "simulation": {"reps": (int, 1), "periods": (int, 1), "master_seed": (int, 0)},
 }
 
@@ -140,6 +139,13 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     version = document.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION or isinstance(version, bool):
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    given, optimizer = document, document["optimizer"]
+    # the recursive optimizer's convergence tolerance: one sweep has none, so
+    # a document that still carries it loads, and keeps its hash
+    if isinstance(optimizer, dict) and "epsilon_cvg" in optimizer:
+        warnings.warn("optimizer.epsilon_cvg is not read and its value is ignored: the optimizer runs one sweep",
+                      UserWarning, stacklevel=2)
+        document = {**document, "optimizer": {k: v for k, v in optimizer.items() if k != "epsilon_cvg"}}
     values = {key: _values(document[key], rule, key) for key, rule in _KEYS.items()}
     # a level's linear value must be a positive float64, and one whose
     # dispersion does not vanish; numpy's conversion gives inf or 0.0 where a
@@ -172,7 +178,7 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
         system=system,
         optimizer=OptimizerSettings(values["optimizer"]["max_iter"], values["optimizer"]["seeds"]),
         simulation=SimulationSettings(**values["simulation"]),
-        config_hash=config_hash(document),
+        config_hash=config_hash(given),
     )
 
 

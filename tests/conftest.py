@@ -2,12 +2,14 @@ import tracemalloc
 from collections import namedtuple
 
 import mpmath
+import numpy as np
 import pytest
 
 from aoi_outage import (
     ChannelProfile,
     LinkParams,
     SystemConfig,
+    chain_burst_stats_many,
     load_scenario,
 )
 
@@ -113,6 +115,12 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def chain_stats(p, out):
+    """Burst record of the one chain p with outage mask out: the analysis
+    of a stack of one."""
+    return chain_burst_stats_many(np.asarray(p, dtype=float)[None], out)[0]
 
 
 def random_policy(cfg, rng, low=0):

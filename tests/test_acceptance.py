@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from aoi_outage import cli
-from aoi_outage.burstiness import burst_stats, chain_burst_stats
+from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate, q_function
 from aoi_outage.markov import (
     build_transition_matrices, build_transition_matrix, outage_probability, steady_state, transition_tables,
@@ -34,7 +34,7 @@ from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.simulate import burst_convergence, median_errors, run_repetitions, run_repetitions_many
 
-from conftest import make_config, random_policy
+from conftest import chain_stats, make_config, random_policy
 from test_burstiness import res_to_res_mass, xi_path_oracle
 from test_markov import reference_k_step_distribution
 
@@ -300,7 +300,7 @@ class TestAC6:
             p = raw / raw.sum(axis=1, keepdims=True)
             mask = rng.random(n_states) < 0.5
             pi = steady_state(p)
-            stats = chain_burst_stats(p, mask)
+            stats = chain_stats(p, mask)
             one_step = xi_path_oracle(p, mask, 1)
             gaps = [stats.xi_res_out_1 - float(pi[~mask] @ one_step[np.ix_(~mask, mask)].sum(axis=1))]
             if stats.defined:

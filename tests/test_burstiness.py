@@ -2,7 +2,7 @@
 
 The masked k-step forms of the paper (the xi matrix and its set-to-set
 aggregation) live here as reference oracles, pinned against brute-force
-path enumeration; the program's chain_burst_stats is checked against them
+path enumeration; the program's chain_burst_stats_many is checked against them
 and against closed forms on hand-built chains.
 """
 
@@ -21,7 +21,6 @@ from aoi_outage.burstiness import (
     _exact_means,
     burst_stats,
     burst_stats_many,
-    chain_burst_stats,
     chain_burst_stats_many,
 )
 from aoi_outage.markov import (
@@ -35,7 +34,7 @@ from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, op
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import outage_mask
 
-from conftest import make_config, random_policy, traced_peak
+from conftest import chain_stats, make_config, random_policy, traced_peak
 
 
 def xi_path_oracle(p, mask, k):
@@ -182,7 +181,7 @@ class TestXiMatrix:
         p = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.25, 0.25, 0.5]])
         mask = np.array([False, True, True])
         pi = steady_state(p)
-        stats = chain_burst_stats(p, mask)
+        stats = chain_stats(p, mask)
         expected = sum(
             pi[i] * p[i, l] * p[l, j]
             for i in range(3) if not mask[i]
@@ -260,7 +259,7 @@ class TestDurationPmf:
     def test_no_chaining_means_unit_burst(self):
         # the single outage state always escapes, so every burst lasts 1 period
         p = np.array([[0.7, 0.3], [1.0, 0.0]])
-        pmf = chain_burst_stats(p, np.array([False, True])).duration_pmf
+        pmf = chain_stats(p, np.array([False, True])).duration_pmf
         assert pmf[0] == pytest.approx(1.0, abs=1e-14)
         assert np.all(pmf[1:] == pytest.approx(0.0, abs=1e-16))
 
@@ -282,7 +281,7 @@ class TestDurationPmf:
     def test_unreachable_outage_is_undefined(self, two_state):
         # no flow enters an empty outage set, so no burst is ever measured
         p, _, _, _ = two_state
-        stats = chain_burst_stats(p, np.array([False, False]))
+        stats = chain_stats(p, np.array([False, False]))
         assert not stats.defined
         assert stats.p_out == 0.0 and stats.xi_res_out_1 == 0.0
         assert stats.duration_pmf is None and stats.truncation_residual is None
@@ -294,18 +293,18 @@ class TestMeanDuration:
     def test_geometric_escape(self, two_state):
         p, mask, r, s = two_state
         # burst length is geometric with continuation probability 1 - s
-        assert chain_burst_stats(p, mask).mean_outage_duration == pytest.approx(1.0 / s, rel=1e-12)
+        assert chain_stats(p, mask).mean_outage_duration == pytest.approx(1.0 / s, rel=1e-12)
 
     def test_no_chaining_is_exactly_one(self):
         p = np.array([[0.7, 0.3], [1.0, 0.0]])
         mask = np.array([False, True])
-        assert chain_burst_stats(p, mask).mean_outage_duration == pytest.approx(1.0, abs=1e-12)
+        assert chain_stats(p, mask).mean_outage_duration == pytest.approx(1.0, abs=1e-12)
 
     def test_slow_escape_past_series_cap(self):
         # escape probability 0.001 per period: the pmf walk reaches
         # SERIES_CAP before its tolerance; the exact mean is 1 / 0.001
         p = np.array([[0.5, 0.5], [0.001, 0.999]])
-        stats = chain_burst_stats(p, np.array([False, True]))
+        stats = chain_stats(p, np.array([False, True]))
         assert stats.truncation_t == SERIES_CAP
         assert stats.mean_outage_duration == pytest.approx(1000.0, rel=1e-9)
 
@@ -320,7 +319,7 @@ class TestMeanDuration:
         p = np.array([[0.5, 0.25, 0.25], [5e-5, 0.99995, 0.0], [1e-4, 0.0, 0.9999]])
         mask = np.array([False, True, True])
         pi = steady_state(p)
-        stats = chain_burst_stats(p, mask)
+        stats = chain_stats(p, mask)
         assert stats.mean_outage_duration == pytest.approx(15000.0, rel=1e-12)
         entry = reference_xi_set_to_set(pi, p, False, True, 1, mask)
         assert stats.xi_res_out_1 == entry
@@ -337,7 +336,7 @@ class TestMeanDuration:
         # it; fed a flow anyway, the mean solve reports that it has no exit
         p = np.array(p)
         mask = np.arange(len(p)) > 0
-        stats = chain_burst_stats(p, mask)
+        stats = chain_stats(p, mask)
         assert not stats.defined and stats.p_out == 1.0
         u = vstep(np.full(len(p), 1 / len(p)) * ~mask, p)
         with pytest.raises(RuntimeError, match="no exit"):
@@ -370,13 +369,13 @@ class TestMatchesReferenceSeries:
 class TestMeanIoi:
     def test_two_state_closed_form(self, two_state):
         p, mask, r, s = two_state
-        assert chain_burst_stats(p, mask).mean_ioi == pytest.approx(1.0 / r, rel=1e-12)
+        assert chain_stats(p, mask).mean_ioi == pytest.approx(1.0 / r, rel=1e-12)
 
     def test_grows_as_outage_vanishes(self):
         values = []
         for r in (0.2, 0.02, 0.002):
             p = np.array([[1 - r, r], [0.5, 0.5]])
-            values.append(chain_burst_stats(p, np.array([False, True])).mean_ioi)
+            values.append(chain_stats(p, np.array([False, True])).mean_ioi)
         assert values[0] < values[1] < values[2]
 
 
@@ -457,7 +456,7 @@ class TestBurstStatsMany:
         many = chain_burst_stats_many(np.stack(chains), out)
         for i, p, stats in zip(order, chains, many):
             assert stats.truncation_t == steps[i]
-            assert record_bits(stats) == record_bits(chain_burst_stats(p, out))
+            assert record_bits(stats) == record_bits(chain_stats(p, out))
             assert_matches_oracles(stats, p, out)
 
     def test_records_own_their_chains(self, cfg_b):
@@ -503,6 +502,18 @@ class TestBurstStatsMany:
         u = np.array([[0.0, 0.3], [0.0, 0.25]])
         with pytest.raises(RuntimeError, match="no exit"):
             _exact_means(u[:, out], np.stack([good, closed])[:, out], out, u[:, 1])
+
+    @pytest.mark.parametrize("length", [2, 4], ids=["short", "long"])
+    def test_mask_of_wrong_length_raises(self, length):
+        p = np.array([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.0, 0.9]])
+        with pytest.raises(ValueError, match=rf"mask shape \({length},\), stack shape \(1, 3, 3\)"):
+            chain_burst_stats_many(p[None], np.arange(length) % 2 == 1)
+
+    def test_empty_stack_gives_no_records(self):
+        assert chain_burst_stats_many(np.zeros((0, 3, 3)), np.array([False, False, True])) == []
+
+    def test_no_policies_give_no_records(self, cfg_b):
+        assert burst_stats_many(cfg_b, []) == []
 
     def test_overflowing_solve_raises(self):
         # a valid chain whose stationary solve overflows: its p_out read NaN
@@ -584,7 +595,7 @@ class TestPmfWalkedWhenRead:
     def test_undefined_record_never_walks(self, two_state, monkeypatch):
         walks = self.count_walks(monkeypatch)
         p, _, _, _ = two_state
-        stats = chain_burst_stats(p, np.array([False, False]))
+        stats = chain_stats(p, np.array([False, False]))
         assert (stats.duration_pmf, stats.truncation_t, stats.truncation_residual) == (None, 0, None)
         assert walks == []
 
@@ -592,7 +603,7 @@ class TestPmfWalkedWhenRead:
         # the walk runs after the call returns, so it must not read the
         # caller's arrays, which may have changed by then
         p, mask, _, _ = two_state
-        want = record_bits(chain_burst_stats(p, mask))
+        want = record_bits(chain_stats(p, mask))
         ps, out = p[None].copy(), mask.copy()
         stats = chain_burst_stats_many(ps, out)[0]
         ps[:] = np.eye(2)

@@ -12,10 +12,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from aoi_outage import markov
-from aoi_outage.burstiness import burst_stats, chain_burst_stats
+from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
@@ -35,6 +36,7 @@ from aoi_outage.states import outage_mask
 
 from conftest import (
     ReferenceState,
+    chain_stats,
     make_config,
     random_policy,
     reference_bit_probability,
@@ -234,6 +236,14 @@ class TestStacks:
             assert np.array_equal(q, build_transition_matrix(cfg, pol))
             assert np.array_equal(q, add_at_scatter(cfg, pol, tables))
 
+    def test_no_policies_give_an_empty_stack(self, small_cfg):
+        stack = build_transition_matrices(small_cfg, [])
+        assert stack.shape == (0, 4, 4) and stack.dtype == np.float64
+
+    def test_empty_stack_gives_no_laws(self):
+        pis = steady_states(np.zeros((0, 3, 3)))
+        assert pis.shape == (0, 3) and pis.dtype == np.float64
+
     def test_stack_rejects_any_bad_policy(self, small_cfg):
         good = naive_policy(small_cfg)
         with pytest.raises(ValueError, match="must lie in"):
@@ -389,7 +399,7 @@ class TestLumpability:
             # bit weights
             nu = steady_state(q)
             assert np.abs(steady_state(full) - np.kron(nu, tables.bit_weights)).max() <= 1e-14
-            got, want = burst_stats(cfg, pol), chain_burst_stats(full, full_out)
+            got, want = burst_stats(cfg, pol), chain_stats(full, full_out)
             assert got.p_out == pytest.approx(want.p_out, rel=1e-10)
             for field in ("xi_res_out_1", "mean_outage_duration", "mean_ioi"):
                 assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-13)
@@ -486,8 +496,8 @@ class TestSteadyState:
             steady_states(np.stack([good, good, np.array(self.NAN_CHAINS[1]), good]))
 
     # a valid chain whose stationary mass ratios pass 1e600: the solve's
-    # back-substitution overflows (1e300 * 5e299), and normalizing gave NaN
-    # that the negative-mass and residual gates let through
+    # back-substitution overflows (1e300 * 5e299), and normalizing gave NaN,
+    # for which every comparison is False, so only a finiteness check sees it
     OVERFLOWING = [[0.0, 1.0, 0.0], [1e-300, 0.5, 0.5], [0.0, 1e-300, 1.0]]
 
     def test_overflowing_solve_raises(self):
@@ -500,6 +510,39 @@ class TestSteadyState:
         good = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.3, 0.3, 0.4]])
         with pytest.raises(SteadyStateError, match="overflowed"):
             steady_states(np.stack([good, np.array(self.OVERFLOWING), good]))
+
+
+# entries that stress the reduction: exact zeros (zero rows and zero
+# pivots), 1e-300 (products underflow, quotients overflow) and the rest
+_ENTRIES = st.one_of(st.sampled_from([0.0, 1e-300, 1.0]), st.floats(0.0, 1.0))
+
+
+@settings(deadline=None)
+@example(np.array([[[0.0, 1.0, 0.0], [1e-300, 0.5, 0.5], [0.0, 1e-300, 1.0]]]))
+@given(arrays(np.float64, st.tuples(st.integers(1, 3), st.integers(1, 6)).map(lambda s: (s[0], s[1], s[1])),
+              elements=_ENTRIES))
+def test_reduction_never_goes_negative(q):
+    # GTH only adds, multiplies and divides by positive pivots, so no entry
+    # of y can be negative: a finite y is >= 0, and a non-finite one is an
+    # overflow that steady_states refuses as such
+    with np.errstate(all="ignore"):
+        y, _ = markov._state_reduction(q)
+    assert (y[np.isfinite(y)] >= 0.0).all()
+    # the same stack made row-stochastic, a zero row becoming a self-loop
+    rows = q.sum(axis=2, keepdims=True)
+    p = np.where(rows > 0.0, q / np.where(rows > 0.0, rows, 1.0), np.eye(q.shape[1]))
+    with np.errstate(all="ignore"):
+        y, _ = markov._state_reduction(p)
+    if not np.isfinite(y.sum(axis=1)).all():
+        with pytest.raises(SteadyStateError, match="stationary solve overflowed"):
+            steady_states(p)
+        return
+    try:
+        pi = steady_states(p)
+    except SteadyStateError as exc:
+        assert "singular" in str(exc)  # several closed classes
+    else:
+        assert (pi >= 0.0).all()
 
 
 class TestResidualGate:

@@ -17,8 +17,8 @@ from aoi_outage.scenarios import load_scenario
 
 #: The public one-chain, one-policy and one-run forms of the batch functions.
 STACKS_OF_ONE = (
-    "build_transition_matrix", "steady_state", "outage_probability", "burst_stats", "chain_burst_stats",
-    "simulate", "run_repetitions",
+    "build_transition_matrix", "steady_state", "outage_probability", "burst_stats", "simulate",
+    "run_repetitions",
 )
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import dataclasses
 import importlib
 import json
 import re
@@ -110,8 +111,6 @@ NON_FINITE_VALUES = [
                  r"state\.a_max must be a finite number, got nan\n", id="a_max-nan"),
     pytest.param(lambda d: d["simulation"].update(periods=float("nan")),
                  r"simulation\.periods must be a finite number, got nan\n", id="periods-nan"),
-    pytest.param(lambda d: d["optimizer"].update(epsilon_cvg=float("nan")),
-                 r"optimizer\.epsilon_cvg must be a finite number, got nan\n", id="epsilon_cvg-nan"),
     pytest.param(lambda d: d.update(alpha=[float("nan"), 0.4]),
                  r"alpha\[0\] must be a finite number, got nan\n", id="alpha-nan"),
     pytest.param(lambda d: d["snr_db"].update(good=float("-inf")),
@@ -199,8 +198,6 @@ class TestScenarios:
             (lambda d: d["blocklength"].pop("d"), "d"),
             (lambda d: d["state"].update(a_out=9), "a_out"),
             (lambda d: d["optimizer"].update(seeds=0), "seeds"),
-            (lambda d: d["optimizer"].update(epsilon_cvg=0.0), "epsilon_cvg"),
-            (lambda d: d["optimizer"].update(epsilon_cvg=-1e-5), "epsilon_cvg"),
             (lambda d: d["blocklength"].update(N=10.5), "N"),
             (lambda d: d.update(schema_version=2), "schema_version"),
             (lambda d: d.update(schema_version=True), r"unsupported schema_version True \(expected 1\)"),
@@ -219,6 +216,17 @@ class TestScenarios:
         mutate(doc)
         with pytest.raises(ConfigError, match=fragment):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan")], ids=["zero", "negative", "nan"])
+    def test_unread_epsilon_cvg_loads_with_a_warning(self, value):
+        doc = json.loads(json.dumps(PRESETS["scenario_a"]))
+        doc["optimizer"]["epsilon_cvg"] = value
+        with pytest.warns(UserWarning, match=r"optimizer\.epsilon_cvg is not read") as caught:
+            sc = load_scenario(doc)
+        assert len(caught) == 1
+        want = load_scenario(PRESETS["scenario_a"])
+        assert sc.config_hash == config_hash(doc) != want.config_hash
+        assert dataclasses.replace(sc, config_hash=want.config_hash) == want
 
     def test_missing_source(self):
         with pytest.raises(ConfigError, match="preset"):
