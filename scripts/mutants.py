@@ -1,0 +1,123 @@
+"""Mutation check for the simulator: does the suite catch a one-line fault?
+
+Applies each mutant of MUTANTS, one at a time, to a copy of the tree's
+`src/` and `tests/`, and runs the simulator tests and the golden tests
+on it with `-x -q`. A mutant is caught when the run fails. Before any
+mutant, the same run must pass on the unmutated copy.
+
+    python scripts/mutants.py
+
+Exits 0 when every mutant is caught or listed as equivalent, 1 when any
+other mutant survives, and 2 when the unmutated run fails or a mutant's
+`old` text is not found exactly once in its file. Uses the standard
+library only; the tests need the `test` extra.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The tests each mutant runs: the simulator's, and the CLI goldens that
+#: pin the seeded outputs byte for byte.
+TESTS = (
+    "tests/test_simulate.py",
+    "tests/test_scenarios_cli.py::TestCliGrids::test_reproduce_table2_matches_golden_csv",
+    "tests/test_scenarios_cli.py::TestCliGrids::test_burst_convergence_matches_golden_measurements",
+    "tests/test_scenarios_cli.py::TestCliGrids::test_simulate_matches_golden_output",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    file: str
+    old: str
+    new: str
+    #: why the mutant cannot change any output; None for a mutant the tests must catch
+    equivalent: str | None = None
+
+
+SIMULATE = "src/aoi_outage/simulate.py"
+
+MUTANTS = (
+    Mutant("15-period step block", SIMULATE, "STEP_BLOCK = 16", "STEP_BLOCK = 15",
+           equivalent="the block sets only how many periods of uniforms are copied at a time; "
+                      "every block size steps the same uniforms in the same order"),
+    Mutant("the chunk's last step block taken as full", SIMULATE,
+           "k = min(STEP_BLOCK, m - b)", "k = STEP_BLOCK"),
+    Mutant("every step block reads the first block's bit codes", SIMULATE,
+           "seed_bits[b + j]", "seed_bits[j]"),
+    Mutant("packing slice one byte short", SIMULATE,
+           "outage[:, start // 8 : (start + m + 7) // 8]", "outage[:, start // 8 : (start + m - 1) // 8]"),
+    Mutant("x1 and x2 swapped in the fresh-bit code", SIMULATE,
+           "2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2)",
+           "2 * (u[:, :, 3] < cfg.profile.alpha_2) + (u[:, :, 2] < cfg.profile.alpha_1)"),
+    Mutant("branch table in reverse order", SIMULATE,
+           "= n * np.arange(4)", "= n * np.arange(3, -1, -1)"),
+    Mutant("failure compare `<` made `<=`", SIMULATE,
+           "np.less(us[j]", "np.less_equal(us[j]",
+           equivalent="a continuous uniform equals an error rate with probability ~2**-53, "
+                      "and a rate of 1.0 fails either way"),
+)
+
+
+def run_tests(tree: Path) -> tuple[int, float]:
+    """Exit code and wall time of the test run on `tree`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    return done.returncode, time.perf_counter() - started
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="mutants-") as scratch:
+        tree = Path(scratch)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        for mutant in MUTANTS:
+            found = (tree / mutant.file).read_text().count(mutant.old)
+            if found != 1:
+                print(f"mutant {mutant.name!r}: {mutant.old!r} found {found} times in {mutant.file}")
+                return 2
+        code, seconds = run_tests(tree)
+        if code != 0:
+            print(f"the unmutated tree fails its tests (pytest exit {code}); no mutant was run")
+            return 2
+        print(f"unmutated: pass in {seconds:.1f} s")
+        survivors = []
+        for mutant in MUTANTS:
+            path = tree / mutant.file
+            original = path.read_text()
+            path.write_text(original.replace(mutant.old, mutant.new))
+            try:
+                code, seconds = run_tests(tree)
+            finally:
+                path.write_text(original)
+            if code != 0:
+                verdict = "caught"
+            elif mutant.equivalent:
+                verdict = f"survived, equivalent: {mutant.equivalent}"
+            else:
+                verdict = "SURVIVED"
+                survivors.append(mutant.name)
+            print(f"{mutant.name}: {verdict} ({seconds:.1f} s)")
+    if survivors:
+        print(f"{len(survivors)} mutant(s) survived: {', '.join(survivors)}")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

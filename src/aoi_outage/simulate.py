@@ -13,6 +13,7 @@ the same as a one-row run.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -90,16 +91,16 @@ def measure_bursts(outage_sequence):
 
 
 #: Periods of uniforms drawn per generator at a time. The kernel holds, per
-#: seed, one chunk of DRAW_CHUNK x 4 doubles and DRAW_CHUNK bit codes, and
-#: per row one chunk of DRAW_CHUNK visited states, whatever the horizon;
-#: every chunk refills the same blocks and is packed once. A multiple of 8,
-#: so every chunk but the last packs into whole bytes.
+#: seed, one chunk of DRAW_CHUNK x 4 doubles and DRAW_CHUNK bit codes, read
+#: by all its rows, and per row one chunk of DRAW_CHUNK visited states,
+#: whatever the horizon; every chunk refills the same blocks and is packed
+#: once. A multiple of 8, so every chunk but the last packs into whole bytes.
 DRAW_CHUNK = 64
 
-#: Periods gathered per row at a time from the drawn chunk. The kernel holds
-#: per row one block of STEP_BLOCK x 2 failure doubles and STEP_BLOCK bit
-#: codes, refilled for every step block of the chunk. A smaller block holds
-#: less but gathers more often per chunk, which costs time per step.
+#: Periods of failure uniforms copied at a time from the drawn chunk into
+#: one block of STEP_BLOCK x 2 doubles per seed, refilled for every step
+#: block. A smaller block holds less but copies more often per chunk, which
+#: costs time per step.
 STEP_BLOCK = 16
 
 #: Set bits of each byte value.
@@ -118,29 +119,29 @@ def _branch_table(bits: np.ndarray, n: int) -> np.ndarray:
 
 
 def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, periods: int,
-              seeds, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Advance R independent rows of the chain together, one numpy step per
-    period. Row r follows policies[group[r]] from the initial state and
-    consumes default_rng(seeds[stream[r]]).random((periods, 4)). Returns the
-    (R, ceil(periods / 8)) outage indicators packed by np.packbits along
-    each row, and each row's final 0-based state position.
+              seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Advance a grid of independent rows of the chain together, one numpy
+    step per period. group's last axis runs over seeds: row (..., s)
+    follows policies[group[..., s]] from the initial state and consumes
+    default_rng(seeds[s]).random((periods, 4)). Returns the rows' outage
+    indicators in group's flat order, packed by np.packbits along each row
+    into (rows, ceil(periods / 8)) bytes, and each row's final 0-based state
+    position.
 
     The error rates and successors are tabled once per policy. A row's
-    state at position s is held as h = group[r] * n_states + s, and the
+    state at position s is held as h = group * n_states + s, and the
     tables are indexed by it: the two devices' error rates form one
     (n, 2) table, for n states over all policies, and the successors one
     branch-major table, whose branch 2 * fail1 + fail2 starts at n times
-    the branch. Each period's failure uniforms form one contiguous (R, 2)
-    block, so a step is one packed compare into an (R, 2) bool buffer,
-    whose uint16 view codes the flag pair and picks the branch's offset,
-    then one successor lookup. Each seed's generator is built once and
-    drawn DRAW_CHUNK periods at a time, and the chunk's fresh-bit codes are
-    computed once per seed. The rows' failure uniforms and bit codes are
-    gathered from the chunk STEP_BLOCK periods at a time, laid out per
-    period for the rows that consume them, and that block is stepped; the
-    chunk's visited states fill one block per row, and its outage flags are
-    packed as soon as the whole chunk is stepped. Every block is allocated
-    once.
+    the branch. Each seed's generator is built once and drawn DRAW_CHUNK
+    periods at a time, with the chunk's fresh-bit codes computed once per
+    seed and its failure uniforms copied STEP_BLOCK periods at a time into
+    one (period, seed, 2) block. A step compares every row with its seed's
+    uniform pair, by broadcasting, into one bool grid whose uint16 view
+    codes the flag pair and picks the branch's offset, then looks up the
+    successor and adds the seed's bit code. A chunk's visited states fill
+    one block per row and are packed once the chunk is stepped. Every
+    block is allocated once.
     """
     cfg = t.cfg
     n = len(policies) * cfg.n_states
@@ -155,12 +156,11 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
     seed_bits = np.empty((DRAW_CHUNK, len(rngs)), dtype=np.intp)
-    us = np.empty((STEP_BLOCK, len(group), 2))
-    bits = np.empty((STEP_BLOCK, len(group)), dtype=np.intp)
-    visited = np.empty((DRAW_CHUNK, len(group)), dtype=np.intp)
-    outage = np.empty((len(group), (periods + 7) // 8), dtype=np.uint8)
-    fail = np.empty((len(group), 2), dtype=bool)
-    code = fail.view(np.uint16).reshape(-1)
+    us = np.empty((STEP_BLOCK, len(rngs), 2))
+    visited = np.empty((DRAW_CHUNK,) + group.shape, dtype=np.intp)
+    outage = np.empty((group.size, (periods + 7) // 8), dtype=np.uint8)
+    fail = np.empty(group.shape + (2,), dtype=bool)
+    code = fail.view(np.uint16).reshape(group.shape)
     base = offset[group]
     h = base + cfg.initial_position
     for start in range(0, periods, DRAW_CHUNK):
@@ -172,18 +172,15 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
         seed_bits[:m] = 2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2)
         for b in range(0, m, STEP_BLOCK):
             k = min(STEP_BLOCK, m - b)
-            # mode="clip" fills out in place, where the default "raise" fills a
-            # temporary as large first; every index is in range, so no clip acts
-            np.take(u[b : b + k, :, :2], stream, axis=1, out=us[:k], mode="clip")  # (period, row, device)
-            np.take(seed_bits[b : b + k], stream, axis=1, out=bits[:k], mode="clip")
+            us[:k] = u[b : b + k, :, :2]  # (period, seed, device)
             for j in range(k):
                 np.less(us[j], rates.take(h, axis=0), out=fail)
-                h = succ.take(h + branch.take(code)) + bits[j]
+                h = succ.take(h + branch.take(code)) + seed_bits[b + j]
                 visited[b + j] = h
         # np.packbits along a strided axis is slow: pack a row-major copy of the bool flags
-        flags = out.take(visited[:m]).T.copy()
+        flags = out.take(visited[:m].reshape(m, -1)).T.copy()
         outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(flags, axis=1)
-    return outage, h - base
+    return outage, (h - base).reshape(-1)
 
 
 def _mean(lengths: list[int]) -> float:
@@ -192,23 +189,22 @@ def _mean(lengths: list[int]) -> float:
     return sum(lengths) / len(lengths) if lengths else float("nan")
 
 
-def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int, seeds,
-                   stream: np.ndarray) -> list[SimResult]:
-    """Validate each policy once and run _lockstep's rows: row r follows
-    policies[group[r]] with seed seeds[stream[r]]. Every row's outages are
-    counted in one pass over the packed bits; np.packbits pads with zeros,
-    so padding never counts."""
+def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int, seeds) -> list[SimResult]:
+    """Validate each policy once and run _lockstep's grid: row (..., s)
+    follows policies[group[..., s]] with seed seeds[s], and the results come
+    in group's flat order. Every row's outages are counted in one pass over
+    the packed bits; np.packbits pads with zeros, so padding never counts."""
     if periods < 1:
         raise ValueError(f"periods must be >= 1, got {periods}")
-    if len(group) == 0:
+    if group.size == 0:
         raise ValueError("need at least one policy and seed")
     pols = np.stack([validate_policy(p, cfg) for p in policies])
-    outage, final = _lockstep(transition_tables(cfg), pols, group, periods, seeds, stream)
+    outage, final = _lockstep(transition_tables(cfg), pols, group, periods, seeds)
     counts = _POPCOUNT[outage].sum(axis=1)
     return [
-        SimResult(seed=seeds[s], final_position=int(state), periods=periods, outage_count=int(count),
+        SimResult(seed=seed, final_position=int(state), periods=periods, outage_count=int(count),
                   outage_bits=bits)
-        for bits, s, state, count in zip(outage, stream, final, counts)
+        for bits, seed, state, count in zip(outage, itertools.cycle(seeds), final, counts)
     ]
 
 
@@ -219,8 +215,7 @@ def simulate_many(cfg: SystemConfig, policies, periods: int, seeds) -> list[SimR
     lockstep, each with its own policy and generator."""
     if len(policies) != len(seeds):
         raise ValueError(f"got {len(policies)} policies for {len(seeds)} seeds")
-    rows = np.arange(len(seeds))
-    return _simulate_rows(cfg, policies, rows, periods, seeds, rows)
+    return _simulate_rows(cfg, policies, np.arange(len(seeds)), periods, seeds)
 
 
 def simulate(cfg: SystemConfig, policy, periods: int, seed: int) -> SimResult:
@@ -281,9 +276,10 @@ def run_repetitions_many(
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    group, stream = np.indices((len(policies), reps)).reshape(2, -1)
+    # the grid comes first, so a batch too large for numpy fails before any seed is derived
+    group = np.indices((len(policies), reps))[0]
     seeds = [derive_seed(master_seed, r) for r in range(reps)]
-    results = _simulate_rows(cfg, policies, group, periods, seeds, stream)
+    results = _simulate_rows(cfg, policies, group, periods, seeds)
     return [RepetitionSummary(results[i * reps : (i + 1) * reps]) for i in range(len(policies))]
 
 

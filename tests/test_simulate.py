@@ -153,14 +153,15 @@ class TestSimulateMany:
 
     def test_table2_cell_working_set(self, cfg_b):
         # one preset of reproduce-table2: six policies x 100 seeds x 2 500
-        # periods. Each chunk refills one block of visited states per row, and
-        # the rows' failure uniforms and bit codes are gathered 16 periods at a
-        # time: ~1.33 MB traced, where 64-period blocks of both peaked at
-        # ~1.97 MB
+        # periods. Per seed, each chunk refills one block of draws and bit
+        # codes, and the failure uniforms are copied 16 periods at a time; per
+        # row, one block of visited states and the packed record: ~1.13 MB
+        # traced, where per-row blocks of uniforms and bit codes peaked at
+        # ~1.33 MB
         policies = [improve_policy(cfg_b, PenaltyKind(k)) for k in ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi")]
         policies += [naive_policy(cfg_b), min_error_policy(cfg_b)]
         run_repetitions_many(cfg_b, policies, 1, 10, 0)
-        assert traced_peak(lambda: run_repetitions_many(cfg_b, policies, 100, 2500, 0)) < 1_600_000
+        assert traced_peak(lambda: run_repetitions_many(cfg_b, policies, 100, 2500, 0)) < 1_250_000
 
     def test_distinct_policies_working_set(self, cfg_b):
         # burst-convergence's batch: 100 policies x 10 000 periods. The tables
@@ -189,6 +190,25 @@ class TestSimulateMany:
             assert result.seed == seed and result.periods == periods
             assert result.outage_bits.dtype == np.uint8
             assert result.outage_bits.nbytes == -(-periods // 8)
+
+    @pytest.mark.parametrize(
+        "periods", [1, 7, 8, 9, 15, 16, 17, 47, 49, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 2 * DRAW_CHUNK + 7]
+    )
+    def test_repetition_grid_matches_reference(self, mid_cfg, periods):
+        # every policy of the grid reads every repetition's seed
+        policies = [naive_policy(mid_cfg), random_policy(mid_cfg, np.random.default_rng(44))]
+        policies.append(extreme_policies(mid_cfg)[0])
+        master, reps = 13, 4
+        summaries = run_repetitions_many(mid_cfg, policies, reps, periods, master)
+        assert len(summaries) == len(policies)
+        for pol, summary in zip(policies, summaries):
+            assert summary.reps == reps
+            for r, result in enumerate(summary.results):
+                seed = derive_seed(master, r)
+                ref_seq, ref_final = reference_simulate(mid_cfg, pol, periods, seed)
+                assert np.array_equal(result.outage_sequence, ref_seq)
+                assert result.final_position == reference_state_to_index(ref_final, mid_cfg.a_max) - 1
+                assert result.seed == seed and result.periods == periods
 
     @pytest.mark.parametrize("layout", ["policy-major", "shuffled", "one-repeat"])
     @pytest.mark.parametrize(
@@ -299,9 +319,9 @@ def numpy_mean(lengths):
 def fixed_lockstep(outage):
     """A stand-in for the lockstep kernel that returns the given outage rows,
     so the post-processing sees arbitrary sequences."""
-    def lockstep(t, policies, group, periods, seeds, stream):
-        assert outage.shape == (len(group), periods)
-        return np.packbits(outage, axis=1), np.zeros(len(group), dtype=np.int64)
+    def lockstep(t, policies, group, periods, seeds):
+        assert outage.shape == (group.size, periods)
+        return np.packbits(outage, axis=1), np.zeros(group.size, dtype=np.int64)
     return lockstep
 
 
