@@ -1,9 +1,11 @@
-"""Mutation check for the simulator: does the suite catch a one-line fault?
+"""Mutation check: does the suite catch a one-line fault?
 
 Applies each mutant of MUTANTS, one at a time, to a copy of the tree's
-`src/` and `tests/`, and runs the simulator tests and the golden tests
-on it with `-x -q`. A mutant is caught when the run fails. Before any
-mutant, the same run must pass on the unmutated copy.
+`src/` and `tests/`, and runs that mutant's tests on it with `-x -q`: by
+default the simulator tests and the golden tests, and for a mutant of the
+analysis layers the tests of its module. A mutant is caught when the run
+fails. Before any mutant, every test file a mutant names must pass on the
+unmutated copy.
 
     python scripts/mutants.py
 
@@ -26,8 +28,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: The tests each mutant runs: the simulator's, and the CLI goldens that
-#: pin the seeded outputs byte for byte.
+#: The tests a mutant runs unless it names its own: the simulator's, and
+#: the CLI goldens that pin the seeded outputs byte for byte.
 TESTS = (
     "tests/test_simulate.py",
     "tests/test_scenarios_cli.py::TestCliGrids::test_reproduce_table2_matches_golden_csv",
@@ -44,18 +46,18 @@ class Mutant:
     new: str
     #: why the mutant cannot change any output; None for a mutant the tests must catch
     equivalent: str | None = None
+    tests: tuple[str, ...] = TESTS
 
 
 SIMULATE = "src/aoi_outage/simulate.py"
+BURSTINESS = "src/aoi_outage/burstiness.py"
+MARKOV = "src/aoi_outage/markov.py"
 
 MUTANTS = (
-    Mutant("15-period step block", SIMULATE, "STEP_BLOCK = 16", "STEP_BLOCK = 15",
-           equivalent="the block sets only how many periods of uniforms are copied at a time; "
-                      "every block size steps the same uniforms in the same order"),
-    Mutant("the chunk's last step block taken as full", SIMULATE,
-           "k = min(STEP_BLOCK, m - b)", "k = STEP_BLOCK"),
-    Mutant("every step block reads the first block's bit codes", SIMULATE,
-           "seed_bits[b + j]", "seed_bits[j]"),
+    Mutant("the chunk's last failure pair not copied", SIMULATE,
+           "us[:m] = u[:, :, :2]", "us[:m - 1] = u[:-1, :, :2]"),
+    Mutant("every period reads the chunk's first bit codes", SIMULATE,
+           "seed_bits[j]", "seed_bits[0]"),
     Mutant("packing slice one byte short", SIMULATE,
            "outage[:, start // 8 : (start + m + 7) // 8]", "outage[:, start // 8 : (start + m - 1) // 8]"),
     Mutant("x1 and x2 swapped in the fresh-bit code", SIMULATE,
@@ -67,15 +69,30 @@ MUTANTS = (
            "np.less(us[j]", "np.less_equal(us[j]",
            equivalent="a continuous uniform equals an error rate with probability ~2**-53, "
                       "and a rate of 1.0 fails either way"),
+    Mutant("GTH elimination skips state 1", MARKOV,
+           "range(n - 1, 0, -1)", "range(n - 1, 1, -1)", tests=("tests/test_markov.py",)),
+    Mutant("the pmf walk stops at 10x its tolerance", BURSTINESS,
+           "inside.sum() / xi1 < SERIES_TOLERANCE", "inside.sum() / xi1 < 10 * SERIES_TOLERANCE",
+           tests=("tests/test_burstiness.py",)),
+    Mutant("ties broken to the largest allocation", "src/aoi_outage/optimizer.py",
+           "new[:, k] = np.argmin(cost, axis=1)",
+           "new[:, k] = cost.shape[1] - 1 - np.argmin(cost[:, ::-1], axis=1)",
+           tests=("tests/test_optimizer.py",)),
+    Mutant("sqrt(2) scaled by 1 + 1e-9 in Q(x)", "src/aoi_outage/fbl.py",
+           "_SQRT2 = math.sqrt(2.0)", "_SQRT2 = math.sqrt(2.0) * (1 + 1e-9)", tests=("tests/test_fbl.py",)),
+    Mutant("identity gate 10**6 times looser", BURSTINESS,
+           "IDENTITY_TOL = 1e-9", "IDENTITY_TOL = 1e-3", tests=("tests/test_burstiness.py",)),
+    Mutant("residual gate 10**4 times looser", MARKOV,
+           "RESIDUAL_TOL = 1e-10", "RESIDUAL_TOL = 1e-6", tests=("tests/test_markov.py",)),
 )
 
 
-def run_tests(tree: Path) -> tuple[int, float]:
-    """Exit code and wall time of the test run on `tree`."""
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[int, float]:
+    """Exit code and wall time of the run of `tests` on `tree`."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     started = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     return done.returncode, time.perf_counter() - started
@@ -91,7 +108,8 @@ def main() -> int:
             if found != 1:
                 print(f"mutant {mutant.name!r}: {mutant.old!r} found {found} times in {mutant.file}")
                 return 2
-        code, seconds = run_tests(tree)
+        every_test = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+        code, seconds = run_tests(tree, every_test)
         if code != 0:
             print(f"the unmutated tree fails its tests (pytest exit {code}); no mutant was run")
             return 2
@@ -102,7 +120,7 @@ def main() -> int:
             original = path.read_text()
             path.write_text(original.replace(mutant.old, mutant.new))
             try:
-                code, seconds = run_tests(tree)
+                code, seconds = run_tests(tree, mutant.tests)
             finally:
                 path.write_text(original)
             if code != 0:

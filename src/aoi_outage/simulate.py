@@ -91,17 +91,12 @@ def measure_bursts(outage_sequence):
 
 
 #: Periods of uniforms drawn per generator at a time. The kernel holds, per
-#: seed, one chunk of DRAW_CHUNK x 4 doubles and DRAW_CHUNK bit codes, read
-#: by all its rows, and per row one chunk of DRAW_CHUNK visited states,
+#: seed, one chunk of DRAW_CHUNK x 4 drawn doubles, read once into two
+#: blocks that all its rows read: DRAW_CHUNK failure pairs and DRAW_CHUNK
+#: bit codes. Per row it holds one chunk of DRAW_CHUNK visited states,
 #: whatever the horizon; every chunk refills the same blocks and is packed
 #: once. A multiple of 8, so every chunk but the last packs into whole bytes.
 DRAW_CHUNK = 64
-
-#: Periods of failure uniforms copied at a time from the drawn chunk into
-#: one block of STEP_BLOCK x 2 doubles per seed, refilled for every step
-#: block. A smaller block holds less but copies more often per chunk, which
-#: costs time per step.
-STEP_BLOCK = 16
 
 #: Set bits of each byte value.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -134,9 +129,9 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     (n, 2) table, for n states over all policies, and the successors one
     branch-major table, whose branch 2 * fail1 + fail2 starts at n times
     the branch. Each seed's generator is built once and drawn DRAW_CHUNK
-    periods at a time, with the chunk's fresh-bit codes computed once per
-    seed and its failure uniforms copied STEP_BLOCK periods at a time into
-    one (period, seed, 2) block. A step compares every row with its seed's
+    periods at a time, and each chunk is read once per seed into two
+    blocks: its failure uniforms, copied into one (period, seed, 2) block,
+    and its fresh-bit codes. A step compares every row with its seed's
     uniform pair, by broadcasting, into one bool grid whose uint16 view
     codes the flag pair and picks the branch's offset, then looks up the
     successor and adds the seed's bit code. A chunk's visited states fill
@@ -156,7 +151,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     rngs = [np.random.default_rng(seed) for seed in seeds]
     draws = np.empty((len(rngs), DRAW_CHUNK, 4))
     seed_bits = np.empty((DRAW_CHUNK, len(rngs)), dtype=np.intp)
-    us = np.empty((STEP_BLOCK, len(rngs), 2))
+    us = np.empty((DRAW_CHUNK, len(rngs), 2))
     visited = np.empty((DRAW_CHUNK,) + group.shape, dtype=np.intp)
     outage = np.empty((group.size, (periods + 7) // 8), dtype=np.uint8)
     fail = np.empty(group.shape + (2,), dtype=bool)
@@ -170,13 +165,11 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
         u = draws[:, :m].transpose(1, 0, 2)  # (period, seed, column)
         # fresh channel bits k = 2 * x1 + x2 pick the successor's state
         seed_bits[:m] = 2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2)
-        for b in range(0, m, STEP_BLOCK):
-            k = min(STEP_BLOCK, m - b)
-            us[:k] = u[b : b + k, :, :2]  # (period, seed, device)
-            for j in range(k):
-                np.less(us[j], rates.take(h, axis=0), out=fail)
-                h = succ.take(h + branch.take(code)) + seed_bits[b + j]
-                visited[b + j] = h
+        us[:m] = u[:, :, :2]  # (period, seed, device)
+        for j in range(m):
+            np.less(us[j], rates.take(h, axis=0), out=fail)
+            h = succ.take(h + branch.take(code)) + seed_bits[j]
+            visited[j] = h
         # np.packbits along a strided axis is slow: pack a row-major copy of the bool flags
         flags = out.take(visited[:m].reshape(m, -1)).T.copy()
         outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(flags, axis=1)

@@ -123,8 +123,8 @@ class TestPackedBranch:
     @pytest.mark.parametrize("n", [1, 144, 600 * 144])
     @pytest.mark.parametrize("fail1, fail2", itertools.product([False, True], repeat=2))
     def test_flag_pair_maps_to_branch(self, fail1, fail2, n, cfg_b):
-        # the kernel reads a contiguous (rows, 2) bool buffer through its uint16
-        # view, and the branch starts n entries further per branch
+        # the kernel reads its (..., seeds, 2) bool grid `fail` through its
+        # uint16 view, and the branch starts n entries further per branch
         fail = np.array([[False, False], [fail1, fail2], [True, True]])
         code = fail.view(np.uint16).reshape(-1)
         assert simulate_module._branch_table(TransitionTables(cfg_b).bits, n)[code].tolist() == [
@@ -153,11 +153,10 @@ class TestSimulateMany:
 
     def test_table2_cell_working_set(self, cfg_b):
         # one preset of reproduce-table2: six policies x 100 seeds x 2 500
-        # periods. Per seed, each chunk refills one block of draws and bit
-        # codes, and the failure uniforms are copied 16 periods at a time; per
-        # row, one block of visited states and the packed record: ~1.13 MB
-        # traced, where per-row blocks of uniforms and bit codes peaked at
-        # ~1.33 MB
+        # periods. Per seed, each chunk refills one block of draws, one of
+        # failure pairs and one of bit codes; per row, one block of visited
+        # states and the packed record: ~1.21 MB traced, where per-row blocks
+        # of uniforms and bit codes peaked at ~1.33 MB
         policies = [improve_policy(cfg_b, PenaltyKind(k)) for k in ("binary", "sum-aoi", "peak-aoi", "exp-peak-aoi")]
         policies += [naive_policy(cfg_b), min_error_policy(cfg_b)]
         run_repetitions_many(cfg_b, policies, 1, 10, 0)
@@ -165,7 +164,7 @@ class TestSimulateMany:
 
     def test_distinct_policies_working_set(self, cfg_b):
         # burst-convergence's batch: 100 policies x 10 000 periods. The tables
-        # are indexed by state, one error-rate pair each: ~1.36 MB traced,
+        # are indexed by state, one error-rate pair each: ~1.37 MB traced,
         # where four branch slots per state peaked at ~1.91 MB
         rng = np.random.default_rng(0)
         policies = [random_policy(cfg_b, rng) for _ in range(100)]
