@@ -80,6 +80,8 @@ MUTANTS = (
            tests=("tests/test_optimizer.py",)),
     Mutant("sqrt(2) scaled by 1 + 1e-9 in Q(x)", "src/aoi_outage/fbl.py",
            "_SQRT2 = math.sqrt(2.0)", "_SQRT2 = math.sqrt(2.0) * (1 + 1e-9)", tests=("tests/test_fbl.py",)),
+    Mutant("each stack's last policy dropped", BURSTINESS,
+           "pols[start:start + size]", "pols[start:start + size - 1]", tests=("tests/test_burstiness.py",)),
     Mutant("identity gate 10**6 times looser", BURSTINESS,
            "IDENTITY_TOL = 1e-9", "IDENTITY_TOL = 1e-3", tests=("tests/test_burstiness.py",)),
     Mutant("residual gate 10**4 times looser", MARKOV,

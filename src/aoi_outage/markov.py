@@ -133,6 +133,12 @@ def build_transition_matrices(cfg: SystemConfig, policies) -> np.ndarray:
     same whatever the stack.
     """
     pols = np.array([validate_policy(p, cfg) for p in policies], dtype=np.int64).reshape(-1, cfg.n_states)
+    return _scatter_matrices(cfg, pols)
+
+
+def _scatter_matrices(cfg: SystemConfig, pols: np.ndarray) -> np.ndarray:
+    """build_transition_matrices of a (B, n_states) int64 array of policies
+    that validate_policy has passed."""
     t = transition_tables(cfg)
     # weights[m, g, k, b]: branch b of state [g, k] in matrix m, times bit_weights[k]
     weights = np.stack(branch_probabilities(*t.error_rates(pols)), axis=-1) * t.bit_weights[:, None]

@@ -134,9 +134,9 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     and its fresh-bit codes. A step compares every row with its seed's
     uniform pair, by broadcasting, into one bool grid whose uint16 view
     codes the flag pair and picks the branch's offset, then looks up the
-    successor and adds the seed's bit code. A chunk's visited states fill
-    one block per row and are packed once the chunk is stepped. Every
-    block is allocated once.
+    successor and adds the seed's bit code, writing the sum straight into
+    the chunk's block of visited states, one per row, which is packed once
+    the chunk is stepped. Every block is allocated once.
     """
     cfg = t.cfg
     n = len(policies) * cfg.n_states
@@ -168,8 +168,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
         us[:m] = u[:, :, :2]  # (period, seed, device)
         for j in range(m):
             np.less(us[j], rates.take(h, axis=0), out=fail)
-            h = succ.take(h + branch.take(code)) + seed_bits[j]
-            visited[j] = h
+            h = np.add(succ.take(h + branch.take(code)), seed_bits[j], out=visited[j])
         # np.packbits along a strided axis is slow: pack a row-major copy of the bool flags
         flags = out.take(visited[:m].reshape(m, -1)).T.copy()
         outage[:, start // 8 : (start + m + 7) // 8] = np.packbits(flags, axis=1)

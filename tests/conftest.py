@@ -127,6 +127,13 @@ def random_policy(cfg, rng, low=0):
     return rng.integers(low, cfg.link.blocklength_total + 1, size=cfg.n_states)
 
 
+def extreme_policies(cfg):
+    """The starved policy (all 0: device 1 always fails) and the saturated
+    one (all N: device 2 always fails)."""
+    n = cfg.link.blocklength_total
+    return [np.zeros(cfg.n_states, dtype=int), np.full(cfg.n_states, n)]
+
+
 @pytest.fixture(scope="session")
 def cfg_b():
     """Heavy-fading preset at full scale (N=1000, 100 states)."""

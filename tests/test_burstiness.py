@@ -34,7 +34,7 @@ from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, op
 from aoi_outage.scenarios import load_scenario
 from aoi_outage.states import outage_mask
 
-from conftest import chain_stats, make_config, random_policy, traced_peak
+from conftest import chain_stats, extreme_policies, make_config, random_policy, traced_peak
 
 
 def xi_path_oracle(p, mask, k):
@@ -470,13 +470,41 @@ class TestBurstStatsMany:
         out[:] = ~out
         assert [s.duration_pmf.tobytes() for s in many] == want
 
-    def test_batch_holds_one_copy_of_the_stack(self, cfg_b):
-        # 100 policies: the stack goes to the analysis uncopied, ~1.70 MB
-        # traced, where two copies of it peaked at ~2.22 MB
+    def test_batch_holds_one_stack_at_a_time(self, cfg_b):
+        # 100 policies in stacks of 52: ~1.15 MB traced, where the whole
+        # stack at once peaked at ~1.69 MB and two copies of it at ~2.22 MB
         rng = np.random.default_rng(0)
         policies = [random_policy(cfg_b, rng) for _ in range(100)]
         burst_stats_many(cfg_b, policies[:1])
-        assert traced_peak(lambda: burst_stats_many(cfg_b, policies)) < 1_950_000
+        assert traced_peak(lambda: burst_stats_many(cfg_b, policies)) < 1_250_000
+
+    def test_stacks_give_the_records_of_stacks_of_one(self, cfg_b):
+        # two full stacks and three policies more, with the starved policy
+        # (the outage set holds all the mass, so its record is undefined)
+        # last in the first stack and naive first in the second
+        size = burstiness._stack_size(cfg_b)
+        rng = np.random.default_rng(35)
+        policies = [random_policy(cfg_b, rng) for _ in range(2 * size + 3)]
+        policies[size - 1] = extreme_policies(cfg_b)[0]
+        policies[size] = naive_policy(cfg_b)
+        many = burst_stats_many(cfg_b, policies)
+        assert len(many) == len(policies)
+        assert [i for i, s in enumerate(many) if not s.defined] == [size - 1]
+        for pol, stats in zip(policies, many):
+            assert record_bits(stats) == record_bits(burst_stats(cfg_b, pol))
+
+    def test_invalid_policy_in_last_stack_raises_before_any_analysis(self, cfg_b, monkeypatch):
+        size = burstiness._stack_size(cfg_b)
+        rng = np.random.default_rng(35)
+        policies = [random_policy(cfg_b, rng) for _ in range(2 * size + 3)]
+        policies[-1] = np.full(cfg_b.n_states, cfg_b.link.blocklength_total + 1)
+
+        def analysed(*args):
+            raise AssertionError("a stack was analysed before every policy was validated")
+
+        monkeypatch.setattr(burstiness, "chain_burst_stats_many", analysed)
+        with pytest.raises(ValueError, match=r"policy entries must lie in \[0, 1000\]"):
+            burst_stats_many(cfg_b, policies)
 
     def test_public_batch_does_not_copy_the_stack(self, cfg_b):
         # the records keep their outage rows, not the chains, so a caller's

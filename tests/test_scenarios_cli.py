@@ -687,14 +687,14 @@ class TestCliGrids:
         assert not out.exists()
 
     def test_nan_chain_exits_one(self, tmp_path, capsys, monkeypatch):
-        build = burstiness.build_transition_matrices
+        build = burstiness._scatter_matrices
 
-        def with_nan(cfg, policies):
-            ps = build(cfg, policies)
+        def with_nan(cfg, pols):
+            ps = build(cfg, pols)
             ps[0, 0, 1] = float("nan")
             return ps
 
-        monkeypatch.setattr(burstiness, "build_transition_matrices", with_nan)
+        monkeypatch.setattr(burstiness, "_scatter_matrices", with_nan)
         out = tmp_path / "eval.json"
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", str(out)])
         assert code == 1

@@ -29,6 +29,7 @@ from aoi_outage.states import decode_states
 
 from conftest import (
     ReferenceState,
+    extreme_policies,
     random_policy,
     reference_gamma_for_bit,
     reference_state_to_index,
@@ -110,13 +111,6 @@ class TestSimulate:
     def test_rejects_bad_periods(self, small_cfg):
         with pytest.raises(ValueError):
             simulate(small_cfg, naive_policy(small_cfg), 0, seed=1)
-
-
-def extreme_policies(cfg):
-    """The starved policy (all 0: device 1 always fails) and the saturated
-    one (all N: device 2 always fails)."""
-    n = cfg.link.blocklength_total
-    return [np.zeros(cfg.n_states, dtype=int), np.full(cfg.n_states, n)]
 
 
 class TestPackedBranch:
