@@ -2,8 +2,8 @@
 
 Applies each mutant of MUTANTS, one at a time, to a copy of the tree's
 `src/` and `tests/`, and runs that mutant's tests on it with `-x -q`: by
-default the simulator tests and the golden tests, and for a mutant of the
-analysis layers the tests of its module. A mutant is caught when the run
+default the simulator tests and the golden tests, and for a mutant of
+another module the tests of that module. A mutant is caught when the run
 fails. Before any mutant, every test file a mutant names must pass on the
 unmutated copy.
 
@@ -52,6 +52,7 @@ class Mutant:
 SIMULATE = "src/aoi_outage/simulate.py"
 BURSTINESS = "src/aoi_outage/burstiness.py"
 MARKOV = "src/aoi_outage/markov.py"
+CLI_TESTS = ("tests/test_scenarios_cli.py",)
 
 MUTANTS = (
     Mutant("the chunk's last failure pair not copied", SIMULATE,
@@ -86,6 +87,23 @@ MUTANTS = (
            "IDENTITY_TOL = 1e-9", "IDENTITY_TOL = 1e-3", tests=("tests/test_burstiness.py",)),
     Mutant("residual gate 10**4 times looser", MARKOV,
            "RESIDUAL_TOL = 1e-10", "RESIDUAL_TOL = 1e-6", tests=("tests/test_markov.py",)),
+    Mutant("GTH divides by zero pivots", MARKOV,
+           ", where=pivot[:, None] > 0.0)", ")", tests=("tests/test_markov.py",)),
+    Mutant("GTH anchored at state 0", MARKOV,
+           "anchor = n - 1 - (pivots[:, ::-1] == 0.0).argmax(axis=1)", "anchor = np.zeros(b, dtype=np.intp)",
+           tests=("tests/test_markov.py",)),
+    Mutant("the pmf walk capped at 1 000 steps", BURSTINESS,
+           "SERIES_CAP = 10_000", "SERIES_CAP = 1_000", tests=("tests/test_burstiness.py",)),
+    Mutant("simulation.reps may be 0", "src/aoi_outage/scenarios.py",
+           '"reps": (int, 1)', '"reps": (int, 0)', tests=CLI_TESTS),
+    Mutant("--policy-file accepted with a named --policy", "src/aoi_outage/cli.py",
+           'if policy not in (None, "file") and args.policy_file is not None:', "if False:", tests=CLI_TESTS),
+    Mutant("draw chunks of 60 periods, not a multiple of 8", SIMULATE,
+           "DRAW_CHUNK = 64", "DRAW_CHUNK = 60"),
+    Mutant("draw chunks of 8 periods", SIMULATE,
+           "DRAW_CHUNK = 64", "DRAW_CHUNK = 8",
+           equivalent="rng.random(out=...) in chunks draws the same stream whatever their size, "
+                      "and every multiple of 8 packs into whole bytes"),
 )
 
 

@@ -447,10 +447,11 @@ class TestBurstStatsMany:
         for pol, stats in zip(policies, many):
             assert record_bits(stats) == record_bits(burst_stats(cfg, pol))
 
-    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6], [6, 3, 0, 5, 2, 4, 1]])
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3, 4, 5, 6, 7, 8], [8, 6, 3, 0, 7, 5, 2, 4, 1]])
     def test_stops_at_block_edges(self, order):
-        # the mass before step 1 is all of xi1, so the earliest stop is step 2
-        steps = [2, 3, 31, 32, 33, 64, 65]
+        # the mass before step 1 is all of xi1, so the earliest stop is step 2;
+        # the walks of 500 and 5 000 steps stop at the tolerance, not at SERIES_CAP
+        steps = [2, 3, 31, 32, 33, 64, 65, 500, 5000]
         chains = [stop_at(steps[i]) for i in order]
         out = np.array([False, True])
         many = chain_burst_stats_many(np.stack(chains), out)
