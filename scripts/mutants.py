@@ -98,6 +98,8 @@ MUTANTS = (
            '"reps": (int, 1)', '"reps": (int, 0)', tests=CLI_TESTS),
     Mutant("--policy-file accepted with a named --policy", "src/aoi_outage/cli.py",
            'if policy not in (None, "file") and args.policy_file is not None:', "if False:", tests=CLI_TESTS),
+    Mutant("flag abbreviations accepted", "src/aoi_outage/cli.py",
+           "allow_abbrev=False", "allow_abbrev=True", tests=CLI_TESTS),
     Mutant("draw chunks of 60 periods, not a multiple of 8", SIMULATE,
            "DRAW_CHUNK = 64", "DRAW_CHUNK = 60"),
     Mutant("draw chunks of 8 periods", SIMULATE,

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands:
-  optimize           run the recursive optimizer for one scenario and penalty
+  optimize           run a penalty's policy sweep for one scenario and score it
   evaluate           analytic outage rate and burst statistics for a policy
   simulate           seeded Monte-Carlo repetitions for a policy
   reproduce-table2   the full 3-scenario x 6-policy benchmark grid (CSV)
@@ -36,7 +36,11 @@ POLICY_CHOICES = ("naive", "min-error", "file")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on usage errors; this front end uses 1."""
+    """argparse exits with status 2 on usage errors and reads any unambiguous
+    prefix of a flag as the flag; this front end exits 1 and reads full names only."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -263,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_opt = sub.add_parser("optimize", help="run the recursive policy optimizer")
+    p_opt = sub.add_parser("optimize", help="run a penalty's policy sweep and score it")
     p_opt.add_argument("--config", required=True, help="preset name or JSON config path")
     p_opt.add_argument("--penalty", required=True, choices=PENALTY_CHOICES)
     p_opt.add_argument("--out", required=True, help="output JSON path")

@@ -30,27 +30,14 @@ CONVERGENCE_MEASURED_COLUMNS = (
     "policy_id", "sim_seed", "checkpoint", "measured_p_out", "measured_mean_burst", "measured_mean_ioi",
 )
 
-# A fresh interpreter in which every scipy import fails: it imports the
-# package this suite tests, runs one CLI command, and reports the exit code
-# and every scipy module that was loaded anyway.
-NO_SCIPY_EVALUATE = """
-import json, sys
-sys.modules["scipy"] = None
-sys.path.insert(0, sys.argv[1])
-import aoi_outage
-from aoi_outage import cli
-code = cli.main(["evaluate", "--config", "scenario_b", "--policy", "min-error", "--out", sys.argv[2]])
-loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
-print(json.dumps({"code": code, "scipy_modules": loaded}))
-"""
-
-
-# A fresh interpreter in which numpy's LAPACK solvers raise: it runs the two
-# grid commands through cli.main and reports their exit codes and whether
-# numpy.ma was imported.
-NO_LAPACK_GRIDS = """
+# A fresh interpreter in which every scipy import fails and numpy's LAPACK
+# solvers raise: it imports the package this suite tests, runs the two grid
+# commands and evaluate through cli.main, and reports their exit codes, every
+# scipy module that was loaded anyway, and whether numpy.ma was imported.
+NO_SCIPY_OR_LAPACK = """
 import json, sys
 import numpy as np
+sys.modules["scipy"] = None
 sys.path.insert(0, sys.argv[1])
 def refuse(*args, **kwargs):
     raise AssertionError("called a LAPACK solver")
@@ -59,8 +46,10 @@ from aoi_outage import cli
 codes = [
     cli.main(["burst-convergence", "--config", "scenario_b", "--n-policies", "3", "--out", sys.argv[2]]),
     cli.main(["reproduce-table2", "--reps", "1", "--periods", "10", "--out", sys.argv[3]]),
+    cli.main(["evaluate", "--config", "scenario_b", "--policy", "min-error", "--out", sys.argv[4]]),
 ]
-print(json.dumps({"codes": codes, "numpy_ma": "numpy.ma" in sys.modules}))
+loaded = sorted(m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"codes": codes, "scipy_modules": loaded, "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 #: Names through which numpy reaches BLAS or LAPACK.
@@ -253,19 +242,24 @@ class TestCliEvaluate:
         assert doc["burst"]["p_out"] == doc["analytic_p_out"]
 
     def test_policy_file_round_trip(self, tmp_path):
-        policy = {"policy_lambda": [500] * 100, "index_base": 1}
+        # a policy array scores as the named policy it spells, and optimize's
+        # report scores as optimize scored it: both go through one analysis
         pol_path = tmp_path / "pol.json"
-        pol_path.write_text(json.dumps(policy))
-        out = tmp_path / "eval.json"
-        code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
-                        "--policy-file", str(pol_path), "--out", str(out)])
-        assert code == 0
+        pol_path.write_text(json.dumps({"policy_lambda": [500] * 100, "index_base": 1}))
         naive_out = tmp_path / "naive.json"
-        run_cli(["evaluate", "--config", "scenario_b", "--policy", "naive",
-                 "--out", str(naive_out)])
-        assert json.loads(out.read_text())["analytic_p_out"] == json.loads(
-            naive_out.read_text()
-        )["analytic_p_out"]
+        assert run_cli(["evaluate", "--config", "scenario_b", "--policy", "naive",
+                        "--out", str(naive_out)]) == 0
+        opt_path = tmp_path / "opt.json"
+        assert run_cli(["optimize", "--config", "scenario_a", "--penalty", "exp-peak-aoi",
+                        "--out", str(opt_path)]) == 0
+        for config, policy_file, expected in [
+            ("scenario_b", pol_path, read_strict_json(naive_out)["analytic_p_out"]),
+            ("scenario_a", opt_path, read_strict_json(opt_path)["best"]["analytic_p_out"]),
+        ]:
+            out = tmp_path / "eval.json"
+            assert run_cli(["evaluate", "--config", config, "--policy", "file",
+                            "--policy-file", str(policy_file), "--out", str(out)]) == 0
+            assert read_strict_json(out)["analytic_p_out"] == expected
 
     def test_starved_device_is_undefined(self, tmp_path):
         # allocation 0 everywhere: device 1 never transmits, so every age pair
@@ -746,25 +740,31 @@ class TestCliBasics:
         assert run_cli([]) == 1
         assert run_cli(["no-such-command"]) == 1
 
-    def test_runs_without_scipy(self, tmp_path):
-        out = tmp_path / "eval.json"
-        package_parent = str(Path(aoi_outage.__file__).resolve().parent.parent)
-        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_EVALUATE, package_parent, str(out)],
-                              capture_output=True, text=True, timeout=120, check=False)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.strip().splitlines()[-1])
-        assert result == {"code": 0, "scipy_modules": []}
-        assert read_strict_json(out)["analytic_p_out"] > 0.0
+    @pytest.mark.parametrize("argv", [
+        ["burst-convergence", "--config", "scenario_b", "--n-pol", "2", "--out", "{out}"],
+        ["--vers"],
+    ], ids=["subcommand-flag", "top-level-flag"])
+    def test_flag_prefix_exits_one(self, tmp_path, capsys, argv):
+        # a flag cut short is a misspelling, not the flag it begins
+        out = tmp_path / "cvg.csv"
+        assert run_cli([arg.format(out=out) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert not out.exists()
 
-    def test_grids_run_without_lapack_or_numpy_ma(self, tmp_path):
+    def test_runs_without_scipy_lapack_or_numpy_ma(self, tmp_path):
         package_parent = str(Path(aoi_outage.__file__).resolve().parent.parent)
+        out = tmp_path / "eval.json"
         proc = subprocess.run(
-            [sys.executable, "-c", NO_LAPACK_GRIDS, package_parent, str(tmp_path / "cvg.csv"),
-             str(tmp_path / "table2.csv")],
+            [sys.executable, "-c", NO_SCIPY_OR_LAPACK, package_parent, str(tmp_path / "cvg.csv"),
+             str(tmp_path / "table2.csv"), str(out)],
             capture_output=True, text=True, timeout=120, check=False,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"codes": [0, 0], "numpy_ma": False}
+        assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+            "codes": [0, 0, 0], "scipy_modules": [], "numpy_ma": False,
+        }
+        assert read_strict_json(out)["analytic_p_out"] > 0.0
 
     def test_package_calls_no_blas(self):
         # the analytic layer is elementwise products and sums, so its bytes
