@@ -64,6 +64,8 @@ MUTANTS = (
     Mutant("x1 and x2 swapped in the fresh-bit code", SIMULATE,
            "2 * (u[:, :, 2] < cfg.profile.alpha_1) + (u[:, :, 3] < cfg.profile.alpha_2)",
            "2 * (u[:, :, 3] < cfg.profile.alpha_2) + (u[:, :, 2] < cfg.profile.alpha_1)"),
+    Mutant("every row starts one age position later, at ages (1, 2)", SIMULATE,
+           "h = base = offset[group]", "base = offset[group]\n    h = base + 4"),
     Mutant("branch table in reverse order", SIMULATE,
            "= n * np.arange(4)", "= n * np.arange(3, -1, -1)"),
     Mutant("failure compare `<` made `<=`", SIMULATE,

@@ -2,9 +2,10 @@
 
 A scenario document fixes the channel profile, the frame budget, the state
 truncation, optimizer settings and the simulation protocol. Unknown keys
-are rejected at every level so typos fail loudly. Three presets cover the
-standard fading profiles studied on this system: mild fading on both links,
-heavy fading on both, and strongly polarized link quality.
+are rejected at every level so typos fail loudly; retired keys load with a
+warning. Three presets cover the standard fading profiles studied on this
+system: mild fading on both links, heavy fading on both, and strongly
+polarized link quality.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ import numpy as np
 from .fbl import ChannelProfile, LinkParams, channel_dispersion, db_to_linear
 from .states import SystemConfig
 
-SCHEMA_VERSION = 1
-
 
 class ConfigError(ValueError):
     """A scenario document failed validation."""
@@ -33,7 +32,7 @@ class ConfigError(ValueError):
 _PRESET_COMMON = {
     "snr_db": {"good": -12.2, "bad": -15.2},
     "blocklength": {"N": 1000, "d": 16},
-    "state": {"a_max": 5, "a_out": 3, "initial": [1, 1, 0, 0]},
+    "state": {"a_max": 5, "a_out": 3},
     "optimizer": {"max_iter": 200, "seeds": 10},
     "simulation": {"reps": 100, "periods": 2500, "master_seed": 1},
 }
@@ -78,10 +77,10 @@ def config_hash(document: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _require(mapping, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
+def _require(mapping, where: str, required: tuple[str, ...]):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(mapping) - set(required) - set(optional)
+    unknown = set(mapping) - set(required)
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
     missing = [k for k in required if k not in mapping]
@@ -97,7 +96,7 @@ _KEYS = {
     "alpha": (float, None, 2),
     "snr_db": {"good": (float, None), "bad": (float, None)},
     "blocklength": {"N": (int, None), "d": (int, None)},
-    "state": {"a_max": (int, None), "a_out": (int, None), "initial": (int, None, 4)},
+    "state": {"a_max": (int, None), "a_out": (int, None)},
     "optimizer": {"max_iter": (int, 1), "seeds": (int, 1)},
     "simulation": {"reps": (int, 1), "periods": (int, 1), "master_seed": (int, 0)},
 }
@@ -133,19 +132,33 @@ def _values(node, rule, label: str):
     return [_value(v, f"{label}[{i}]", kind, least) for i, v in enumerate(node)]
 
 
+#: Keys that no result reads any more, and why. A document that still
+#: carries one loads, with one warning per key, and keeps its hash.
+_RETIRED = {
+    "schema_version": "the schema has one version",
+    "optimizer.epsilon_cvg": "the optimizer runs one sweep",
+    "state.initial": "every run starts at ages (1, 1) with both channels at the bad level",
+}
+
+
+def _without_retired(document: dict) -> dict:
+    """A copy of the document without the retired keys it carries, warning once for each."""
+    document = {key: dict(node) if isinstance(node, dict) else node for key, node in document.items()}
+    for path, why in _RETIRED.items():
+        *block, key = path.split(".")
+        node = document.get(block[0]) if block else document
+        if isinstance(node, dict) and key in node:
+            del node[key]
+            warnings.warn(f"{path} is not read and its value is ignored: {why}", UserWarning, stacklevel=3)
+    return document
+
+
 def parse_scenario(document: dict, name: str = "custom") -> Scenario:
     """Validate a scenario document and build the typed configuration."""
-    _require(document, "scenario", tuple(_KEYS), ("schema_version",))
-    version = document.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION or isinstance(version, bool):
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    given, optimizer = document, document["optimizer"]
-    # the recursive optimizer's convergence tolerance: one sweep has none, so
-    # a document that still carries it loads, and keeps its hash
-    if isinstance(optimizer, dict) and "epsilon_cvg" in optimizer:
-        warnings.warn("optimizer.epsilon_cvg is not read and its value is ignored: the optimizer runs one sweep",
-                      UserWarning, stacklevel=2)
-        document = {**document, "optimizer": {k: v for k, v in optimizer.items() if k != "epsilon_cvg"}}
+    given = document
+    if isinstance(document, dict):
+        document = _without_retired(document)
+    _require(document, "scenario", tuple(_KEYS))
     values = {key: _values(document[key], rule, key) for key, rule in _KEYS.items()}
     # a level's linear value must be a positive float64, and one whose
     # dispersion does not vanish; numpy's conversion gives inf or 0.0 where a
@@ -168,7 +181,6 @@ def parse_scenario(document: dict, name: str = "custom") -> Scenario:
             link=LinkParams(blocklength_total=link["N"], payload_bits=link["d"]),
             a_max=state["a_max"],
             a_out=state["a_out"],
-            initial=tuple(state["initial"]),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -190,7 +202,7 @@ def load_scenario(source) -> Scenario:
     if name in PRESETS:
         return parse_scenario(PRESETS[name], name=name)
     path = Path(name)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(
             f"no such preset or config file: {name} (presets: {', '.join(sorted(PRESETS))})"
         )

@@ -117,11 +117,11 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
               seeds) -> tuple[np.ndarray, np.ndarray]:
     """Advance a grid of independent rows of the chain together, one numpy
     step per period. group's last axis runs over seeds: row (..., s)
-    follows policies[group[..., s]] from the initial state and consumes
-    default_rng(seeds[s]).random((periods, 4)). Returns the rows' outage
-    indicators in group's flat order, packed by np.packbits along each row
-    into (rows, ceil(periods / 8)) bytes, and each row's final 0-based state
-    position.
+    follows policies[group[..., s]] from position 0, ages (1, 1) with both
+    channel bits 0, and consumes default_rng(seeds[s]).random((periods, 4)).
+    Returns the rows' outage indicators in group's flat order, packed by
+    np.packbits along each row into (rows, ceil(periods / 8)) bytes, and
+    each row's final 0-based state position.
 
     The error rates and successors are tabled once per policy. A row's
     state at position s is held as h = group * n_states + s, and the
@@ -156,8 +156,7 @@ def _lockstep(t: TransitionTables, policies: np.ndarray, group: np.ndarray, peri
     outage = np.empty((group.size, (periods + 7) // 8), dtype=np.uint8)
     fail = np.empty(group.shape + (2,), dtype=bool)
     code = fail.view(np.uint16).reshape(group.shape)
-    base = offset[group]
-    h = base + cfg.initial_position
+    h = base = offset[group]
     for start in range(0, periods, DRAW_CHUNK):
         m = min(DRAW_CHUNK, periods - start)
         for rng, buf in zip(rngs, draws):
@@ -202,16 +201,16 @@ def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int,
 
 def simulate_many(cfg: SystemConfig, policies, periods: int, seeds) -> list[SimResult]:
     """Simulate one row per (policies[r], seeds[r]) pair for `periods`
-    periods from cfg.initial. Row r equals
-    simulate(cfg, policies[r], periods, seeds[r]); all rows advance in
-    lockstep, each with its own policy and generator."""
+    periods from ages (1, 1) with both channels at the bad level. Row r
+    equals simulate(cfg, policies[r], periods, seeds[r]); all rows advance
+    in lockstep, each with its own policy and generator."""
     if len(policies) != len(seeds):
         raise ValueError(f"got {len(policies)} policies for {len(seeds)} seeds")
     return _simulate_rows(cfg, policies, np.arange(len(seeds)), periods, seeds)
 
 
 def simulate(cfg: SystemConfig, policy, periods: int, seed: int) -> SimResult:
-    """Simulate the chain for `periods` periods from cfg.initial."""
+    """Simulate the chain for `periods` periods from ages (1, 1), both channels bad."""
     return simulate_many(cfg, [policy], periods, [seed])[0]
 
 

@@ -46,20 +46,12 @@ class SystemConfig:
     link: LinkParams
     a_max: int
     a_out: int
-    initial: tuple[int, int, int, int] = (1, 1, 0, 0)
 
     def __post_init__(self):
-        # a config is hashable, since it keys markov.transition_tables
-        object.__setattr__(self, "initial", tuple(self.initial))
         if self.a_max < 1:
             raise ValueError(f"a_max must be >= 1, got {self.a_max}")
         if not 1 <= self.a_out <= self.a_max:
             raise ValueError(f"a_out must lie in [1, a_max={self.a_max}], got {self.a_out}")
-        a1, a2, x1, x2 = self.initial
-        if not (1 <= a1 <= self.a_max and 1 <= a2 <= self.a_max):
-            raise ValueError(f"ages must lie in [1, {self.a_max}]: initial {self.initial}")
-        if x1 not in (0, 1) or x2 not in (0, 1):
-            raise ValueError(f"channel bits must be 0 or 1: initial {self.initial}")
         if self.a_out == self.a_max:
             warnings.warn(
                 "a_out equals a_max: the outage set is empty and outage statistics degenerate",
@@ -69,7 +61,3 @@ class SystemConfig:
     @property
     def n_states(self) -> int:
         return 4 * self.a_max * self.a_max
-
-    @property
-    def initial_position(self) -> int:
-        return encode_states(*self.initial, self.a_max)

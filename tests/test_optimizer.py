@@ -23,7 +23,7 @@ from aoi_outage.optimizer import (
     naive_policy,
     optimize,
 )
-from aoi_outage.scenarios import load_scenario
+from aoi_outage.scenarios import PRESETS, load_scenario
 from aoi_outage.states import SystemConfig
 
 from conftest import (
@@ -36,6 +36,12 @@ from conftest import (
 from test_markov import PRESET_NAMES, reference_transition_prob
 
 ALL_KINDS = list(PenaltyKind)
+
+#: The policies a preset's sweeps and benchmarks give, by the name the CLI gives them.
+HEURISTICS = {
+    **{kind.value: (lambda cfg, kind=kind: improve_policy(cfg, kind)) for kind in ALL_KINDS},
+    "min-error": min_error_policy,
+}
 
 
 def reference_weight_grid(kind, cfg):
@@ -332,6 +338,27 @@ class TestSweepMatchesReferenceLoop:
             improve_policy(cfg, kind),
             reference_improve_policy(cfg, pi, kind, tables=tables),
         )
+
+
+class TestPresetsShareTheHeuristics:
+    """The presets differ only in alpha, the channel-bit law, and the master
+    seed, and no sweep or benchmark policy reads that law: each gives the
+    three presets one policy."""
+
+    def test_presets_differ_only_in_alpha_and_master_seed(self):
+        def shared(name):
+            document = {key: dict(block) for key, block in PRESETS[name].items() if key != "alpha"}
+            del document["simulation"]["master_seed"]
+            return document
+
+        assert [shared(name) for name in PRESET_NAMES] == [shared(PRESET_NAMES[0])] * len(PRESET_NAMES)
+        assert len({tuple(PRESETS[name]["alpha"]) for name in PRESET_NAMES}) == len(PRESET_NAMES)
+        assert len({PRESETS[name]["simulation"]["master_seed"] for name in PRESET_NAMES}) == len(PRESET_NAMES)
+
+    @pytest.mark.parametrize("name", list(HEURISTICS))
+    def test_one_policy_for_every_preset(self, name):
+        policies = {HEURISTICS[name](load_scenario(preset).system).tobytes() for preset in PRESET_NAMES}
+        assert len(policies) == 1
 
 
 class TestOptimize:

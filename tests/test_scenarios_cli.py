@@ -84,10 +84,6 @@ BAD_LIST_ENTRIES = [
                  id="alpha-null"),
     pytest.param(lambda d: d.update(alpha=["0.6", 0.4]), r"alpha\[0\] must be a number",
                  id="alpha-string"),
-    pytest.param(lambda d: d["state"].update(initial=[1, None, 0, 0]),
-                 r"state\.initial\[1\] must be a number", id="initial-null"),
-    pytest.param(lambda d: d["state"].update(initial=[1.7, 1, 0, 0]),
-                 r"state\.initial\[0\] must be an integer", id="initial-fraction"),
 ]
 
 # non-finite numbers, which json.loads accepts as NaN and Infinity
@@ -134,15 +130,31 @@ OVERFLOWING_VALUES = [
                  r"and the channel dispersion vanishes\n", id="snr-bad-dispersion-vanishes"),
 ]
 
-# initial states outside the preset's state space (a_max = 5)
-OUT_OF_RANGE_INITIAL = [
-    pytest.param(lambda d: d["state"].update(initial=[6, 1, 0, 0]), r"ages must lie in \[1, 5\]",
-                 id="initial-age-above-a_max"),
-    pytest.param(lambda d: d["state"].update(initial=[0, 1, 0, 0]), r"ages must lie in \[1, 5\]",
-                 id="initial-age-zero"),
-    pytest.param(lambda d: d["state"].update(initial=[1, 1, 2, 0]), r"channel bits must be 0 or 1",
-                 id="initial-bit-two"),
+# keys no result reads, each with values a document may still carry: the
+# default, another start state, a start outside the state space, an old
+# schema version, and tolerances a recursion would refuse
+RETIRED_KEYS = [
+    pytest.param(lambda d: d["state"].update(initial=[1, 1, 0, 0]), "state.initial", id="initial-default"),
+    pytest.param(lambda d: d["state"].update(initial=[2, 1, 1, 0]), "state.initial", id="initial-moved"),
+    pytest.param(lambda d: d["state"].update(initial=[6, 0, 2, 0]), "state.initial", id="initial-outside"),
+    pytest.param(lambda d: d.update(schema_version=1), "schema_version", id="schema-1"),
+    pytest.param(lambda d: d.update(schema_version=2), "schema_version", id="schema-2"),
+    pytest.param(lambda d: d.update(schema_version=True), "schema_version", id="schema-true"),
+    pytest.param(lambda d: d["optimizer"].update(epsilon_cvg=0.0), "optimizer.epsilon_cvg", id="epsilon-zero"),
+    pytest.param(lambda d: d["optimizer"].update(epsilon_cvg=-1e-5), "optimizer.epsilon_cvg",
+                 id="epsilon-negative"),
+    pytest.param(lambda d: d["optimizer"].update(epsilon_cvg=float("nan")), "optimizer.epsilon_cvg",
+                 id="epsilon-nan"),
 ]
+
+
+def carry_every_retired_key(document):
+    """The document with each retired key set to a value no run may read."""
+    document = json.loads(json.dumps(document))
+    document["schema_version"] = 2
+    document["state"]["initial"] = [3, 2, 1, 0]
+    document["optimizer"]["epsilon_cvg"] = 1e-3
+    return document
 
 
 class TestScenarios:
@@ -159,8 +171,6 @@ class TestScenarios:
             assert sc.system.link.payload_bits == 16
             assert sc.system.a_max == 5
             assert sc.system.a_out == 3
-            assert sc.system.initial == (1, 1, 0, 0)
-            assert sc.system.initial_position == 0
             assert sc.optimizer.seeds == 10
             assert sc.simulation.reps == 100
             assert sc.simulation.periods == 2500
@@ -188,17 +198,13 @@ class TestScenarios:
             (lambda d: d["state"].update(a_out=9), "a_out"),
             (lambda d: d["optimizer"].update(seeds=0), "seeds"),
             (lambda d: d["blocklength"].update(N=10.5), "N"),
-            (lambda d: d.update(schema_version=2), "schema_version"),
-            (lambda d: d.update(schema_version=True), r"unsupported schema_version True \(expected 1\)"),
-            (lambda d: d["state"].update(initial=[1, 1]), "initial"),
             (lambda d: d["simulation"].update(master_seed=-1), "master_seed"),
             (lambda d: d["simulation"].update(reps=0), "simulation.reps must be >= 1, got 0"),
             (lambda d: d["simulation"].update(periods=0), "simulation.periods must be >= 1, got 0"),
             (lambda d: d["optimizer"].update(max_iter=0), "optimizer.max_iter must be >= 1, got 0"),
             (lambda d: d["optimizer"].update(seeds=0), "optimizer.seeds must be >= 1, got 0"),
         ]
-        + BAD_LIST_ENTRIES
-        + OUT_OF_RANGE_INITIAL,
+        + BAD_LIST_ENTRIES,
     )
     def test_rejects_malformed(self, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
@@ -206,20 +212,38 @@ class TestScenarios:
         with pytest.raises(ConfigError, match=fragment):
             load_scenario(doc)
 
-    @pytest.mark.parametrize("value", [0.0, -1e-5, float("nan")], ids=["zero", "negative", "nan"])
-    def test_unread_epsilon_cvg_loads_with_a_warning(self, value):
+    @pytest.mark.parametrize("mutate,key", RETIRED_KEYS)
+    def test_retired_key_loads_with_a_warning(self, mutate, key):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
-        doc["optimizer"]["epsilon_cvg"] = value
-        with pytest.warns(UserWarning, match=r"optimizer\.epsilon_cvg is not read") as caught:
+        mutate(doc)
+        with pytest.warns(UserWarning, match=rf"^{re.escape(key)} is not read") as caught:
             sc = load_scenario(doc)
         assert len(caught) == 1
         want = load_scenario(PRESETS["scenario_a"])
         assert sc.config_hash == config_hash(doc) != want.config_hash
         assert dataclasses.replace(sc, config_hash=want.config_hash) == want
 
+    def test_every_retired_key_warns_once(self):
+        doc = carry_every_retired_key(PRESETS["scenario_a"])
+        with pytest.warns(UserWarning) as caught:
+            sc = load_scenario(doc)
+        assert sorted(str(w.message).split()[0] for w in caught) == [
+            "optimizer.epsilon_cvg", "schema_version", "state.initial",
+        ]
+        assert sc.config_hash == config_hash(doc)
+
     def test_missing_source(self):
         with pytest.raises(ConfigError, match="preset"):
             load_scenario("scenario_z")
+
+    def test_directory_source(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="no such preset or config file"):
+            load_scenario(str(tmp_path))
+        out = tmp_path / "e.json"
+        assert run_cli(["evaluate", "--config", str(tmp_path), "--policy", "naive", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "error: no such preset or config file" in captured.err
+        assert not out.exists()
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -260,6 +284,26 @@ class TestCliEvaluate:
             assert run_cli(["evaluate", "--config", config, "--policy", "file",
                             "--policy-file", str(policy_file), "--out", str(out)]) == 0
             assert read_strict_json(out)["analytic_p_out"] == expected
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--policy", "min-error"],
+        ["simulate", "--policy", "naive", "--reps", "3", "--periods", "500"],
+    ], ids=["evaluate", "simulate"])
+    def test_retired_keys_give_the_presets_outputs(self, tmp_path, command):
+        # no run reads a retired key: a moved start state and an old schema
+        # version leave every number as the preset gives it
+        config = write_config(tmp_path, carry_every_retired_key(PRESETS["scenario_b"]))
+        reports = []
+        for source in ("scenario_b", config):
+            out = tmp_path / f"{len(reports)}.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                assert run_cli([command[0], "--config", source, *command[1:], "--out", str(out)]) == 0
+            reports.append(read_strict_json(out))
+        preset, carried = reports
+        assert carried.pop("metadata") == {**preset.pop("metadata"), "scenario": "config",
+                                           "config_hash": config_hash(json.loads(Path(config).read_text()))}
+        assert carried == preset
 
     def test_starved_device_is_undefined(self, tmp_path):
         # allocation 0 everywhere: device 1 never transmits, so every age pair
@@ -311,7 +355,7 @@ class TestCliEvaluate:
         assert "alphaa" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mutate,fragment",
-                             BAD_LIST_ENTRIES + OUT_OF_RANGE_INITIAL + NON_FINITE_VALUES + OVERFLOWING_VALUES)
+                             BAD_LIST_ENTRIES + NON_FINITE_VALUES + OVERFLOWING_VALUES)
     def test_bad_list_entry_exits_one(self, tmp_path, capsys, mutate, fragment):
         doc = json.loads(json.dumps(PRESETS["scenario_a"]))
         mutate(doc)

@@ -47,7 +47,7 @@ def reference_simulate(cfg, policy, periods, seed):
     u = rng.random((periods, 4))
     n = cfg.link.blocklength_total
     d = cfg.link.payload_bits
-    a1, a2, x1, x2 = cfg.initial
+    a1, a2, x1, x2 = 1, 1, 0, 0  # every run starts at position 0
     outage = []
     for k in range(periods):
         idx = 2 * (2 * ((a1 - 1) * cfg.a_max + a2 - 1) + x1) + x2  # 0-based

@@ -147,14 +147,13 @@ class TestSystemConfig:
     def test_valid(self):
         cfg = make_config()
         assert cfg.n_states == 16
-        assert cfg.initial == (1, 1, 0, 0)
-        assert cfg.initial_position == 0
 
-    def test_initial_position_follows_the_layout(self):
+    def test_has_no_start_state(self):
+        # every run starts at position 0: ages (1, 1), both channel bits 0
+        assert [f.name for f in dataclasses.fields(SystemConfig)] == ["profile", "link", "a_max", "a_out"]
         cfg = make_config()
-        moved = SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=1,
-                             initial=(2, 1, 1, 0))
-        assert moved.initial_position == reference_state_to_index(ReferenceState(2, 1, 1, 0), 2) - 1
+        with pytest.raises(TypeError, match="initial"):
+            SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=1, initial=(1, 1, 0, 0))
 
     def test_a_out_bounds(self):
         with pytest.raises(ValueError):
@@ -171,15 +170,3 @@ class TestSystemConfig:
         with pytest.warns(UserWarning, match="outage set is empty") as record:
             SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=2)
         assert [w.filename for w in record] == [__file__]
-
-    def test_initial_state_list_is_held_as_a_tuple(self):
-        cfg = make_config()
-        listed = SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=1, initial=[2, 1, 0, 0])
-        assert listed.initial == (2, 1, 0, 0)
-        assert hash(listed) == hash(dataclasses.replace(cfg, initial=(2, 1, 0, 0)))
-
-    def test_initial_state_validated(self):
-        cfg = make_config()
-        for initial in ((3, 1, 0, 0), (1, 0, 0, 0), (1, 1, 2, 0), (1, 1, 0, -1)):
-            with pytest.raises(ValueError):
-                SystemConfig(profile=cfg.profile, link=cfg.link, a_max=2, a_out=1, initial=initial)
