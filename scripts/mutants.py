@@ -53,6 +53,10 @@ SIMULATE = "src/aoi_outage/simulate.py"
 BURSTINESS = "src/aoi_outage/burstiness.py"
 MARKOV = "src/aoi_outage/markov.py"
 CLI_TESTS = ("tests/test_scenarios_cli.py",)
+VALIDATION_TESTS = (
+    "tests/test_markov.py::TestValidatePolicies",
+    "tests/test_markov.py::TestBuildMatrix::test_policy_validation",
+)
 
 MUTANTS = (
     Mutant("the chunk's last failure pair not copied", SIMULATE,
@@ -72,6 +76,11 @@ MUTANTS = (
            "np.less(us[j]", "np.less_equal(us[j]",
            equivalent="a continuous uniform equals an error rate with probability ~2**-53, "
                       "and a rate of 1.0 fails either way"),
+    Mutant("the policy range admits N + 1", MARKOV,
+           "arr.max(initial=0) > n)", "arr.max(initial=0) > n + 1)", tests=VALIDATION_TESTS),
+    Mutant("fractional allocations truncated, not refused", MARKOV,
+           'arr.dtype.kind == "f" and np.array_equal(np.rint(arr), arr)', 'arr.dtype.kind == "f"',
+           tests=VALIDATION_TESTS),
     Mutant("GTH elimination skips state 1", MARKOV,
            "range(n - 1, 0, -1)", "range(n - 1, 1, -1)", tests=("tests/test_markov.py",)),
     Mutant("the pmf walk stops at 10x its tolerance", BURSTINESS,

@@ -33,7 +33,7 @@ from .markov import (
     steady_state,
     steady_states,
     transition_tables,
-    validate_policy,
+    validate_policies,
 )
 from .optimizer import (
     OptimizeReport,

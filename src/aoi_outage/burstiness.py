@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .markov import _scatter_matrices, _state_reduction, steady_states, transition_tables, validate_policy
+from .markov import _state_reduction, build_transition_matrices, steady_states, transition_tables, validate_policies
 from .states import SystemConfig
 
 SERIES_TOLERANCE = 1e-12
@@ -167,15 +167,12 @@ def _stack_size(cfg: SystemConfig) -> int:
 
 def burst_stats_many(cfg: SystemConfig, policies) -> list[BurstStats]:
     """Burstiness record of each policy: chain_burst_stats_many of the age
-    chains they induce, with the config's outage set. Every policy is
-    validated first, so an invalid one raises before any is analysed. The
-    chains are then built, as build_transition_matrices builds them, and
-    analysed one stack of _STACK_BYTES at a time, in batch order."""
-    pols = np.array([validate_policy(p, cfg) for p in policies], dtype=np.int64).reshape(-1, cfg.n_states)
-    out = transition_tables(cfg).outage
-    size = _stack_size(cfg)
-    return [record for start in range(0, len(pols), size)
-            for record in chain_burst_stats_many(_scatter_matrices(cfg, pols[start:start + size]), out)]
+    chains they induce, with the config's outage set. The whole batch is
+    validated first, so an invalid policy raises before any analysis; the
+    chains are then built and analysed one stack of _STACK_BYTES at a time."""
+    pols, size = validate_policies(policies, cfg), _stack_size(cfg)
+    stacks = (build_transition_matrices(cfg, pols[start:start + size]) for start in range(0, len(pols), size))
+    return [record for ps in stacks for record in chain_burst_stats_many(ps, transition_tables(cfg).outage)]
 
 
 def burst_stats(cfg: SystemConfig, policy, *, tables=None) -> BurstStats:

@@ -112,9 +112,11 @@ def _resolve_policy(scenario: Scenario, policy_name: str, policy_file: str | Non
     """A named policy, or a policy file's array unchecked: scoring it validates it."""
     if policy_name != "file":
         return _named_policy(scenario.system, policy_name), policy_name
+    if not Path(policy_file).is_file():
+        raise ConfigError(f"no such policy file: {policy_file}")
     try:
         document = json.loads(Path(policy_file).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in policy file {policy_file}: {exc}") from exc
     best = document.get("best") if isinstance(document, dict) else None
     for holder in (document, best):

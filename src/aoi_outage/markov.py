@@ -8,7 +8,7 @@ read this one law, built once per config by transition_tables(cfg).
 Matrices and stationary laws come in stacks, one per policy, and the
 one-matrix forms are stacks of one. Burst statistics live in burstiness. A
 policy is an integer vector over the states giving device 1's share of the
-shared blocklength; device 2 gets the remainder.
+shared blocklength (device 2 gets the rest); validate_policies checks a batch.
 
 Timing convention: the error rates governing the transition out of a state
 use the channel bits stored in that state; the successor's bits are fresh
@@ -35,21 +35,28 @@ class SteadyStateError(RuntimeError):
     """Stationary solve failed or violated its invariants (non-ergodic input)."""
 
 
-def validate_policy(policy, cfg: SystemConfig) -> np.ndarray:
-    """Check length, integrality and range; returns the policy as an int array."""
-    arr = np.asarray(policy)
-    if arr.shape != (cfg.n_states,):
-        raise ValueError(f"policy must have shape ({cfg.n_states},), got {arr.shape}")
-    n = cfg.link.blocklength_total
-    # ints beyond int64 come as objects: clamp them just outside [0, n]
-    if arr.dtype == object and all(type(v) is int for v in arr):
-        arr = np.array([min(max(v, -1), n + 1) for v in arr])
+def validate_policies(policies, cfg: SystemConfig) -> np.ndarray:
+    """Check the shape, then the range, then the integrality of a batch of policies, each over
+    the whole batch; returns it as a (B, n_states) int64 array, the input's view if it is one."""
+    n_states, n = cfg.n_states, cfg.link.blocklength_total
+    try:
+        arr = np.asarray(policies)
+    except ValueError:  # ragged: report the first policy whose shape is wrong
+        arr = next(q[None] for q in map(np.asarray, policies) if q.shape != (n_states,))
+    if arr.shape[1:] != (n_states,) and arr.shape != (0,):  # an empty list has no row shape
+        raise ValueError(f"policy must have shape ({n_states},), got {arr.shape[1:]}")
+    arr = arr.reshape(-1, n_states)
+    if arr.dtype == object:
+        # a row of Python ints only, some beyond int64, is clamped just outside [0, n]; a row
+        # holding any other object becomes 0.5, in range but not an integer
+        ints = (np.frompyfunc(type, 1, 1)(arr) == int).all(axis=1, keepdims=True)
+        arr = np.clip(np.where(ints, arr, 0.5), -1, n + 1).astype(float)
     # range first, so no float entry too large for int64 reaches the cast
-    if arr.dtype.kind in "iuf" and (arr.min() < 0 or arr.max() > n):
+    if arr.dtype.kind in "iuf" and (arr.min(initial=0) < 0 or arr.max(initial=0) > n):
         raise ValueError(f"policy entries must lie in [0, {n}]")
-    if np.issubdtype(arr.dtype, np.floating) and np.array_equal(np.rint(arr), arr):
+    if arr.dtype.kind == "f" and np.array_equal(np.rint(arr), arr):
         arr = arr.astype(np.int64)
-    if not np.issubdtype(arr.dtype, np.integer):
+    if arr.dtype.kind not in "iu":
         raise ValueError("policy entries must be integers")
     return arr.astype(np.int64, copy=False)
 
@@ -132,13 +139,7 @@ def build_transition_matrices(cfg: SystemConfig, policies) -> np.ndarray:
     accumulate in state order, then branch order, so each matrix is the
     same whatever the stack.
     """
-    pols = np.array([validate_policy(p, cfg) for p in policies], dtype=np.int64).reshape(-1, cfg.n_states)
-    return _scatter_matrices(cfg, pols)
-
-
-def _scatter_matrices(cfg: SystemConfig, pols: np.ndarray) -> np.ndarray:
-    """build_transition_matrices of a (B, n_states) int64 array of policies
-    that validate_policy has passed."""
+    pols = validate_policies(policies, cfg)
     t = transition_tables(cfg)
     # weights[m, g, k, b]: branch b of state [g, k] in matrix m, times bit_weights[k]
     weights = np.stack(branch_probabilities(*t.error_rates(pols)), axis=-1) * t.bit_weights[:, None]

@@ -208,6 +208,6 @@ def load_scenario(source) -> Scenario:
         )
     try:
         document = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_scenario(document, name=path.stem)

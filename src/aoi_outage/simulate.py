@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .burstiness import burst_stats_many
-from .markov import TransitionTables, transition_tables, validate_policy
+from .markov import TransitionTables, transition_tables, validate_policies
 from .states import SystemConfig
 
 
@@ -181,7 +181,7 @@ def _mean(lengths: list[int]) -> float:
 
 
 def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int, seeds) -> list[SimResult]:
-    """Validate each policy once and run _lockstep's grid: row (..., s)
+    """Validate the policies once and run _lockstep's grid: row (..., s)
     follows policies[group[..., s]] with seed seeds[s], and the results come
     in group's flat order. Every row's outages are counted in one pass over
     the packed bits; np.packbits pads with zeros, so padding never counts."""
@@ -189,7 +189,7 @@ def _simulate_rows(cfg: SystemConfig, policies, group: np.ndarray, periods: int,
         raise ValueError(f"periods must be >= 1, got {periods}")
     if group.size == 0:
         raise ValueError("need at least one policy and seed")
-    pols = np.stack([validate_policy(p, cfg) for p in policies])
+    pols = validate_policies(policies, cfg)
     outage, final = _lockstep(transition_tables(cfg), pols, group, periods, seeds)
     counts = _POPCOUNT[outage].sum(axis=1)
     return [

@@ -81,6 +81,27 @@ def reference_bit_probability(profile, device, bit):
     return alpha if bit else 1.0 - alpha
 
 
+# The per-policy oracle of markov.validate_policies: each row of a batch is
+# checked against it.
+def reference_validate_policy(policy, cfg):
+    """Check length, integrality and range; returns the policy as an int array."""
+    arr = np.asarray(policy)
+    if arr.shape != (cfg.n_states,):
+        raise ValueError(f"policy must have shape ({cfg.n_states},), got {arr.shape}")
+    n = cfg.link.blocklength_total
+    # ints beyond int64 come as objects: clamp them just outside [0, n]
+    if arr.dtype == object and all(type(v) is int for v in arr):
+        arr = np.array([min(max(v, -1), n + 1) for v in arr])
+    # range first, so no float entry too large for int64 reaches the cast
+    if arr.dtype.kind in "iuf" and (arr.min() < 0 or arr.max() > n):
+        raise ValueError(f"policy entries must lie in [0, {n}]")
+    if np.issubdtype(arr.dtype, np.floating) and np.array_equal(np.rint(arr), arr):
+        arr = arr.astype(np.int64)
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError("policy entries must be integers")
+    return arr.astype(np.int64, copy=False)
+
+
 def reference_gth(p, dps=50):
     """Stationary law of the irreducible chain p by GTH elimination (Grassmann,
     Taksar & Heyman, Oper. Res. 33(5), 1985) in dps-digit arithmetic, as a

@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from aoi_outage import markov
-from aoi_outage.burstiness import burst_stats
+from aoi_outage.burstiness import burst_stats, burst_stats_many
 from aoi_outage.fbl import block_error_rate
 from aoi_outage.markov import (
     SteadyStateError,
@@ -28,7 +28,7 @@ from aoi_outage.markov import (
     steady_state,
     steady_states,
     transition_tables,
-    validate_policy,
+    validate_policies,
 )
 from aoi_outage.optimizer import PenaltyKind, min_error_policy, naive_policy, optimize
 from aoi_outage.scenarios import load_scenario
@@ -45,6 +45,7 @@ from conftest import (
     reference_gamma_for_bit,
     reference_state_to_index,
     reference_validate,
+    reference_validate_policy,
 )
 
 PRESET_NAMES = ("scenario_a", "scenario_b", "scenario_c")
@@ -80,7 +81,7 @@ def reference_transition_prob(cfg, lam, from_state, to_state):
 def reference_build_transition_matrix(cfg, policy, tables):
     """The per-state loop the scatter replaced: each state's four age
     branches, each spread over the fresh channel bits, added in branch order."""
-    pol = validate_policy(policy, cfg)
+    pol = reference_validate_policy(policy, cfg)
     n = cfg.link.blocklength_total
     p = np.zeros((cfg.n_states, cfg.n_states))
     for i, s in enumerate(reference_enumerate_states(cfg.a_max)):
@@ -202,16 +203,103 @@ class TestBuildMatrix:
             build_transition_matrix(small_cfg, [41] + [0] * 15)
         for entries in ([0.5] * 16, [np.nan] * 16, ["3"] * 16, [None] * 16, [True] * 16):
             with pytest.raises(ValueError, match="must be integers"):
-                validate_policy(entries, small_cfg)
+                validate_policies([entries], small_cfg)
         # integral floats are accepted
-        pol = validate_policy(np.full(16, 3.0), small_cfg)
-        assert pol.dtype == np.int64
+        pols = validate_policies([np.full(16, 3.0)], small_cfg)
+        assert pols.dtype == np.int64
+
+
+def policy_entries(cfg):
+    """Entries of a valid policy (ints and integral floats in [0, N]) and of
+    an invalid one (fractional floats, negatives, N + 1, Python ints beyond
+    int64, strings and None)."""
+    n = cfg.link.blocklength_total
+    valid = st.one_of(st.integers(0, n), st.integers(0, n).map(float))
+    invalid = st.one_of(
+        st.floats(0.0, n).filter(lambda x: not x.is_integer()), st.integers(-n, -1), st.just(n + 1),
+        st.sampled_from([10**30, -10**30, "3", None]),
+    )
+    return valid, invalid
+
+
+@st.composite
+def valid_batches(draw, cfg):
+    valid, _ = policy_entries(cfg)
+    return draw(st.lists(st.lists(valid, min_size=cfg.n_states, max_size=cfg.n_states), max_size=5))
+
+
+@st.composite
+def invalid_policies(draw, cfg):
+    """A valid policy with some entries made invalid, or one of a wrong length."""
+    valid, invalid = policy_entries(cfg)
+    if draw(st.booleans()):
+        length = draw(st.integers(0, cfg.n_states + 3).filter(lambda k: k != cfg.n_states))
+        return draw(st.lists(valid, min_size=length, max_size=length))
+    policy = draw(st.lists(valid, min_size=cfg.n_states, max_size=cfg.n_states))
+    for i in draw(st.sets(st.integers(0, cfg.n_states - 1), min_size=1)):
+        policy[i] = draw(invalid)
+    return policy
+
+
+class TestValidatePolicies:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_the_oracle(self, small_cfg, data):
+        batch = data.draw(valid_batches(small_cfg))
+        pols = validate_policies(batch, small_cfg)
+        assert pols.shape == (len(batch), small_cfg.n_states) and pols.dtype == np.int64
+        for policy, row in zip(batch, pols):
+            assert np.array_equal(row, reference_validate_policy(policy, small_cfg))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_invalid_policy_gives_its_oracle_message(self, small_cfg, data):
+        batch = data.draw(valid_batches(small_cfg))
+        bad = data.draw(invalid_policies(small_cfg))
+        batch.insert(data.draw(st.integers(0, len(batch))), bad)
+        with pytest.raises(ValueError) as oracle:
+            reference_validate_policy(bad, small_cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no entry may reach numpy's cast warning
+            with pytest.raises(ValueError) as got:
+                validate_policies(batch, small_cfg)
+        assert str(got.value) == str(oracle.value)
+
+    @pytest.mark.parametrize("batch", [[], np.empty((0, 16)), np.empty((0, 16), dtype=object)],
+                             ids=["list", "floats", "objects"])
+    def test_empty_batch(self, small_cfg, batch):
+        pols = validate_policies(batch, small_cfg)
+        assert pols.shape == (0, 16) and pols.dtype == np.int64
+
+    def test_one_policy_is_not_a_batch_of_one(self, small_cfg):
+        # read as a batch of 16 scalar policies, each of the wrong shape
+        policy = naive_policy(small_cfg)
+        for check in (validate_policies, lambda pol, cfg: build_transition_matrices(cfg, pol),
+                      lambda pol, cfg: burst_stats_many(cfg, pol)):
+            with pytest.raises(ValueError, match=r"policy must have shape \(16,\), got \(\)"):
+                check(policy, small_cfg)
+
+    def test_validated_batch_is_not_copied(self, small_cfg):
+        pols = validate_policies([naive_policy(small_cfg)] * 3, small_cfg)
+        assert np.shares_memory(validate_policies(pols, small_cfg), pols)
+
+    @pytest.mark.parametrize("batch, message", [
+        ([[0.5] * 16, [41] * 16], "policy entries must lie in [0, 40]"),
+        ([[None] * 16, [10**30] * 16], "policy entries must lie in [0, 40]"),
+        ([[0.5] * 16, [41] * 16, [0] * 15], "policy must have shape (16,), got (15,)"),
+        ([[0] * 17, [0] * 16, [0] * 15], "policy must have shape (16,), got (17,)"),
+    ], ids=["range-before-integrality", "objects", "shape-first", "first-shape-named"])
+    def test_several_invalid_policies_give_the_first_failed_check(self, small_cfg, batch, message):
+        # shape, then range, then integrality, each over the whole batch
+        with pytest.raises(ValueError) as got:
+            validate_policies(batch, small_cfg)
+        assert str(got.value) == message
 
 
 def add_at_scatter(cfg, policy, tables):
     """The age-chain matrix as a sequential np.add.at scatter of the
     transition law, in state order, then branch order."""
-    e1, e2 = tables.error_rates(validate_policy(policy, cfg))
+    e1, e2 = tables.error_rates(reference_validate_policy(policy, cfg))
     branch = np.stack([(1.0 - e1) * (1.0 - e2), (1.0 - e1) * e2, e1 * (1.0 - e2), e1 * e2], axis=-1)
     ages = np.arange(cfg.a_max**2)[:, None, None]
     cols = np.repeat(tables.succ[:, None, :], 4, axis=1)  # [g, k, b]

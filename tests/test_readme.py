@@ -1,4 +1,5 @@
-"""The README's examples, schema and column lists, checked against the program."""
+"""The README's examples, schema, column lists and acceptance numbers,
+checked against the program."""
 
 import argparse
 import contextlib
@@ -7,12 +8,16 @@ import io
 import json
 import re
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from aoi_outage import cli
-from aoi_outage.scenarios import PRESETS, parse_scenario
+from aoi_outage.burstiness import burst_stats_many
+from aoi_outage.optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy
+from aoi_outage.reference import PUBLISHED_OUTAGE_RATES
+from aoi_outage.scenarios import PRESETS, load_scenario, parse_scenario
 from aoi_outage.simulate import CHECKPOINTS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -102,3 +107,42 @@ def test_column_list_is_the_written_header(command, tmp_path):
     with open(out, newline="") as fh:
         header = next(csv.reader(fh))
     assert documented_columns()[command] == header
+
+
+def multiples(a_out: int, policy_names) -> dict[tuple[str, str], float]:
+    """Each preset's analytic outage rate under each named policy at
+    threshold a_out, as a multiple of the published rate."""
+    named = {"naive": naive_policy, "min-error": min_error_policy}
+    found = {}
+    for preset in ("scenario_a", "scenario_b", "scenario_c"):
+        cfg = replace(load_scenario(preset).system, a_out=a_out)
+        policies = [named[name](cfg) if name in named else improve_policy(cfg, PenaltyKind(name))
+                    for name in policy_names]
+        for name, stats in zip(policy_names, burst_stats_many(cfg, policies)):
+            found[preset, name] = stats.p_out / PUBLISHED_OUTAGE_RATES[preset, name]
+    return found
+
+
+def test_strict_gap_is_the_programs():
+    match = re.search(r"the analytic values sit (\d+)x to (\d+)x below", flat("Acceptance status"))
+    assert match, "README gives no strict-threshold gap"
+    gaps = [1.0 / ratio for ratio in multiples(3, ("naive", "min-error")).values()]
+    assert match.groups() == (f"{min(gaps):.0f}", f"{max(gaps):.0f}")
+
+
+def test_inclusive_range_is_the_programs():
+    match = re.search(r"at ([\d.]+)x–([\d.]+)x of the published rates", flat("Acceptance status"))
+    assert match, "README gives no inclusive-threshold range"
+    ratios = multiples(2, ("naive", "min-error")).values()
+    assert match.groups() == (f"{min(ratios):.3f}", f"{max(ratios):.3f}")
+
+
+def test_penalty_multiples_table_is_the_programs():
+    rows = [line.strip("|").split("|") for line in section("Acceptance status").splitlines()
+            if line.startswith("| ") and "---" not in line]
+    header, *body = [[cell.strip() for cell in row] for row in rows]
+    assert header[0] == "scenario"
+    found = multiples(2, header[1:])
+    printed = {(f"scenario_{row[0].lower()}", name): value
+               for row in body for name, value in zip(header[1:], row[1:])}
+    assert printed == {key: f"{ratio:.2f}" for key, ratio in found.items()}

@@ -251,6 +251,16 @@ class TestScenarios:
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_scenario(str(path))
 
+    def test_non_utf8_file_is_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"alpha": "\xff"}')
+        with pytest.raises(ConfigError, match=f"^invalid JSON in {re.escape(str(path))}: 'utf-8' codec"):
+            load_scenario(str(path))
+        out = tmp_path / "e.json"
+        assert run_cli(["evaluate", "--config", str(path), "--policy", "naive", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: 'utf-8' codec can't decode")
+        assert not out.exists()
+
 
 class TestCliEvaluate:
     def test_naive_scenario_b(self, tmp_path, capsys):
@@ -342,6 +352,22 @@ class TestCliEvaluate:
                             "--policy-file", str(pol_path), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda path: None, "no such policy file: {path}\n"),
+        (lambda path: path.mkdir(), "no such policy file: {path}\n"),
+        (lambda path: path.write_bytes(b'{"policy_lambda": "\xff"}'),
+         "invalid JSON in policy file {path}: 'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "directory", "not-utf-8"])
+    def test_unreadable_policy_file_is_named(self, tmp_path, capsys, make, message):
+        pol_path = tmp_path / "policy.json"
+        make(pol_path)
+        out = tmp_path / "eval.json"
+        code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "file",
+                        "--policy-file", str(pol_path), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {message.format(path=pol_path)}")
         assert not out.exists()
 
     def test_malformed_config_names_key(self, tmp_path, capsys):
@@ -725,14 +751,14 @@ class TestCliGrids:
         assert not out.exists()
 
     def test_nan_chain_exits_one(self, tmp_path, capsys, monkeypatch):
-        build = burstiness._scatter_matrices
+        build = burstiness.build_transition_matrices
 
-        def with_nan(cfg, pols):
-            ps = build(cfg, pols)
+        def with_nan(cfg, policies):
+            ps = build(cfg, policies)
             ps[0, 0, 1] = float("nan")
             return ps
 
-        monkeypatch.setattr(burstiness, "_scatter_matrices", with_nan)
+        monkeypatch.setattr(burstiness, "build_transition_matrices", with_nan)
         out = tmp_path / "eval.json"
         code = run_cli(["evaluate", "--config", "scenario_b", "--policy", "naive", "--out", str(out)])
         assert code == 1

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from aoi_outage.burstiness import burst_stats
 from aoi_outage.fbl import block_error_rate
-from aoi_outage.markov import TransitionTables, validate_policy
+from aoi_outage.markov import TransitionTables, validate_policies
 from aoi_outage.optimizer import PenaltyKind, improve_policy, min_error_policy, naive_policy
 from aoi_outage.simulate import (
     CHECKPOINTS,
@@ -236,18 +236,18 @@ class TestSimulateMany:
     def count_validations(monkeypatch) -> list:
         calls = []
 
-        def counting(policy, cfg):
+        def counting(policies, cfg):
             calls.append(1)
-            return validate_policy(policy, cfg)
+            return validate_policies(policies, cfg)
 
-        monkeypatch.setattr(simulate_module, "validate_policy", counting)
+        monkeypatch.setattr(simulate_module, "validate_policies", counting)
         return calls
 
-    def test_validates_one_policy_per_row(self, small_cfg, monkeypatch):
+    def test_validates_the_batch_once(self, small_cfg, monkeypatch):
         calls = self.count_validations(monkeypatch)
         pol = naive_policy(small_cfg)
         simulate_many(small_cfg, [pol] * 5, 20, list(range(5)))
-        assert len(calls) == 5
+        assert len(calls) == 1
 
     def test_repetitions_table_each_policy_and_draw_each_seed_once(self, small_cfg, monkeypatch):
         calls = self.count_validations(monkeypatch)
@@ -261,8 +261,22 @@ class TestSimulateMany:
         monkeypatch.setattr(np.random, "default_rng", counting_rng)
         pols = [naive_policy(small_cfg), random_policy(small_cfg, default_rng(4))]
         run_repetitions_many(small_cfg, pols, 7, 20, 3)
-        assert len(calls) == 2
+        assert len(calls) == 1
         assert generators == [derive_seed(3, r) for r in range(7)]
+
+    @pytest.mark.parametrize("run", [
+        lambda cfg, pols: simulate_many(cfg, pols, 20, list(range(len(pols)))),
+        lambda cfg, pols: run_repetitions_many(cfg, pols, 3, 20, 0),
+    ], ids=["simulate_many", "run_repetitions_many"])
+    def test_invalid_last_policy_is_refused_before_any_step(self, small_cfg, monkeypatch, run):
+        def stepped(*args):
+            raise AssertionError("the batch was stepped before every policy was validated")
+
+        monkeypatch.setattr(simulate_module, "_lockstep", stepped)
+        pols = [naive_policy(small_cfg), random_policy(small_cfg, np.random.default_rng(1)),
+                np.full(small_cfg.n_states, 2.5)]
+        with pytest.raises(ValueError, match="policy entries must be integers"):
+            run(small_cfg, pols)
 
     def test_rejects_empty_input(self, small_cfg):
         with pytest.raises(ValueError):
